@@ -34,9 +34,10 @@ static void BM_Conv2D(benchmark::State& state) {
 BENCHMARK(BM_Conv2D)->Args({16, 6})->Args({32, 12})->Args({32, 36});
 
 static void BM_Conv2DInfer(benchmark::State& state) {
-  // Same workload as BM_Conv2D through the im2col + blocked-GEMM fast path
-  // (caller-owned scratch, fused bias). The ratio of the two is the fast
-  // path's win; their outputs are bit-identical (tests/test_execution.cpp).
+  // Same workload as BM_Conv2D through the scalar engine's conv step: im2col
+  // into packed panels, then the per-element GEMM over weights packed once.
+  // Its output is bit-identical to BM_Conv2D's (tests/test_kernels.cpp).
+  namespace ker = nn::kernels;
   const std::size_t size = static_cast<std::size_t>(state.range(0));
   const std::size_t maps = static_cast<std::size_t>(state.range(1));
   nn::Conv2D conv(1, maps, 5, 5);
@@ -44,9 +45,15 @@ static void BM_Conv2DInfer(benchmark::State& state) {
   conv.init_weights(rng);
   const nn::Tensor x = random_tensor(nn::Shape{1, size, size}, 2);
   nn::Tensor out{conv.output_shape(x.shape())};
-  std::vector<float> col(conv.col_scratch_size(x.shape()));
+  const std::size_t oh = out.shape().height(), ow = out.shape().width();
+  const std::size_t n = oh * ow, k = 25;
+  ker::PackedA weights;
+  ker::pack_a(conv.weights().data(), maps, k, weights);
+  util::aligned_vector<float> bpack(ker::packed_b_size(n, k));
   for (auto _ : state) {
-    conv.infer_into(x, out, col.data(), /*fused=*/nullptr);
+    ker::im2col_pack(x.data(), size * size, 1, size, size, 5, 5, oh, ow, bpack.data(), 0, n);
+    ker::zero_pack_tail(bpack.data(), n, k);
+    ker::gemm_scalar(weights, bpack.data(), n, conv.bias().data(), /*act=*/-1, out.data(), n);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -118,7 +125,7 @@ BENCHMARK(BM_FullForwardTest4);
 
 static void BM_FullInferTest1(benchmark::State& state) {
   // BM_FullForwardTest1 through the reentrant ExecutionContext engine: the
-  // plan is compiled once, arenas are reused, conv runs the fast path.
+  // plan is compiled once, weights are packed once, scratch is reused.
   nn::Network net = nn::make_test1_network();
   util::Rng rng(7);
   net.init_weights(rng);

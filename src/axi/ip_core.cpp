@@ -34,6 +34,8 @@ bool CnnIpCore::load_weights(AxiStreamChannel& in) {
       (*p.value)[i] = bits_to_float(beat->data);
     }
   }
+  // The context packed the previous weights; new parameters need a new one.
+  ctx_ = nn::ExecutionContext(net_, nn::kernels::Kind::kScalar, nullptr);
   weights_loaded_ = true;
   return true;
 }

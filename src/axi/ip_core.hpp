@@ -61,7 +61,7 @@ class CnnIpCore {
 
  private:
   nn::Network& net_;
-  nn::ExecutionContext ctx_;  ///< reused float-path arenas (one run at a time)
+  nn::ExecutionContext ctx_;  ///< float-path plan + packed weights (one run at a time)
   nn::NumericFormat format_;
   bool streamed_weights_ = false;
   bool weights_loaded_ = false;

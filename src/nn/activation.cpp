@@ -44,13 +44,6 @@ Tensor Activation::forward(const Tensor& input, bool train) {
   return out;
 }
 
-void Activation::infer_into(const Tensor& input, Tensor& out) const {
-  if (out.shape() != input.shape()) {
-    throw std::invalid_argument("Activation::infer_into: output arena shape mismatch");
-  }
-  for (std::size_t i = 0; i < input.size(); ++i) out[i] = apply(act_, input[i]);
-}
-
 Tensor Activation::backward(const Tensor& grad_output) {
   if (cached_output_.empty()) {
     throw std::logic_error("Activation::backward before forward(train=true)");

@@ -20,7 +20,6 @@ class Activation final : public Layer {
   std::string describe() const override { return kind(); }
   Shape output_shape(const Shape& input) const override { return input; }
   Tensor forward(const Tensor& input, bool train) override;
-  void infer_into(const Tensor& input, Tensor& out) const override;
   Tensor backward(const Tensor& grad_output) override;
   std::size_t mac_count(const Shape& input) const override { return input.elements(); }
 

@@ -1,11 +1,8 @@
 #include "nn/conv.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <vector>
 
-#include "nn/activation.hpp"
 #include "util/strings.hpp"
 
 namespace cnn2fpga::nn {
@@ -93,80 +90,6 @@ Tensor Conv2D::forward(const Tensor& input, bool train) {
 
   if (train) cached_input_ = input;
   return out;
-}
-
-std::size_t Conv2D::col_scratch_size(const Shape& input) const {
-  const Shape out = output_shape(input);
-  return out.height() * out.width() * in_channels_ * kernel_h_ * kernel_w_;
-}
-
-void Conv2D::infer_into(const Tensor& input, Tensor& out) const {
-  std::vector<float> col(col_scratch_size(input.shape()));
-  infer_into(input, out, col.data(), nullptr);
-}
-
-void Conv2D::infer_into(const Tensor& input, Tensor& out, float* col,
-                        const Activation* fused) const {
-  const Shape out_shape = output_shape(input.shape());
-  if (out.shape() != out_shape) {
-    throw std::invalid_argument(format("Conv2D::infer_into: output arena %s != %s",
-                                       out.shape().to_string().c_str(),
-                                       out_shape.to_string().c_str()));
-  }
-  const std::size_t oh = out_shape.height(), ow = out_shape.width();
-  const std::size_t ih = input.shape().height(), iw = input.shape().width();
-  const std::size_t patch = in_channels_ * kernel_h_ * kernel_w_;
-  const std::size_t pixels = oh * ow;
-
-  // im2col: one contiguous patch per output pixel, laid out in the exact
-  // (c, m, n) order forward() accumulates in, so the GEMM's linear dot
-  // product below replays forward()'s operation sequence verbatim.
-  const float* x = input.data();
-  for (std::size_t i = 0; i < oh; ++i) {
-    for (std::size_t j = 0; j < ow; ++j) {
-      float* patch_out = col + (i * ow + j) * patch;
-      for (std::size_t c = 0; c < in_channels_; ++c) {
-        const float* xc = x + c * ih * iw;
-        for (std::size_t m = 0; m < kernel_h_; ++m) {
-          const float* row = xc + (i + m) * iw + j;
-          for (std::size_t n = 0; n < kernel_w_; ++n) *patch_out++ = row[n];
-        }
-      }
-    }
-  }
-
-  // Blocked GEMM: weights (out_channels x patch) times col^T (patch x pixels).
-  // Pixels are tiled so a col tile stays cache-resident across every kernel
-  // row; blocking never splits the patch reduction — each output element keeps
-  // a single accumulator seeded with the bias, which is what makes the result
-  // bit-identical to the naive loop in forward().
-  constexpr std::size_t kPixelTile = 64;
-  const float* w = weights_.data();
-  float* o = out.data();
-  for (std::size_t p0 = 0; p0 < pixels; p0 += kPixelTile) {
-    const std::size_t p1 = std::min(pixels, p0 + kPixelTile);
-    for (std::size_t k = 0; k < out_channels_; ++k) {
-      const float* wk = w + k * patch;
-      const float bk = bias_[k];
-      float* ok = o + k * pixels;
-      if (fused == nullptr) {
-        for (std::size_t p = p0; p < p1; ++p) {
-          const float* cp = col + p * patch;
-          float acc = bk;
-          for (std::size_t q = 0; q < patch; ++q) acc += wk[q] * cp[q];
-          ok[p] = acc;
-        }
-      } else {
-        const ActKind act = fused->act();
-        for (std::size_t p = p0; p < p1; ++p) {
-          const float* cp = col + p * patch;
-          float acc = bk;
-          for (std::size_t q = 0; q < patch; ++q) acc += wk[q] * cp[q];
-          ok[p] = Activation::apply(act, acc);
-        }
-      }
-    }
-  }
 }
 
 Tensor Conv2D::backward(const Tensor& grad_output) {

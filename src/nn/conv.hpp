@@ -13,8 +13,6 @@
 
 namespace cnn2fpga::nn {
 
-class Activation;
-
 class Conv2D final : public Layer {
  public:
   /// Weights initialized to zero; call init_weights or load them.
@@ -28,14 +26,6 @@ class Conv2D final : public Layer {
   std::string describe() const override;
   Shape output_shape(const Shape& input) const override;
   Tensor forward(const Tensor& input, bool train) override;
-  void infer_into(const Tensor& input, Tensor& out) const override;
-  /// Fast path: im2col into `col` (at least col_scratch_size(input.shape())
-  /// floats) followed by a pixel-blocked GEMM, optionally applying `fused`
-  /// elementwise to each finished accumulator. Each output element sees the
-  /// exact accumulation sequence of forward(), so results are bit-identical.
-  void infer_into(const Tensor& input, Tensor& out, float* col, const Activation* fused) const;
-  /// Floats of im2col scratch needed for an input of the given shape.
-  std::size_t col_scratch_size(const Shape& input) const;
   Tensor backward(const Tensor& grad_output) override;
   std::vector<Param> params() override;
   std::size_t mac_count(const Shape& input) const override;

@@ -9,6 +9,23 @@ namespace cnn2fpga::nn {
 
 using cnn2fpga::util::format;
 
+namespace {
+
+void check_call(const Network& net, const ExecutionContext& ctx, const Tensor* input,
+                const char* who) {
+  if (&ctx.network() != &net) {
+    throw std::invalid_argument(format("%s: context was built for a different network", who));
+  }
+  if (input == nullptr || input->shape() != net.input_shape()) {
+    throw std::invalid_argument(format("%s: expected input %s, got %s", who,
+                                       net.input_shape().to_string().c_str(),
+                                       input == nullptr ? "null"
+                                                        : input->shape().to_string().c_str()));
+  }
+}
+
+}  // namespace
+
 ExecutionContext::ExecutionContext(const Network& net)
     : ExecutionContext(net, kernels::active(), nullptr) {}
 
@@ -22,24 +39,27 @@ ExecutionContext::ExecutionContext(const Network& net, kernels::Kind kind,
                                    std::shared_ptr<kernels::QuantPackCache> qpacks)
     : net_(&net),
       kernel_(kind),
-      packs_(std::move(packs)),
       precision_(precision),
+      output_(net.output_shape()),
+      packs_(std::move(packs)),
       qpacks_(std::move(qpacks)) {
   if (kernel_ == kernels::Kind::kAvx2 && !kernels::avx2_available()) {
     throw std::runtime_error("ExecutionContext: AVX2 engine requested but unavailable");
   }
-  if (precision_ != ServePrecision::kFloat32) {
+  const std::size_t count = net.layer_count();
+  if (precision_ == ServePrecision::kFloat32) {
+    if (packs_ == nullptr) packs_ = std::make_shared<kernels::PackCache>(count);
+  } else {
     qformat_ = serve_precision_format(precision_);
     if (qpacks_ == nullptr) {
-      qpacks_ = std::make_shared<kernels::QuantPackCache>(net.layer_count(), precision_);
+      qpacks_ = std::make_shared<kernels::QuantPackCache>(count, precision_);
     } else if (qpacks_->precision() != precision_) {
       throw std::invalid_argument(
           "ExecutionContext: shared QuantPackCache precision mismatch");
     }
   }
-  std::size_t max_col = 0;
   std::size_t max_pool_row = 0;
-  const std::size_t count = net.layer_count();
+  max_image_elems_ = net.input_shape().elements();
   std::size_t l = 0;
   while (l < count) {
     Step step;
@@ -47,9 +67,8 @@ ExecutionContext::ExecutionContext(const Network& net, kernels::Kind kind,
     step.layer_index = l;
     step.in_shape = l == 0 ? net.input_shape() : net.shape_after(l - 1);
     step.out_shape = net.shape_after(l);
-    if (const auto* conv = dynamic_cast<const Conv2D*>(step.layer)) {
+    if (dynamic_cast<const Conv2D*>(step.layer) != nullptr) {
       step.kind = Step::Kind::kConv;
-      max_col = std::max(max_col, conv->col_scratch_size(step.in_shape));
     } else if (dynamic_cast<const Linear*>(step.layer) != nullptr) {
       step.kind = Step::Kind::kLinear;
     } else if (dynamic_cast<const Pool2D*>(step.layer) != nullptr) {
@@ -59,11 +78,14 @@ ExecutionContext::ExecutionContext(const Network& net, kernels::Kind kind,
       step.kind = Step::Kind::kActivation;
     } else if (dynamic_cast<const LogSoftMax*>(step.layer) != nullptr) {
       step.kind = Step::Kind::kLogSoftMax;
+    } else {
+      // Network's builder only adds the five kinds above.
+      throw std::logic_error("ExecutionContext: unknown layer kind " + step.layer->kind());
     }
     ++l;
     // Fuse a directly following Activation into its producer: the activation
-    // is applied elementwise to each finished accumulator, so fusion skips an
-    // arena round trip without touching the arithmetic.
+    // is applied elementwise to each finished accumulator, so fusion skips a
+    // buffer round trip without touching the arithmetic.
     if ((step.kind == Step::Kind::kConv || step.kind == Step::Kind::kLinear) && l < count) {
       if (const auto* act = dynamic_cast<const Activation*>(&net.layer(l))) {
         step.fused = act;
@@ -71,204 +93,32 @@ ExecutionContext::ExecutionContext(const Network& net, kernels::Kind kind,
         ++l;
       }
     }
+    max_image_elems_ = std::max(max_image_elems_, step.out_shape.elements());
     steps_.push_back(step);
   }
-  if (steps_.empty()) {
-    arenas_.emplace_back(net.input_shape());
-  } else {
-    arenas_.reserve(steps_.size());
-    for (const Step& step : steps_) arenas_.emplace_back(step.out_shape);
-  }
-  col_.resize(max_col);
-
-  max_image_elems_ = net.input_shape().elements();
-  for (const Step& step : steps_) {
-    max_image_elems_ = std::max(max_image_elems_, step.out_shape.elements());
-  }
-  if (kernel_ == kernels::Kind::kAvx2 && precision_ == ServePrecision::kFloat32) {
-    if (packs_ == nullptr) packs_ = std::make_shared<kernels::PackCache>(count);
-    pool_row_.resize(max_pool_row);
-  }
-}
-
-void ExecutionContext::ensure_batch(std::size_t batch) {
-  if (batch <= batch_capacity_) return;
-  if (precision_ != ServePrecision::kFloat32) {
-    // Quantized buffers are sized in bytes: int8 activations are 1 byte,
-    // int16 are 2, and both engines (scalar reference included) consume the
-    // same packed panels.
-    const bool is8 = precision_ == ServePrecision::kInt8;
-    const std::size_t elem = is8 ? 1 : 2;
-    std::size_t need_bpack = 0;
-    std::size_t need_tmp = 0;
-    for (const Step& step : steps_) {
-      if (step.kind == Step::Kind::kConv) {
-        const auto* conv = static_cast<const Conv2D*>(step.layer);
-        const std::size_t patch =
-            conv->in_channels() * conv->kernel_h() * conv->kernel_w();
-        const std::size_t pixels = step.out_shape.height() * step.out_shape.width();
-        need_bpack = std::max(need_bpack,
-                              is8 ? kernels::packed_b_size_s8(batch * pixels, patch)
-                                  : kernels::packed_b_size_s16(batch * pixels, patch));
-      } else if (step.kind == Step::Kind::kLinear) {
-        const auto* lin = static_cast<const Linear*>(step.layer);
-        need_bpack = std::max(need_bpack,
-                              is8 ? kernels::packed_b_size_s8(batch, lin->in_features())
-                                  : kernels::packed_b_size_s16(batch, lin->in_features()));
-        need_tmp = std::max(need_tmp, lin->out_features() * batch);
-      }
-    }
-    qbpack_.resize(need_bpack * elem);
-    qgemm_tmp_.resize(need_tmp * elem);
-    qping_.resize(batch * max_image_elems_ * elem);
-    qpong_.resize(batch * max_image_elems_ * elem);
-    qrow_ptrs_.resize(batch);
-    batch_capacity_ = batch;
-    return;
-  }
-  if (kernel_ != kernels::Kind::kAvx2) return;
-  std::size_t need_bpack = 0;
-  std::size_t need_tmp = 0;
-  for (const Step& step : steps_) {
-    if (step.kind == Step::Kind::kConv) {
-      const auto* conv = static_cast<const Conv2D*>(step.layer);
-      const std::size_t patch = conv->in_channels() * conv->kernel_h() * conv->kernel_w();
-      const std::size_t pixels = step.out_shape.height() * step.out_shape.width();
-      need_bpack = std::max(need_bpack, kernels::packed_b_size(batch * pixels, patch));
-    } else if (step.kind == Step::Kind::kLinear) {
-      const auto* lin = static_cast<const Linear*>(step.layer);
-      need_bpack = std::max(need_bpack, kernels::packed_b_size(batch, lin->in_features()));
-      need_tmp = std::max(need_tmp, lin->out_features() * batch);
-    }
-  }
-  bpack_.resize(need_bpack);
-  gemm_tmp_.resize(need_tmp);
-  batch_ping_.resize(batch * max_image_elems_);
-  batch_pong_.resize(batch * max_image_elems_);
-  row_ptrs_.resize(batch);
-  batch_capacity_ = batch;
-}
-
-void ExecutionContext::warm_packs() {
-  if (precision_ != ServePrecision::kFloat32) {
-    const bool is8 = precision_ == ServePrecision::kInt8;
-    for (const Step& step : steps_) {
-      const float *w = nullptr, *b = nullptr;
-      std::size_t m = 0, k = 0;
-      if (step.kind == Step::Kind::kConv) {
-        const auto* conv = static_cast<const Conv2D*>(step.layer);
-        w = conv->weights().data();
-        b = conv->bias().data();
-        m = conv->out_channels();
-        k = conv->in_channels() * conv->kernel_h() * conv->kernel_w();
-      } else if (step.kind == Step::Kind::kLinear) {
-        const auto* lin = static_cast<const Linear*>(step.layer);
-        w = lin->weights().data();
-        b = lin->bias().data();
-        m = lin->out_features();
-        k = lin->in_features();
-      }
-      if (w != nullptr) {
-        if (is8) {
-          (void)qpacks_->get8(step.layer_index, w, b, m, k);
-        } else {
-          (void)qpacks_->get16(step.layer_index, w, b, m, k);
-        }
-      }
-      // Non-ReLU activations (fused or standalone) need their lookup table.
-      const Activation* act = step.fused;
-      if (step.kind == Step::Kind::kActivation) {
-        act = static_cast<const Activation*>(step.layer);
-      }
-      if (act != nullptr && act->act() != ActKind::kReLU) {
-        if (is8) {
-          (void)qpacks_->lut8(act->act());
-        } else {
-          (void)qpacks_->lut16(act->act());
-        }
-      }
-    }
-    return;
-  }
-  if (kernel_ != kernels::Kind::kAvx2 || packs_ == nullptr) return;
-  for (const Step& step : steps_) {
-    if (step.kind == Step::Kind::kConv) {
-      const auto* conv = static_cast<const Conv2D*>(step.layer);
-      packs_->get(step.layer_index, conv->weights().data(), conv->out_channels(),
-                  conv->in_channels() * conv->kernel_h() * conv->kernel_w());
-    } else if (step.kind == Step::Kind::kLinear) {
-      const auto* lin = static_cast<const Linear*>(step.layer);
-      packs_->get(step.layer_index, lin->weights().data(), lin->out_features(),
-                  lin->in_features());
-    }
-  }
+  pool_row_.resize(max_pool_row);
 }
 
 const Tensor& Network::infer(const Tensor& input, ExecutionContext& ctx) const {
-  if (&ctx.network() != this) {
-    throw std::invalid_argument("Network::infer: context was built for a different network");
-  }
-  if (input.shape() != input_shape_) {
-    throw std::invalid_argument(format("Network::infer: expected input %s, got %s",
-                                       input_shape_.to_string().c_str(),
-                                       input.shape().to_string().c_str()));
-  }
-  const std::vector<ExecutionContext::Step>& steps = ctx.steps();
-  if (steps.empty()) {
-    ctx.arena(0) = input;
-    return ctx.arena(0);
-  }
-
-  if (ctx.precision() != ServePrecision::kFloat32) {
-    if (plan_needs_generic(ctx)) {
-      throw std::invalid_argument(
-          "Network::infer: quantized serving requires a conv/pool/linear/activation/"
-          "logsoftmax plan");
-    }
-    const Tensor* in_ptr = &input;
-    Tensor& out = ctx.arena(steps.size() - 1);
-    float* out_row = out.data();
-    run_quant_batch(&in_ptr, 1, ctx, &out_row);
-    return out;
-  }
-
-  if (ctx.kernel() == kernels::Kind::kAvx2 && !plan_needs_generic(ctx)) {
-    // Single image through the fused engine (a batch of one): identical
-    // arithmetic to infer_batch by construction, so serving's batched path
-    // and the latency path agree bit-for-bit.
-    const Tensor* in_ptr = &input;
-    Tensor& out = ctx.arena(steps.size() - 1);
-    float* out_row = out.data();
-    run_fused_batch(&in_ptr, 1, ctx, &out_row);
-    return out;
-  }
-
-  const Tensor* current = &input;
-  for (std::size_t s = 0; s < steps.size(); ++s) {
-    const ExecutionContext::Step& step = steps[s];
-    Tensor& out = ctx.arena(s);
-    switch (step.kind) {
-      case ExecutionContext::Step::Kind::kConv:
-        static_cast<const Conv2D*>(step.layer)->infer_into(*current, out, ctx.col_scratch(),
-                                                           step.fused);
-        break;
-      case ExecutionContext::Step::Kind::kLinear:
-        static_cast<const Linear*>(step.layer)->infer_into(*current, out, step.fused);
-        break;
-      default:
-        step.layer->infer_into(*current, out);
-        break;
-    }
-    current = &out;
-  }
-  return *current;
+  check_call(*this, ctx, &input, "Network::infer");
+  const Tensor* in = &input;
+  float* row = ctx.output_.data();
+  run_plan(&in, 1, ctx, &row, ctx.steps().size());
+  return ctx.output_;
 }
 
-bool Network::plan_needs_generic(const ExecutionContext& ctx) {
-  for (const ExecutionContext::Step& step : ctx.steps()) {
-    if (step.kind == ExecutionContext::Step::Kind::kGeneric) return true;
+Tensor Network::infer_logits(const Tensor& input, ExecutionContext& ctx) const {
+  check_call(*this, ctx, &input, "Network::infer_logits");
+  const std::vector<ExecutionContext::Step>& steps = ctx.steps();
+  std::size_t stop = 0;
+  while (stop < steps.size() && steps[stop].kind != ExecutionContext::Step::Kind::kLogSoftMax) {
+    ++stop;
   }
-  return false;
+  Tensor logits(stop == 0 ? input_shape_ : steps[stop - 1].out_shape);
+  const Tensor* in = &input;
+  float* row = logits.data();
+  run_plan(&in, 1, ctx, &row, stop);
+  return logits;
 }
 
 void Network::infer_batch(std::span<const Tensor* const> inputs, std::span<Tensor> outputs,
@@ -277,41 +127,14 @@ void Network::infer_batch(std::span<const Tensor* const> inputs, std::span<Tenso
     throw std::invalid_argument("Network::infer_batch: inputs/outputs size mismatch");
   }
   if (inputs.empty()) return;
-  if (&ctx.network() != this) {
-    throw std::invalid_argument("Network::infer_batch: context was built for a different network");
+  for (const Tensor* input : inputs) check_call(*this, ctx, input, "Network::infer_batch");
+  const Shape& out_shape = output_shape();
+  std::vector<float*> out_rows(inputs.size());
+  for (std::size_t i = 0; i < outputs.size(); ++i) {
+    if (outputs[i].shape() != out_shape) outputs[i] = Tensor(out_shape);
+    out_rows[i] = outputs[i].data();
   }
-  for (const Tensor* input : inputs) {
-    if (input == nullptr || input->shape() != input_shape_) {
-      throw std::invalid_argument("Network::infer_batch: bad input shape");
-    }
-  }
-  if (ctx.precision() != ServePrecision::kFloat32 && !ctx.steps().empty()) {
-    if (plan_needs_generic(ctx)) {
-      throw std::invalid_argument(
-          "Network::infer_batch: quantized serving requires a conv/pool/linear/"
-          "activation/logsoftmax plan");
-    }
-    const Shape& out_shape = output_shape();
-    std::vector<float*> out_rows(inputs.size());
-    for (std::size_t i = 0; i < outputs.size(); ++i) {
-      if (outputs[i].shape() != out_shape) outputs[i] = Tensor(out_shape);
-      out_rows[i] = outputs[i].data();
-    }
-    run_quant_batch(inputs.data(), inputs.size(), ctx, out_rows.data());
-    return;
-  }
-  if (ctx.kernel() == kernels::Kind::kAvx2 && !plan_needs_generic(ctx) &&
-      !ctx.steps().empty()) {
-    const Shape& out_shape = output_shape();
-    std::vector<float*> out_rows(inputs.size());
-    for (std::size_t i = 0; i < outputs.size(); ++i) {
-      if (outputs[i].shape() != out_shape) outputs[i] = Tensor(out_shape);
-      out_rows[i] = outputs[i].data();
-    }
-    run_fused_batch(inputs.data(), inputs.size(), ctx, out_rows.data());
-    return;
-  }
-  for (std::size_t i = 0; i < inputs.size(); ++i) outputs[i] = infer(*inputs[i], ctx);
+  run_plan(inputs.data(), inputs.size(), ctx, out_rows.data(), ctx.steps().size());
 }
 
 std::vector<Tensor> Network::infer_batch(const std::vector<Tensor>& inputs,

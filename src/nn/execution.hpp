@@ -4,36 +4,38 @@
 // activations, so two threads cannot run the same network concurrently — the
 // serving runtime had to serialize every batch behind a per-design mutex.
 // This module redesigns inference around an ExecutionContext: a caller-owned
-// bundle of preallocated per-step activation arenas, im2col scratch and (for
-// fixed-point mode) a quantized-parameter cache. `Network::infer(input, ctx)`
-// is const and touches only the context, so N contexts give N concurrent
+// bundle of the compiled plan, packed weight panels, batch scratch and (for
+// forward_fixed) a quantized-parameter cache. `Network::infer(input, ctx)` is
+// const and touches only the context, so N contexts give N concurrent
 // inference streams over one immutable network with zero steady-state heap
 // traffic.
 //
-// The context also holds the *execution plan*: layers are compiled once into
-// steps, with an Activation directly following a Conv2D/Linear fused into the
-// producing step (elementwise-after-accumulate, so fusion cannot change the
-// arithmetic), and every layer classified so the kernel engine can dispatch
-// without dynamic_cast on the hot path.
+// The *execution plan* compiles the layers once into steps, with an
+// Activation directly following a Conv2D/Linear fused into the producing step
+// (elementwise-after-accumulate, so fusion cannot change the arithmetic), and
+// every layer classified so the executor dispatches without dynamic_cast on
+// the hot path.
 //
-// Each context is pinned to one kernel engine (src/nn/kernels) at
-// construction:
-//   - kernels::Kind::kScalar runs the seed layer fast paths (im2col +
-//     pixel-blocked GEMM, GEMV) which preserve forward()'s accumulation order
-//     per output element and therefore match `forward` bit-for-bit (asserted
-//     in tests/test_execution.cpp). The hardware model (axi::CnnIpCore) and
-//     the trainer's evaluation loop pin this mode.
-//   - kernels::Kind::kAvx2 runs packed-panel SIMD GEMM with a fused
-//     bias+activation epilogue, reusing weight panels from a PackCache shared
-//     across pooled contexts. Outputs are within 1e-4 relative error of
-//     scalar (see kernels.hpp), and `infer` is bit-identical to `infer_batch`
-//     within the mode.
+// One plan executor (nn/execution_plan.cpp) runs every context; `infer` is
+// `infer_batch` with a batch of one. A context is pinned at construction to a
+// kernel engine (src/nn/kernels) and a serving precision, and these pick the
+// arithmetic the executor plugs in:
+//   - float32 on kernels::Kind::kScalar: portable kernels over the packed
+//     panels that keep forward()'s operation sequence per output element, so
+//     results match `forward` bit-for-bit (tests/test_execution.cpp). The
+//     hardware model (axi::CnnIpCore) and the trainer's evaluation pin this.
+//   - float32 on kernels::Kind::kAvx2: packed-panel SIMD GEMM with a fused
+//     bias+activation epilogue, within 1e-4 relative of scalar.
+//   - int16 / int8 on either engine: the fixed-point arithmetic of
+//     kernels_int.hpp, bit-identical across engines and to forward_fixed
+//     (int8 modulo the documented weight clamp).
+// Weight panels come from a PackCache / QuantPackCache shared across pooled
+// contexts. Every context caches packed or quantized weights, so callers that
+// mutate weights must build fresh contexts afterwards.
 //
-// `Network::infer_batch` additionally *fuses* a whole micro-batch in avx2
-// mode: one im2col + one GEMM per conv/linear layer for all images at once
-// (weights stream from L2 once per layer instead of once per image), which is
-// what makes serve-side batching amortize weight traffic rather than just
-// queueing.
+// `Network::infer_batch` runs a whole micro-batch through ONE im2col + GEMM
+// per conv/linear step (weights stream from cache once per layer instead of
+// once per image), bit-identical to per-image `infer` in every mode.
 //
 // Training keeps the mutable path: TrainContext wraps forward(train=true) +
 // backward so the train/infer split is explicit at every call site.
@@ -54,16 +56,14 @@ namespace cnn2fpga::nn {
 
 class ExecutionContext {
  public:
-  /// Builds the execution plan and sizes every arena for `net`, pinned to the
-  /// process-default kernel engine (kernels::active()). The network must
-  /// outlive the context; its architecture must not change afterwards. Weight
-  /// *values* may change in scalar mode (arenas hold activations, not
-  /// parameters); avx2 contexts cache packed weight panels, so callers
-  /// mutating weights must build fresh contexts (same as fixed mode).
+  /// Builds the execution plan for `net`, pinned to the process-default
+  /// kernel engine (kernels::active()). The network must outlive the context
+  /// and its architecture must not change afterwards. The context caches
+  /// packed weights: after mutating weights, build fresh contexts.
   explicit ExecutionContext(const Network& net);
 
   /// Pin a specific kernel engine, optionally sharing a weight-pack cache
-  /// with sibling contexts (nullptr: the context builds its own when needed).
+  /// with sibling contexts (nullptr: the context builds its own).
   ExecutionContext(const Network& net, kernels::Kind kind,
                    std::shared_ptr<kernels::PackCache> packs);
 
@@ -92,29 +92,21 @@ class ExecutionContext {
   /// Fixed-point format of a quantized context (undefined for kFloat32).
   const FixedPointFormat& quant_format() const { return qformat_; }
 
-  /// Output of the most recent infer() through this context; valid until the
-  /// next infer() call.
-  const Tensor& output() const { return arenas_.back(); }
-
   /// One compiled step of the plan: a layer, possibly with the directly
   /// following Activation fused into it.
   struct Step {
-    enum class Kind { kConv, kLinear, kPool, kActivation, kLogSoftMax, kGeneric };
-    Kind kind = Kind::kGeneric;
+    enum class Kind { kConv, kLinear, kPool, kActivation, kLogSoftMax };
+    Kind kind = Kind::kConv;
     const Layer* layer = nullptr;
     std::size_t layer_index = 0;        ///< index into the network's layers
     const Activation* fused = nullptr;  ///< activation folded into this step
     Shape in_shape;                     ///< shape flowing into the step
-    Shape out_shape;                    ///< shape the step's arena holds
+    Shape out_shape;                    ///< shape the step produces
   };
   const std::vector<Step>& steps() const { return steps_; }
-  Tensor& arena(std::size_t step) { return arenas_.at(step); }
-  const Tensor& arena(std::size_t step) const { return arenas_.at(step); }
-  /// im2col scratch for the scalar conv fast path, sized for the largest conv.
-  float* col_scratch() { return col_.data(); }
 
-  /// Eagerly builds the packed weight panels for every conv/linear layer
-  /// (no-op in scalar mode). Deploy-time warming: pooled serving contexts
+  /// Eagerly builds the packed weight panels (and quantized activation
+  /// tables) for every step. Deploy-time warming: pooled serving contexts
   /// then never pack on a request path.
   void warm_packs();
 
@@ -132,46 +124,46 @@ class ExecutionContext {
  private:
   friend class Network;
 
-  /// Grows the avx2 batch scratch (packed-B panels, ping/pong activation
-  /// buffers, GEMM output staging) to hold `batch` fused images.
-  void ensure_batch(std::size_t batch);
+  /// Calls `fn` with the arithmetic of this context's engine and precision
+  /// (defined beside the plan executor, nn/execution_plan.cpp).
+  template <typename Fn>
+  void with_arithmetic(Fn&& fn);
+
+  /// Grows the batch scratch to hold `batch` images of `elem`-byte values,
+  /// with packed-B panels of `packed_b_size(n, k)` elements.
+  void ensure_batch(std::size_t batch, std::size_t elem,
+                    std::size_t (*packed_b_size)(std::size_t, std::size_t));
 
   const Network* net_;
   kernels::Kind kernel_;
-  std::vector<Step> steps_;
-  std::vector<Tensor> arenas_;  ///< one per step (one input-shaped if no layers)
-  util::aligned_vector<float> col_;
-  FixedState fixed_;
-
-  // avx2 engine state (empty in scalar mode).
-  std::shared_ptr<kernels::PackCache> packs_;
-  util::aligned_vector<float> bpack_;       ///< packed-B panels (im2col / inputs)
-  util::aligned_vector<float> batch_ping_;  ///< fused-batch activation buffers
-  util::aligned_vector<float> batch_pong_;
-  util::aligned_vector<float> gemm_tmp_;    ///< linear GEMM output before transpose
-  util::aligned_vector<float> pool_row_;    ///< pool_plane row-collapse scratch
-  std::vector<const float*> row_ptrs_;      ///< pack_b row pointers
-  std::size_t batch_capacity_ = 0;
-  std::size_t max_image_elems_ = 0;  ///< max elements of any per-image buffer
-
-  // Quantized serving state (empty in float32 mode). The byte buffers hold
-  // int8 or int16 raw activations depending on precision_; sizes are tracked
-  // in bytes so one allocation scheme serves both widths.
   ServePrecision precision_ = ServePrecision::kFloat32;
   FixedPointFormat qformat_{};
+  std::vector<Step> steps_;
+  Tensor output_;  ///< what infer() returns a reference to
+  FixedState fixed_;
+
+  // Weight panels: float32 contexts read packs_, quantized ones qpacks_.
+  std::shared_ptr<kernels::PackCache> packs_;
   std::shared_ptr<kernels::QuantPackCache> qpacks_;
-  util::aligned_vector<std::uint8_t> qbpack_;  ///< packed quantized B panels
-  util::aligned_vector<std::uint8_t> qping_;   ///< quantized activation buffers
-  util::aligned_vector<std::uint8_t> qpong_;
-  util::aligned_vector<std::uint8_t> qgemm_tmp_;  ///< linear GEMM staging
-  std::vector<const void*> qrow_ptrs_;            ///< quant pack_b row pointers
+
+  // Batch scratch, grown by the plan executor to hold `batch_capacity_`
+  // images. The byte buffers hold float, int16 or int8 values depending on
+  // precision_, so one set of buffers serves every arithmetic.
+  util::aligned_vector<std::uint8_t> bpack_;     ///< packed-B panels
+  util::aligned_vector<std::uint8_t> ping_;      ///< activation buffers
+  util::aligned_vector<std::uint8_t> pong_;
+  util::aligned_vector<std::uint8_t> gemm_tmp_;  ///< linear GEMM output before transpose
+  util::aligned_vector<std::uint8_t> rows_;      ///< pack_b row pointers
+  util::aligned_vector<float> pool_row_;         ///< avx2 pool_plane row scratch
+  std::size_t batch_capacity_ = 0;
+  std::size_t max_image_elems_ = 0;  ///< max elements of any per-image buffer
 };
 
 /// Thread-safe free-list of contexts for one network: concurrent inference
 /// streams check a context out, run, and return it, so a design serving N
 /// parallel batches materializes at most N contexts total. All contexts from
-/// one pool share a kernel engine and (in avx2 mode) one weight-pack cache,
-/// so the design's weights are packed exactly once.
+/// one pool share a kernel engine and one weight-pack cache, so the design's
+/// weights are packed exactly once.
 class ExecutionContextPool {
  public:
   explicit ExecutionContextPool(const Network& net)
@@ -186,7 +178,7 @@ class ExecutionContextPool {
       : net_(&net),
         kind_(kind),
         precision_(precision),
-        packs_(kind == kernels::Kind::kAvx2 && precision == ServePrecision::kFloat32
+        packs_(precision == ServePrecision::kFloat32
                    ? std::make_shared<kernels::PackCache>(net.layer_count())
                    : nullptr),
         qpacks_(precision != ServePrecision::kFloat32
@@ -232,8 +224,8 @@ class ExecutionContextPool {
   /// Serving precision every context from this pool executes in.
   ServePrecision precision() const { return precision_; }
 
-  /// Builds the shared weight-pack cache eagerly (no-op in scalar mode) so no
-  /// request-path context ever packs.
+  /// Builds the shared weight-pack cache eagerly so no request-path context
+  /// ever packs.
   void warm() {
     Lease lease = acquire();
     lease->warm_packs();

@@ -1,0 +1,443 @@
+// The plan executor: one walker for every kernel engine x precision pair.
+//
+// One invocation runs a whole micro-batch through the context's plan with a
+// single im2col + packed GEMM per conv/linear step, so each layer's weight
+// panels stream from cache once per *batch* instead of once per image.
+// Activations between steps live in the context's ping/pong buffers in one of
+// two layouts, tracked per step:
+//
+//   kInterleaved — channel-major: channel c of image b occupies columns
+//                  [b*pixels, (b+1)*pixels) of row c in a (C x B*pixels)
+//                  buffer. This is exactly what a batched conv GEMM produces
+//                  when image b's im2col patches sit at packed columns
+//                  b*pixels..; pooling preserves it via strided plane
+//                  pointers, and a following conv consumes it directly with
+//                  channel stride B*pixels — no reshuffling between
+//                  conv/pool/conv chains.
+//   kImageMajor  — image b's flat activations at [b*elems, (b+1)*elems);
+//                  how inputs are loaded, what linear layers pack from, and
+//                  what log-softmax and the final store read.
+//
+// The walker is written once against an *arithmetic*: the value type kept
+// between steps plus the kernels that load, pack, multiply, pool and activate
+// it. FloatArith runs float32 on either engine; QuantArith<int16_t> and
+// QuantArith<int8_t> run the raw fixed-point values of kernels_int.hpp
+// (Q8.8 / Q4.4) with the fixed-point renormalize + saturate in the GEMM
+// epilogue. Loading quantizes the float inputs and storing dequantizes the
+// scores, and a trailing LogSoftMax always runs the seed float loop on the
+// stored scores, exactly as forward_fixed does, so quantized scores agree
+// with the fixed-point model bit-for-bit (int8 modulo the weight clamp).
+//
+// Numerical contract: every output element is produced by the same
+// per-element operation sequence whatever the batch size (see kernels.hpp and
+// kernels_int.hpp), so a batch of N is bit-identical to N batches of one —
+// asserted in tests/test_kernels.cpp.
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <stdexcept>
+#include <type_traits>
+#include <utility>
+
+#include "nn/execution.hpp"
+
+namespace cnn2fpga::nn {
+
+namespace {
+
+namespace ker = kernels;
+using Step = ExecutionContext::Step;
+
+enum class Domain { kInterleaved, kImageMajor };
+
+/// The GEMM behind a conv/linear step: M x K weights with bias, producing
+/// `cols` output columns per image.
+struct Gemm {
+  const float* w;
+  const float* bias;
+  std::size_t m, k, cols;
+};
+
+Gemm gemm_of(const Step& step) {
+  if (step.kind == Step::Kind::kConv) {
+    const auto* conv = static_cast<const Conv2D*>(step.layer);
+    return {conv->weights().data(), conv->bias().data(), conv->out_channels(),
+            conv->in_channels() * conv->kernel_h() * conv->kernel_w(),
+            step.out_shape.height() * step.out_shape.width()};
+  }
+  const auto* lin = static_cast<const Linear*>(step.layer);
+  return {lin->weights().data(), lin->bias().data(), lin->out_features(),
+          lin->in_features(), 1};
+}
+
+const Activation* activation_of(const Step& step) {
+  return step.kind == Step::Kind::kActivation ? static_cast<const Activation*>(step.layer)
+                                              : step.fused;
+}
+
+/// float32 on either engine: the scalar kernels keep forward()'s operation
+/// sequence per element, the AVX2 ones are chunk-invariant (kernels.hpp).
+struct FloatArith {
+  using Raw = float;
+  using Pack = float;
+  using Row = const float*;
+  static std::size_t packed_b_size(std::size_t n, std::size_t k) {
+    return ker::packed_b_size(n, k);
+  }
+
+  bool avx2;
+  ker::PackCache& packs;
+  float* pool_row;
+
+  void load(const float* in, std::size_t n, Raw* out) const {
+    std::memcpy(out, in, n * sizeof(float));
+  }
+  void store(const Raw* in, std::size_t n, float* out) const {
+    std::memcpy(out, in, n * sizeof(float));
+  }
+  void im2col(const Raw* in, std::size_t cstride, std::size_t channels, std::size_t ih,
+              std::size_t iw, std::size_t kh, std::size_t kw, std::size_t oh, std::size_t ow,
+              Pack* bpack, std::size_t col0, std::size_t n) const {
+    ker::im2col_pack(in, cstride, channels, ih, iw, kh, kw, oh, ow, bpack, col0, n);
+  }
+  void pack_rows(const Row* rows, std::size_t n, std::size_t k, Pack* bpack) const {
+    ker::pack_b(rows, n, k, bpack);
+  }
+  void finish(Pack* bpack, std::size_t n, std::size_t k) const {
+    ker::zero_pack_tail(bpack, n, k);
+  }
+  const ker::PackedA& weights(std::size_t layer, const Gemm& g) const {
+    return packs.get(layer, g.w, g.m, g.k);
+  }
+  void gemm(std::size_t layer, const Gemm& g, const Pack* bpack, std::size_t n, int act,
+            Raw* c) const {
+    if (avx2) {
+      ker::gemm(weights(layer, g), bpack, n, g.bias, act, c, n);
+    } else {
+      ker::gemm_scalar(weights(layer, g), bpack, n, g.bias, act, c, n);
+    }
+  }
+  void pool(bool is_max, const Raw* in, std::size_t ih, std::size_t iw, std::size_t kh,
+            std::size_t kw, std::size_t step, std::size_t oh, std::size_t ow,
+            Raw* out) const {
+    if (avx2) {
+      ker::pool_plane(is_max, in, ih, iw, kh, kw, step, oh, ow, out, pool_row);
+    } else {
+      ker::pool_plane_scalar(is_max, in, ih, iw, kh, kw, step, oh, ow, out);
+    }
+  }
+  const Raw* lut(ActKind) const { return nullptr; }  // float needs no tables
+  void activation(ActKind act, Raw* x, std::size_t n) const {
+    if (avx2) {
+      ker::activation_apply(act, x, x, n);
+    } else {
+      for (std::size_t i = 0; i < n; ++i) x[i] = Activation::apply(act, x[i]);
+    }
+  }
+  void logsoftmax(float* row, std::size_t n) const {
+    if (avx2) {
+      ker::logsoftmax(row, row, n);
+    } else {
+      ker::logsoftmax_scalar(row, row, n);
+    }
+  }
+};
+
+/// Fixed-point raw values (int8 at Q4.4, int16 at Q8.8) on either engine;
+/// the engines differ only inside the GEMM and are bit-identical.
+template <typename R>
+struct QuantArith {
+  static constexpr bool k8 = std::is_same_v<R, std::int8_t>;
+  using Raw = R;
+  /// int8 panels hold u8 (maddubs wants the unsigned-offset operand).
+  using Pack = std::conditional_t<k8, std::uint8_t, std::int16_t>;
+  using Row = const void*;
+  static std::size_t packed_b_size(std::size_t n, std::size_t k) {
+    return k8 ? ker::packed_b_size_s8(n, k) : ker::packed_b_size_s16(n, k);
+  }
+
+  ker::Kind kind;
+  ker::QuantPackCache& packs;
+  const FixedPointFormat& fmt;
+
+  void load(const float* in, std::size_t n, Raw* out) const {
+    if constexpr (k8) {
+      ker::quantize_input_s8(in, n, fmt, out);
+    } else {
+      ker::quantize_input_s16(in, n, fmt, out);
+    }
+  }
+  void store(const Raw* in, std::size_t n, float* out) const {
+    for (std::size_t i = 0; i < n; ++i) out[i] = fixed_dequantize(in[i], fmt);
+  }
+  void im2col(const Raw* in, std::size_t cstride, std::size_t channels, std::size_t ih,
+              std::size_t iw, std::size_t kh, std::size_t kw, std::size_t oh, std::size_t ow,
+              Pack* bpack, std::size_t col0, std::size_t n) const {
+    if constexpr (k8) {
+      ker::im2col_pack_s8(in, cstride, channels, ih, iw, kh, kw, oh, ow, bpack, col0, n);
+    } else {
+      ker::im2col_pack_s16(in, cstride, channels, ih, iw, kh, kw, oh, ow, bpack, col0, n);
+    }
+  }
+  void pack_rows(const Row* rows, std::size_t n, std::size_t k, Pack* bpack) const {
+    if constexpr (k8) {
+      ker::pack_b_s8(rows, n, k, bpack);
+    } else {
+      ker::pack_b_s16(rows, n, k, bpack);
+    }
+  }
+  void finish(Pack* bpack, std::size_t n, std::size_t k) const {
+    if constexpr (k8) {
+      ker::finish_pack_s8(bpack, n, k);
+    } else {
+      ker::finish_pack_s16(bpack, n, k);
+    }
+  }
+  const auto& weights(std::size_t layer, const Gemm& g) const {
+    if constexpr (k8) {
+      return packs.get8(layer, g.w, g.bias, g.m, g.k);
+    } else {
+      return packs.get16(layer, g.w, g.bias, g.m, g.k);
+    }
+  }
+  void gemm(std::size_t layer, const Gemm& g, const Pack* bpack, std::size_t n, int act,
+            Raw* c) const {
+    // Only ReLU fuses into the integer epilogue; tanh/sigmoid go through the
+    // activation table afterwards.
+    const bool relu = act == static_cast<int>(ActKind::kReLU);
+    if constexpr (k8) {
+      ker::gemm_s8(kind, weights(layer, g), bpack, n, fmt, relu ? act : -1, c, n);
+    } else {
+      ker::gemm_s16(kind, weights(layer, g), bpack, n, fmt, relu ? act : -1, c, n);
+    }
+    if (act >= 0 && !relu) activation(static_cast<ActKind>(act), c, g.m * n);
+  }
+  void pool(bool is_max, const Raw* in, std::size_t ih, std::size_t iw, std::size_t kh,
+            std::size_t kw, std::size_t step, std::size_t oh, std::size_t ow,
+            Raw* out) const {
+    if constexpr (k8) {
+      ker::pool_plane_s8(is_max, in, ih, iw, kh, kw, step, oh, ow, out, fmt);
+    } else {
+      ker::pool_plane_s16(is_max, in, ih, iw, kh, kw, step, oh, ow, out, fmt);
+    }
+  }
+  const Raw* lut(ActKind act) const {
+    if (act == ActKind::kReLU) return nullptr;
+    if constexpr (k8) {
+      return packs.lut8(act);
+    } else {
+      return packs.lut16(act);
+    }
+  }
+  void activation(ActKind act, Raw* x, std::size_t n) const {
+    if constexpr (k8) {
+      ker::activation_lut_s8(act, lut(act), x, x, n);
+    } else {
+      ker::activation_lut_s16(act, lut(act), x, x, n);
+    }
+  }
+  void logsoftmax(float* row, std::size_t n) const { ker::logsoftmax_scalar(row, row, n); }
+};
+
+/// Runs steps [0, stop) over `count` images and stores each image's last
+/// activations, as float, to out_rows[b].
+template <typename A>
+void run_steps(const Step* steps, std::size_t stop, const Shape& input_shape,
+               const Tensor* const* inputs, std::size_t count, const A& ar,
+               typename A::Pack* bpack, typename A::Raw* ping, typename A::Raw* pong,
+               typename A::Raw* gemm_tmp, typename A::Row* rows, float* const* out_rows) {
+  using Raw = typename A::Raw;
+  const std::size_t in_elems = input_shape.elements();
+  for (std::size_t b = 0; b < count; ++b) {
+    ar.load(inputs[b]->data(), in_elems, ping + b * in_elems);
+  }
+  Raw* cur = ping;
+  Domain domain = Domain::kImageMajor;
+
+  // The buffer the next producing step should write to.
+  const auto free_buf = [&]() { return cur == ping ? pong : ping; };
+
+  // Base pointer and channel stride of image b's activations for plane-wise
+  // consumers (conv im2col, pooling), given the current domain.
+  const auto image_plane = [&](const Shape& in_shape,
+                               std::size_t b) -> std::pair<const Raw*, std::size_t> {
+    const std::size_t pixels = in_shape.height() * in_shape.width();
+    if (domain == Domain::kInterleaved) return {cur + b * pixels, count * pixels};
+    return {cur + b * in_shape.elements(), pixels};
+  };
+
+  // Materialize the current activations as kImageMajor (no-op if they are).
+  const auto to_image_major = [&](const Shape& shape) {
+    if (domain == Domain::kImageMajor) return;
+    const std::size_t elems = shape.elements();
+    const std::size_t pixels = shape.height() * shape.width();
+    Raw* dst = free_buf();
+    for (std::size_t c = 0; c < shape.channels(); ++c) {
+      const Raw* src_row = cur + c * count * pixels;
+      for (std::size_t b = 0; b < count; ++b) {
+        std::memcpy(dst + b * elems + c * pixels, src_row + b * pixels,
+                    pixels * sizeof(Raw));
+      }
+    }
+    cur = dst;
+    domain = Domain::kImageMajor;
+  };
+
+  for (std::size_t s = 0; s < stop; ++s) {
+    const Step& step = steps[s];
+    const int act = step.fused != nullptr ? static_cast<int>(step.fused->act()) : -1;
+    switch (step.kind) {
+      case Step::Kind::kConv: {
+        const auto* conv = static_cast<const Conv2D*>(step.layer);
+        const Gemm g = gemm_of(step);
+        const std::size_t n = count * g.cols;
+        for (std::size_t b = 0; b < count; ++b) {
+          const auto [base, cstride] = image_plane(step.in_shape, b);
+          ar.im2col(base, cstride, conv->in_channels(), step.in_shape.height(),
+                    step.in_shape.width(), conv->kernel_h(), conv->kernel_w(),
+                    step.out_shape.height(), step.out_shape.width(), bpack, b * g.cols, n);
+        }
+        ar.finish(bpack, n, g.k);
+        Raw* dst = free_buf();
+        ar.gemm(step.layer_index, g, bpack, n, act, dst);
+        cur = dst;
+        domain = Domain::kInterleaved;
+        break;
+      }
+      case Step::Kind::kPool: {
+        const auto* pool = static_cast<const Pool2D*>(step.layer);
+        const std::size_t opix = step.out_shape.height() * step.out_shape.width();
+        Raw* dst = free_buf();
+        for (std::size_t b = 0; b < count; ++b) {
+          const auto [base, cstride] = image_plane(step.in_shape, b);
+          for (std::size_t c = 0; c < step.in_shape.channels(); ++c) {
+            ar.pool(pool->pool_kind() == PoolKind::kMax, base + c * cstride,
+                    step.in_shape.height(), step.in_shape.width(), pool->kernel_h(),
+                    pool->kernel_w(), pool->step(), step.out_shape.height(),
+                    step.out_shape.width(), dst + c * count * opix + b * opix);
+          }
+        }
+        cur = dst;
+        domain = Domain::kInterleaved;
+        break;
+      }
+      case Step::Kind::kLinear: {
+        const Gemm g = gemm_of(step);
+        to_image_major(step.in_shape);
+        for (std::size_t b = 0; b < count; ++b) rows[b] = cur + b * g.k;
+        // No finish(): float pack_b zeroes its padding lanes itself, and the
+        // integer panels' padding only meets zero weights or dead columns.
+        ar.pack_rows(rows, count, g.k, bpack);
+        // GEMM produces C[m][b] (ldc = count); transpose to image-major. The
+        // input rows were already copied into the packed panels, so writing
+        // over `cur` is safe.
+        ar.gemm(step.layer_index, g, bpack, count, act, gemm_tmp);
+        for (std::size_t b = 0; b < count; ++b) {
+          for (std::size_t j = 0; j < g.m; ++j) cur[b * g.m + j] = gemm_tmp[j * count + b];
+        }
+        break;
+      }
+      case Step::Kind::kActivation:
+        // Elementwise: both domains hold the batch contiguously at cur, so
+        // one pass covers everything and the domain is preserved.
+        ar.activation(activation_of(step)->act(), cur, count * step.in_shape.elements());
+        break;
+      case Step::Kind::kLogSoftMax: {
+        const std::size_t elems = step.in_shape.elements();
+        to_image_major(step.in_shape);
+        if (s + 1 == stop) {
+          for (std::size_t b = 0; b < count; ++b) {
+            ar.store(cur + b * elems, elems, out_rows[b]);
+            ar.logsoftmax(out_rows[b], elems);
+          }
+          return;
+        }
+        if constexpr (std::is_same_v<Raw, float>) {
+          for (std::size_t b = 0; b < count; ++b) ar.logsoftmax(cur + b * elems, elems);
+        } else {
+          throw std::logic_error("quantized plan: LogSoftMax must be the final step");
+        }
+        break;
+      }
+    }
+  }
+
+  const Shape& out_shape = steps[stop - 1].out_shape;
+  const std::size_t out_elems = out_shape.elements();
+  to_image_major(out_shape);
+  for (std::size_t b = 0; b < count; ++b) {
+    ar.store(cur + b * out_elems, out_elems, out_rows[b]);
+  }
+}
+
+}  // namespace
+
+template <typename Fn>
+void ExecutionContext::with_arithmetic(Fn&& fn) {
+  switch (precision_) {
+    case ServePrecision::kInt8:
+      fn(QuantArith<std::int8_t>{kernel_, *qpacks_, qformat_});
+      return;
+    case ServePrecision::kInt16:
+      fn(QuantArith<std::int16_t>{kernel_, *qpacks_, qformat_});
+      return;
+    case ServePrecision::kFloat32:
+      fn(FloatArith{kernel_ == kernels::Kind::kAvx2, *packs_, pool_row_.data()});
+      return;
+  }
+}
+
+void ExecutionContext::ensure_batch(std::size_t batch, std::size_t elem,
+                                    std::size_t (*packed_b_size)(std::size_t,
+                                                                 std::size_t)) {
+  if (batch <= batch_capacity_) return;
+  std::size_t need_bpack = 0;
+  std::size_t need_tmp = 0;
+  for (const Step& step : steps_) {
+    if (step.kind != Step::Kind::kConv && step.kind != Step::Kind::kLinear) continue;
+    const Gemm g = gemm_of(step);
+    need_bpack = std::max(need_bpack, packed_b_size(batch * g.cols, g.k));
+    if (step.kind == Step::Kind::kLinear) need_tmp = std::max(need_tmp, g.m * batch);
+  }
+  bpack_.resize(need_bpack * elem);
+  gemm_tmp_.resize(need_tmp * elem);
+  ping_.resize(batch * max_image_elems_ * elem);
+  pong_.resize(batch * max_image_elems_ * elem);
+  rows_.resize(batch * sizeof(const void*));
+  batch_capacity_ = batch;
+}
+
+void ExecutionContext::warm_packs() {
+  with_arithmetic([&](const auto& ar) {
+    for (const Step& step : steps_) {
+      if (step.kind == Step::Kind::kConv || step.kind == Step::Kind::kLinear) {
+        (void)ar.weights(step.layer_index, gemm_of(step));
+      }
+      if (const Activation* act = activation_of(step)) (void)ar.lut(act->act());
+    }
+  });
+}
+
+void Network::run_plan(const Tensor* const* inputs, std::size_t count, ExecutionContext& ctx,
+                       float* const* out_rows, std::size_t stop) const {
+  if (stop == 0) {
+    const std::size_t elems = input_shape_.elements();
+    for (std::size_t b = 0; b < count; ++b) {
+      std::memcpy(out_rows[b], inputs[b]->data(), elems * sizeof(float));
+    }
+    return;
+  }
+  ctx.with_arithmetic([&](const auto& ar) {
+    using A = std::decay_t<decltype(ar)>;
+    using Raw = typename A::Raw;
+    // The byte buffers hold this arithmetic's element type.
+    ctx.ensure_batch(count, sizeof(Raw), &A::packed_b_size);
+    run_steps(ctx.steps_.data(), stop, input_shape_, inputs, count, ar,
+              reinterpret_cast<typename A::Pack*>(ctx.bpack_.data()),
+              reinterpret_cast<Raw*>(ctx.ping_.data()), reinterpret_cast<Raw*>(ctx.pong_.data()),
+              reinterpret_cast<Raw*>(ctx.gemm_tmp_.data()),
+              reinterpret_cast<typename A::Row*>(ctx.rows_.data()), out_rows);
+  });
+}
+
+}  // namespace cnn2fpga::nn

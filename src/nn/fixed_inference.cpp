@@ -1,6 +1,7 @@
 #include "nn/fixed_inference.hpp"
 
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 
 namespace cnn2fpga::nn {
@@ -129,23 +130,12 @@ void run_activation(const Activation& act, const std::vector<Raw>& x,
   }
 }
 
-/// Float-path activations feeding network layer `l`, read back out of the
-/// context after a full float infer() (the pre-LogSoftMax logits for the
-/// quantization-error signal). Accounts for fused steps.
-const Tensor& reference_before_layer(const ExecutionContext& ctx, const Tensor& input,
-                                     std::size_t l) {
-  const auto& steps = ctx.steps();
-  for (std::size_t s = 0; s < steps.size(); ++s) {
-    if (steps[s].layer_index == l) return s == 0 ? input : ctx.arena(s - 1);
-  }
-  return ctx.output();
-}
-
 }  // namespace
 
 FixedForwardResult forward_fixed(const Network& net, const Tensor& input,
                                  const FixedPointFormat& format) {
-  ExecutionContext ctx(net);
+  // Scalar, so the float reference of the error signal reuses this context.
+  ExecutionContext ctx(net, kernels::Kind::kScalar, nullptr);
   return forward_fixed(net, input, format, ctx);
 }
 
@@ -169,7 +159,7 @@ FixedForwardResult forward_fixed(const Network& net, const Tensor& input,
   for (std::size_t i = 0; i < input.size(); ++i) (*acts)[i] = fixed_quantize(input[i], format);
   Shape shape = net.input_shape();
 
-  FixedForwardResult result;
+  bool normalize = false;
   for (std::size_t l = 0; l < net.layer_count(); ++l) {
     const Layer& layer = net.layer(l);
     const Shape& out_shape = net.shape_after(l);
@@ -182,48 +172,40 @@ FixedForwardResult forward_fixed(const Network& net, const Tensor& input,
     } else if (const auto* act = dynamic_cast<const Activation*>(&layer)) {
       run_activation(*act, *acts, format, *next);
     } else if (dynamic_cast<const LogSoftMax*>(&layer) != nullptr) {
-      // Dequantize and evaluate the output normalizer in float, exactly as
-      // the generated fixed design does.
-      Tensor logits(Shape{acts->size()});
-      for (std::size_t i = 0; i < acts->size(); ++i) {
-        logits[i] = fixed_dequantize((*acts)[i], format);
-      }
-      LogSoftMax lsm;
-      result.scores = Tensor(logits.shape());
-      lsm.infer_into(logits, result.scores);
-      result.predicted = result.scores.argmax();
-
-      if (track_output_error) {
-        // Quantization-quality signal: compare pre-softmax logits to the
-        // *scalar* float reference (the HLS-exact path). The read-back needs
-        // the per-step arenas, which the fused SIMD engine does not
-        // materialize — and the quantization error should be measured against
-        // the bit-exact oracle regardless of the caller's kernel engine.
-        const auto accumulate_error = [&](const ExecutionContext& ref_ctx) {
-          const Tensor& ref = reference_before_layer(ref_ctx, input, l);
-          for (std::size_t i = 0; i < acts->size(); ++i) {
-            result.output_error = std::max(result.output_error, std::fabs(ref[i] - logits[i]));
-          }
-        };
-        if (ctx.kernel() == kernels::Kind::kScalar) {
-          (void)net.infer(input, ctx);
-          accumulate_error(ctx);
-        } else {
-          ExecutionContext scalar_ctx(net, kernels::Kind::kScalar, nullptr);
-          (void)net.infer(input, scalar_ctx);
-          accumulate_error(scalar_ctx);
-        }
-      }
-      return result;
+      // The output normalizer runs in float on the dequantized logits,
+      // exactly as the generated fixed design does.
+      normalize = true;
+      break;
     }
     std::swap(acts, next);
     shape = out_shape;
   }
 
-  // Network without a LogSoftMax tail: return dequantized raw scores.
+  FixedForwardResult result;
   result.scores = Tensor(Shape{acts->size()});
   for (std::size_t i = 0; i < acts->size(); ++i) {
     result.scores[i] = fixed_dequantize((*acts)[i], format);
+  }
+  if (track_output_error) {
+    // Quantization-quality signal: the same point of the network on the
+    // scalar float engine (bit-exact with forward), whatever ctx's engine.
+    const bool reuse =
+        ctx.kernel() == kernels::Kind::kScalar && ctx.precision() == ServePrecision::kFloat32;
+    std::optional<ExecutionContext> scalar;
+    Tensor reference = net.infer_logits(
+        input, reuse ? ctx : scalar.emplace(net, kernels::Kind::kScalar, nullptr));
+    for (std::size_t i = 0; i < reference.size(); ++i) {
+      result.output_error =
+          std::max(result.output_error, std::fabs(reference[i] - result.scores[i]));
+    }
+    if (normalize) {
+      kernels::logsoftmax_scalar(reference.data(), reference.data(), reference.size());
+    }
+    result.reference_predicted = reference.argmax();
+  }
+  if (normalize) {
+    kernels::logsoftmax_scalar(result.scores.data(), result.scores.data(),
+                               result.scores.size());
   }
   result.predicted = result.scores.argmax();
   return result;

@@ -24,9 +24,12 @@ namespace cnn2fpga::nn {
 struct FixedForwardResult {
   Tensor scores;              ///< final (float) log-probabilities
   std::size_t predicted = 0;
-  /// Largest |float - fixed| activation discrepancy observed at the network
-  /// output *before* LogSoftMax (a quantization-quality signal).
+  /// Largest |float - fixed| discrepancy of the network's scores *before*
+  /// LogSoftMax (a quantization-quality signal); 0 unless tracked.
   float output_error = 0.0f;
+  /// The class the float network predicts for the same input (scalar
+  /// engine, bit-exact with forward); 0 unless tracked.
+  std::size_t reference_predicted = 0;
 };
 
 /// Run one image through the network in fixed-point arithmetic. Convenience
@@ -39,9 +42,11 @@ FixedForwardResult forward_fixed(const Network& net, const Tensor& input,
 /// weights/biases are cached in `ctx` (keyed by `format`) and the int32
 /// activation buffers are reused, so repeated calls do no steady-state heap
 /// work. Bit-identical to the wrapper above. `track_output_error` additionally
-/// runs the float reference through `ctx` to fill FixedForwardResult::
-/// output_error; pass false on serving hot paths. The cached parameters
-/// assume frozen weights — use a fresh context after mutating them.
+/// runs the float network once on the scalar engine, up to its LogSoftMax
+/// (through `ctx` when it is a scalar float context, else a temporary one), to
+/// fill FixedForwardResult::output_error and reference_predicted; pass false
+/// on serving hot paths. The cached parameters assume frozen weights — use a
+/// fresh context after mutating them.
 FixedForwardResult forward_fixed(const Network& net, const Tensor& input,
                                  const FixedPointFormat& format, ExecutionContext& ctx,
                                  bool track_output_error = true);

@@ -1,12 +1,16 @@
 // Portable half of the kernel engine: dispatch resolution, operand packing,
-// and the shared weight-pack cache. The AVX2 compute entry points (gemm,
-// pool_plane, activation_apply, logsoftmax) live in kernels_avx2.cpp, which is
-// compiled with -mavx2 -mfma only when the toolchain supports it; without
-// CNN2FPGA_HAVE_AVX2 those symbols become throwing stubs here and active()
-// always resolves to kScalar.
+// the scalar engine's compute kernels and the shared weight-pack cache. The
+// scalar kernels repeat forward()'s expressions, so this file must be built
+// like Network::forward — without FP contraction (top-level CMakeLists.txt)
+// and never with the flags of kernels_avx2.cpp. The AVX2 compute entry
+// points (gemm, pool_plane, activation_apply, logsoftmax) live in
+// kernels_avx2.cpp, which is compiled with -mavx2 -mfma only when the
+// toolchain supports it; without CNN2FPGA_HAVE_AVX2 those symbols become
+// throwing stubs here and active() always resolves to kScalar.
 #include "nn/kernels/kernels.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -119,9 +123,10 @@ void im2col_pack(const float* in, std::size_t c_stride, std::size_t channels,
                  std::size_t ih, std::size_t iw, std::size_t kh, std::size_t kw,
                  std::size_t oh, std::size_t ow, float* bpack, std::size_t col0,
                  std::size_t n_total) {
-  // Depth index k = (c*kh + ky)*kw + kx matches the (c, m, n) patch order of
-  // Conv2D::infer_into's im2col, so a packed GEMM against pack_a(weights)
+  // Depth index k = (c*kh + ky)*kw + kx is the (c, m, n) order in which
+  // Conv2D::forward accumulates, so a packed GEMM against pack_a(weights)
   // computes the same dot products as the seed path.
+  (void)ih;
   (void)n_total;
   const std::size_t depth_stride = kPanelCols;  // one k step inside a panel
   std::size_t k = 0;
@@ -150,6 +155,55 @@ void im2col_pack(const float* in, std::size_t c_stride, std::size_t channels,
       }
     }
   }
+}
+
+void gemm_scalar(const PackedA& a, const float* bpack, std::size_t n, const float* bias,
+                 int act, float* c, std::size_t ldc) {
+  const std::size_t k = a.cols;
+  for (std::size_t m = 0; m < a.rows; ++m) {
+    const float* wm = a.data.data() + (m / kPanelRows) * k * kPanelRows + m % kPanelRows;
+    for (std::size_t col = 0; col < n; ++col) {
+      const float* xn = bpack + (col / kPanelCols) * k * kPanelCols + col % kPanelCols;
+      float acc = bias != nullptr ? bias[m] : 0.0f;
+      for (std::size_t q = 0; q < k; ++q) acc += wm[q * kPanelRows] * xn[q * kPanelCols];
+      c[m * ldc + col] = act < 0 ? acc : Activation::apply(static_cast<ActKind>(act), acc);
+    }
+  }
+}
+
+void pool_plane_scalar(bool is_max, const float* in, std::size_t ih, std::size_t iw,
+                       std::size_t kh, std::size_t kw, std::size_t step, std::size_t oh,
+                       std::size_t ow, float* out) {
+  (void)ih;
+  for (std::size_t i = 0; i < oh; ++i) {
+    for (std::size_t j = 0; j < ow; ++j) {
+      const float* win = in + (i * step) * iw + j * step;
+      if (is_max) {
+        float best = win[0];
+        for (std::size_t m = 0; m < kh; ++m) {
+          for (std::size_t n = 0; n < kw; ++n) {
+            if (win[m * iw + n] > best) best = win[m * iw + n];
+          }
+        }
+        out[i * ow + j] = best;
+      } else {
+        float acc = 0.0f;
+        for (std::size_t m = 0; m < kh; ++m) {
+          for (std::size_t n = 0; n < kw; ++n) acc += win[m * iw + n];
+        }
+        out[i * ow + j] = acc / static_cast<float>(kh * kw);
+      }
+    }
+  }
+}
+
+void logsoftmax_scalar(const float* in, float* out, std::size_t n) {
+  float max_val = in[0];
+  for (std::size_t i = 1; i < n; ++i) max_val = std::max(max_val, in[i]);
+  float sum = 0.0f;
+  for (std::size_t i = 0; i < n; ++i) sum += std::exp(in[i] - max_val);
+  const float log_sum = std::log(sum);
+  for (std::size_t i = 0; i < n; ++i) out[i] = (in[i] - max_val) - log_sum;
 }
 
 PackCache::PackCache(std::size_t layer_count) {

@@ -1,29 +1,32 @@
 // Runtime-dispatched CPU microkernel engine.
 //
-// The seed inference path (Conv2D::infer_into's im2col + pixel-tiled GEMM,
-// Linear's row dot products) is strictly scalar: without -ffast-math the
-// compiler may not reassociate the dot-product reductions, so every MAC sits
-// on a serial FP-add dependency chain. This module adds a register-blocked
-// AVX2/FMA GEMM microkernel (6 rows x 16 columns of C per inner loop, 12 YMM
-// accumulators) over *packed* operand panels, plus vectorized im2col, pooling,
-// tanh/sigmoid and log-softmax, behind a runtime dispatch:
+// Both engines run over the same packed operand panels, so the plan executor
+// (nn/execution_plan.cpp) issues identical im2col / pack / GEMM calls and only
+// the compute entry points differ by Kind:
 //
-//   - Kind::kScalar executes the seed layer code unchanged — it remains the
-//     bit-exact reference oracle against Network::forward and the generated
-//     HLS C++ (the hardware model and fixed-point path always pin it).
-//   - Kind::kAvx2 executes the packed SIMD engine. Outputs stay within 1e-4
-//     relative error of the scalar reference (FMA contraction + polynomial
-//     transcendentals; see tests/test_kernels.cpp), and the engine is
-//     *chunk-invariant*: every element goes through an identical per-lane
-//     instruction sequence regardless of how the surrounding buffer is
-//     traversed, so fused-batch execution is bit-identical to per-image
-//     execution in this mode.
+//   - Kind::kScalar runs portable kernels compiled like Network::forward
+//     (no FP contraction): every GEMM output element is one accumulator seeded
+//     with its bias, walking k in (c, m, n) order over the packed panels, one
+//     element after another (never interleaved across a register tile);
+//     pooling and log-softmax are the seed loops and activations call
+//     Activation::apply. The result is bit-identical to Network::forward and
+//     the generated HLS C++, so the hardware model (axi::CnnIpCore), trainer
+//     evaluation and the fixed-point error signal pin this engine.
+//   - Kind::kAvx2 runs a register-blocked AVX2/FMA GEMM microkernel (6 rows
+//     x 16 columns of C per inner loop, 12 YMM accumulators) with a fused
+//     bias + activation epilogue, plus vectorized pooling, tanh/sigmoid and
+//     log-softmax. Outputs stay within 1e-4 relative error of the scalar
+//     engine (FMA contraction + polynomial transcendentals; see
+//     tests/test_kernels.cpp), and the engine is *chunk-invariant*: every
+//     element goes through an identical per-lane instruction sequence
+//     regardless of how the surrounding buffer is traversed, so fused-batch
+//     execution is bit-identical to per-image execution.
 //
 // The process-wide default is resolved once at startup: CNN2FPGA_KERNEL=
 // scalar|avx2 overrides, otherwise cpuid picks AVX2 when available. Every
 // ExecutionContext captures a Kind at construction, so subsystems that demand
-// seed bit-exactness (axi::CnnIpCore, trainer evaluation) pin kScalar while
-// serving contexts run the fast engine concurrently in the same process.
+// seed bit-exactness pin kScalar while serving contexts run the fast engine
+// concurrently in the same process.
 //
 // Weight panels (PackedA) are packed once per layer and cached in a PackCache
 // shared across an ExecutionContextPool, so pooled serving contexts never
@@ -112,6 +115,13 @@ void zero_pack_tail(float* bpack, std::size_t n, std::size_t k);
 void gemm(const PackedA& a, const float* bpack, std::size_t n, const float* bias,
           int act, float* c, std::size_t ldc);
 
+/// The same GEMM on the scalar engine, over the same packed panels: each
+/// C[m][n] is one accumulator seeded with bias[m] that adds A[m][k] * B[n][k]
+/// for k = 0..K-1 in order, then applies Activation::apply — forward()'s
+/// operation sequence per output element.
+void gemm_scalar(const PackedA& a, const float* bpack, std::size_t n, const float* bias,
+                 int act, float* c, std::size_t ldc);
+
 /// Vectorized 2-D pooling over one channel plane (AVX2 engine). Reduces the
 /// kh window rows element-wise into `row_scratch` (>= iw floats), then the kw
 /// window columns per output pixel. Max pooling is value-exact with the seed
@@ -121,6 +131,13 @@ void pool_plane(bool is_max, const float* in, std::size_t ih, std::size_t iw,
                 std::size_t kh, std::size_t kw, std::size_t step, std::size_t oh,
                 std::size_t ow, float* out, float* row_scratch);
 
+/// Seed-order pooling over one channel plane (scalar engine): each window is
+/// reduced row by row exactly as Pool2D::forward does, so both kinds are
+/// bit-identical to it.
+void pool_plane_scalar(bool is_max, const float* in, std::size_t ih, std::size_t iw,
+                       std::size_t kh, std::size_t kw, std::size_t step, std::size_t oh,
+                       std::size_t ow, float* out);
+
 /// Vectorized elementwise activation (AVX2 engine): polynomial exp-based
 /// tanh/sigmoid, branch-free ReLU. Chunk-invariant (identical per-lane ops on
 /// masked tails), in == out allowed. Requires avx2_available().
@@ -129,6 +146,10 @@ void activation_apply(ActKind act, const float* in, float* out, std::size_t n);
 /// Vectorized log-softmax over one row (AVX2 engine); in == out allowed.
 /// Requires avx2_available().
 void logsoftmax(const float* in, float* out, std::size_t n);
+
+/// LogSoftMax::forward's loop over one row (scalar engine, and the float tail
+/// of every fixed-point path); in == out allowed.
+void logsoftmax_scalar(const float* in, float* out, std::size_t n);
 
 /// Per-network cache of packed weight panels, keyed by layer index. Built
 /// lazily on first use and shared (via shared_ptr) across every context an

@@ -7,9 +7,12 @@
 //   3. the trainer that produces the weight files the framework takes as input
 //      (the paper trains with Torch; Sec. IV requires an offline-trained net).
 //
-// Feature maps are CHW float32 tensors. Every forward pass caches its input so
-// backward() can be called afterwards; inference-only callers pass
-// `train = false` to skip the cache.
+// Feature maps are CHW float32 tensors. forward() is the seed reference path:
+// with `train = true` it caches what backward() needs, with `train = false` it
+// skips the cache. Reentrant inference does not go through this interface:
+// the plan executor (nn/execution.hpp) reads each layer's geometry and
+// parameters and runs its own kernels, whose scalar engine is bit-identical
+// to forward().
 #pragma once
 
 #include <memory>
@@ -47,12 +50,6 @@ class Layer {
   /// Forward pass. When `train` is true the layer caches whatever it needs
   /// for a subsequent backward() call.
   virtual Tensor forward(const Tensor& input, bool train) = 0;
-
-  /// Reentrant inference: compute the layer's output into `out`, which the
-  /// caller has preallocated to output_shape(input.shape()). Must not mutate
-  /// the layer — safe to call concurrently from any number of threads — and
-  /// must produce bit-identical results to forward(input, false).
-  virtual void infer_into(const Tensor& input, Tensor& out) const = 0;
 
   /// Backward pass: gradient w.r.t. the cached input; accumulates parameter
   /// gradients. Must be preceded by forward(..., true).

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "nn/activation.hpp"
 #include "util/strings.hpp"
 
 namespace cnn2fpga::nn {
@@ -52,23 +51,6 @@ Tensor Linear::forward(const Tensor& input, bool train) {
   }
   if (train) cached_input_ = input;
   return out;
-}
-
-void Linear::infer_into(const Tensor& input, Tensor& out) const {
-  infer_into(input, out, nullptr);
-}
-
-void Linear::infer_into(const Tensor& input, Tensor& out, const Activation* fused) const {
-  (void)output_shape(input.shape());  // validates
-  if (out.shape().elements() != out_features_) {
-    throw std::invalid_argument("Linear::infer_into: output arena size mismatch");
-  }
-  for (std::size_t j = 0; j < out_features_; ++j) {
-    float acc = bias_[j];
-    const float* wj = weights_.data() + j * in_features_;
-    for (std::size_t i = 0; i < in_features_; ++i) acc += wj[i] * input[i];
-    out[j] = fused == nullptr ? acc : Activation::apply(fused->act(), acc);
-  }
 }
 
 Tensor Linear::backward(const Tensor& grad_output) {

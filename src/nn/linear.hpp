@@ -9,8 +9,6 @@
 
 namespace cnn2fpga::nn {
 
-class Activation;
-
 class Linear final : public Layer {
  public:
   Linear(std::size_t in_features, std::size_t out_features);
@@ -22,10 +20,6 @@ class Linear final : public Layer {
   std::string describe() const override;
   Shape output_shape(const Shape& input) const override;
   Tensor forward(const Tensor& input, bool train) override;
-  void infer_into(const Tensor& input, Tensor& out) const override;
-  /// Reentrant GEMV with `fused` (may be null) applied elementwise to each
-  /// finished accumulator; bit-identical to forward() then Activation.
-  void infer_into(const Tensor& input, Tensor& out, const Activation* fused) const;
   Tensor backward(const Tensor& grad_output) override;
   std::vector<Param> params() override;
   std::size_t mac_count(const Shape& input) const override;

@@ -21,19 +21,6 @@ Tensor LogSoftMax::forward(const Tensor& input, bool train) {
   return out;
 }
 
-void LogSoftMax::infer_into(const Tensor& input, Tensor& out) const {
-  if (input.empty()) throw std::invalid_argument("LogSoftMax: empty input");
-  if (out.shape() != input.shape()) {
-    throw std::invalid_argument("LogSoftMax::infer_into: output arena shape mismatch");
-  }
-  float max_val = input[0];
-  for (std::size_t i = 1; i < input.size(); ++i) max_val = std::max(max_val, input[i]);
-  float sum = 0.0f;
-  for (std::size_t i = 0; i < input.size(); ++i) sum += std::exp(input[i] - max_val);
-  const float log_sum = std::log(sum);
-  for (std::size_t i = 0; i < input.size(); ++i) out[i] = (input[i] - max_val) - log_sum;
-}
-
 Tensor LogSoftMax::backward(const Tensor& grad_output) {
   if (cached_output_.empty()) {
     throw std::logic_error("LogSoftMax::backward before forward(train=true)");

@@ -20,7 +20,6 @@ class LogSoftMax final : public Layer {
   std::string describe() const override { return "logsoftmax"; }
   Shape output_shape(const Shape& input) const override { return input; }
   Tensor forward(const Tensor& input, bool train) override;
-  void infer_into(const Tensor& input, Tensor& out) const override;
   Tensor backward(const Tensor& grad_output) override;
   /// exp per element plus the reduction; charged as one MAC-equivalent each
   /// (the cost models additionally weight exp by its operator latency).

@@ -1,6 +1,12 @@
 // Sequential CNN container: the in-memory form of the network the framework's
 // descriptor describes (Fig. 1 structure: conv/pool stages followed by an MLP
 // and a LogSoftMax output).
+//
+// Two ways to run it: forward() walks the layers themselves (the mutable seed
+// path, used for training and as the reference every engine is checked
+// against), and infer()/infer_batch() run the compiled plan of an
+// ExecutionContext through one plan executor for every kernel engine and
+// serving precision (nn/execution.hpp).
 #pragma once
 
 #include <memory>
@@ -52,19 +58,24 @@ class Network {
 
   /// Reentrant inference through a caller-owned ExecutionContext
   /// (nn/execution.hpp): const, no per-call heap traffic. Scalar-pinned
-  /// contexts are bit-identical to forward(input, false); avx2-pinned
-  /// contexts run the SIMD kernel engine (within 1e-4 relative of scalar,
-  /// identical argmax — see nn/kernels/kernels.hpp). Returns the
-  /// context-owned output tensor, valid until the next infer() through `ctx`.
-  /// Distinct contexts may run concurrently over the same network.
+  /// float contexts are bit-identical to forward(input, false); avx2-pinned
+  /// ones run the SIMD kernel engine (within 1e-4 relative of scalar,
+  /// identical argmax — see nn/kernels/kernels.hpp); quantized contexts run
+  /// int16/int8 fixed point. Same result as infer_batch with a batch of one.
+  /// Returns the context-owned output tensor, valid until the next infer()
+  /// through `ctx`. Distinct contexts may run concurrently over one network.
   const Tensor& infer(const Tensor& input, ExecutionContext& ctx) const;
 
-  /// Fused batch inference: avx2-pinned contexts run the whole micro-batch
-  /// through ONE im2col + GEMM per conv/linear layer (weights stream from
-  /// cache once per layer, not once per image), bit-identical to per-image
-  /// infer() through the same context. Scalar contexts fall back to the
-  /// per-image seed path. `outputs[i]` is assigned the result for
-  /// `inputs[i]`; the spans must be the same length.
+  /// The plan run through `ctx` up to, not including, its first LogSoftMax
+  /// (the whole plan if there is none): the scores the output normalizer
+  /// would see. forward_fixed measures its quantization error against these.
+  Tensor infer_logits(const Tensor& input, ExecutionContext& ctx) const;
+
+  /// Batch inference: the whole micro-batch runs through ONE im2col + GEMM
+  /// per conv/linear layer (weights stream from cache once per layer, not
+  /// once per image), bit-identical to per-image infer() through the same
+  /// context in every engine and precision. `outputs[i]` is assigned the
+  /// result for `inputs[i]`; the spans must be the same length.
   void infer_batch(std::span<const Tensor* const> inputs, std::span<Tensor> outputs,
                    ExecutionContext& ctx) const;
 
@@ -99,22 +110,12 @@ class Network {
   template <typename L>
   L& add_layer(std::unique_ptr<L> layer);
 
-  /// True when the plan contains a step the fused SIMD engine cannot run.
-  static bool plan_needs_generic(const ExecutionContext& ctx);
-
-  /// Fused-batch SIMD executor (nn/execution_batch.cpp): runs `count` images
-  /// through one packed GEMM per conv/linear step and writes each image's
-  /// final activations to `out_rows[i]` (output_shape().elements() floats).
-  void run_fused_batch(const Tensor* const* inputs, std::size_t count,
-                       ExecutionContext& ctx, float* const* out_rows) const;
-
-  /// Quantized fused-batch executor (nn/execution_quant.cpp): runs `count`
-  /// images through the plan in the context's int8/int16 fixed-point
-  /// arithmetic (one quantized packed GEMM per conv/linear step on either
-  /// engine) and writes each image's dequantized float scores to
+  /// The plan executor (nn/execution_plan.cpp): runs the first `stop` steps
+  /// of ctx's plan over `count` images in the context's engine and precision
+  /// and writes each image's resulting activations, as float, to
   /// `out_rows[i]`.
-  void run_quant_batch(const Tensor* const* inputs, std::size_t count,
-                       ExecutionContext& ctx, float* const* out_rows) const;
+  void run_plan(const Tensor* const* inputs, std::size_t count, ExecutionContext& ctx,
+                float* const* out_rows, std::size_t stop) const;
 
   std::string name_;
   Shape input_shape_;

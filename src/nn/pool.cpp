@@ -79,43 +79,6 @@ Tensor Pool2D::forward(const Tensor& input, bool train) {
   return out;
 }
 
-void Pool2D::infer_into(const Tensor& input, Tensor& out) const {
-  const Shape out_shape = output_shape(input.shape());
-  if (out.shape() != out_shape) {
-    throw std::invalid_argument("Pool2D::infer_into: output arena shape mismatch");
-  }
-  const std::size_t channels = input.shape().channels();
-  const std::size_t ih = input.shape().height(), iw = input.shape().width();
-  const std::size_t oh = out_shape.height(), ow = out_shape.width();
-
-  for (std::size_t c = 0; c < channels; ++c) {
-    for (std::size_t i = 0; i < oh; ++i) {
-      for (std::size_t j = 0; j < ow; ++j) {
-        const std::size_t base_i = i * step_, base_j = j * step_;
-        const std::size_t out_idx = (c * oh + i) * ow + j;
-        if (pool_kind_ == PoolKind::kMax) {
-          float best = input[(c * ih + base_i) * iw + base_j];
-          for (std::size_t m = 0; m < kernel_h_; ++m) {
-            for (std::size_t n = 0; n < kernel_w_; ++n) {
-              const float v = input[(c * ih + base_i + m) * iw + (base_j + n)];
-              if (v > best) best = v;
-            }
-          }
-          out[out_idx] = best;
-        } else {
-          float acc = 0.0f;
-          for (std::size_t m = 0; m < kernel_h_; ++m) {
-            for (std::size_t n = 0; n < kernel_w_; ++n) {
-              acc += input[(c * ih + base_i + m) * iw + (base_j + n)];
-            }
-          }
-          out[out_idx] = acc / static_cast<float>(kernel_h_ * kernel_w_);
-        }
-      }
-    }
-  }
-}
-
 Tensor Pool2D::backward(const Tensor& grad_output) {
   if (cached_input_shape_.rank() == 0) {
     throw std::logic_error("Pool2D::backward before forward(train=true)");

@@ -26,7 +26,6 @@ class Pool2D final : public Layer {
   std::string describe() const override;
   Shape output_shape(const Shape& input) const override;
   Tensor forward(const Tensor& input, bool train) override;
-  void infer_into(const Tensor& input, Tensor& out) const override;
   Tensor backward(const Tensor& grad_output) override;
   std::size_t mac_count(const Shape& input) const override;
 

@@ -28,9 +28,9 @@ constexpr std::uint64_t kQuantProbeSeed = 0xC0FFEE51u;
 QuantReport validate_quantized(DeployedDesign& design) {
   QuantReport report;
   const nn::FixedPointFormat format = nn::serve_precision_format(design.precision);
-  // A scalar float context doubles as the fixed model's parameter cache and
-  // (via track_output_error) the float reference whose argmax defines top-1
-  // agreement.
+  // A scalar float context doubles as the fixed model's parameter cache and,
+  // with track_output_error, runs the float reference once per probe: its
+  // top-1 (reference_predicted) is what the served argmax must agree with.
   nn::ExecutionContext fixed_ctx(design.net, nn::kernels::Kind::kScalar, nullptr);
   auto lease = design.contexts.acquire();
   util::Rng rng(kQuantProbeSeed);
@@ -43,14 +43,13 @@ QuantReport validate_quantized(DeployedDesign& design) {
     if (fixed.output_error > report.max_abs_error) {
       report.max_abs_error = fixed.output_error;
     }
-    const std::size_t float_predicted = fixed_ctx.output().argmax();
     const tensor::Tensor& served = design.net.infer(input, *lease);
     if (served.shape() != fixed.scores.shape() ||
         std::memcmp(served.data(), fixed.scores.data(), served.size() * sizeof(float)) !=
             0) {
       report.matches_fixed_model = false;
     }
-    if (served.argmax() == float_predicted) ++agree;
+    if (served.argmax() == fixed.reference_predicted) ++agree;
   }
   report.probes = kQuantProbes;
   report.top1_agreement =

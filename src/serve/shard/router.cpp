@@ -608,13 +608,9 @@ web::HttpResponse Router::handle_predict(const web::HttpRequest& request) {
   }
 
   std::vector<std::string> candidates;
-  std::string catalog_body;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     candidates = candidates_locked(design_id);
-    if (const auto it = catalog_.find(design_id); it != catalog_.end()) {
-      catalog_body = it->second.deploy_body;
-    }
   }
   if (candidates.empty()) {
     return api_error(503, "no_workers", "shard router has no workers on the ring");
@@ -689,9 +685,17 @@ web::HttpResponse Router::handle_predict(const web::HttpRequest& request) {
       continue;
     }
 
-    if (response->status == 404 && !catalog_body.empty()) {
+    std::string catalog_body;
+    if (response->status == 404) {
       // The ring says this worker owns the design but its registry lost it
-      // (restart, LRU eviction). Replay the catalogued deploy and retry once.
+      // (restart, LRU eviction): fetch the catalogued deploy to replay.
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (const auto it = catalog_.find(design_id); it != catalog_.end()) {
+        catalog_body = it->second.deploy_body;
+      }
+    }
+    if (!catalog_body.empty()) {
+      // Replay the deploy and retry once.
       const auto deployed = client->request("POST", kDeployPath, catalog_body);
       if (deployed && deployed->status == 200) {
         repairs_.fetch_add(1, std::memory_order_relaxed);

@@ -1,7 +1,7 @@
 // 64-byte-aligned allocation.
 //
 // SIMD kernels (src/nn/kernels) issue aligned 256-bit loads from packed
-// panels and benefit from cache-line-aligned activation arenas; std::vector's
+// panels and benefit from cache-line-aligned activation buffers; std::vector's
 // default allocator only guarantees alignof(std::max_align_t) (16 on x86-64).
 // AlignedAllocator upgrades any std::vector to a fixed alignment without
 // changing its interface, so Tensor storage and ExecutionContext scratch can

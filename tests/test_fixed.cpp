@@ -3,6 +3,7 @@
 // compile-and-run bit-exactness of the generator's fixed mode.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
@@ -146,6 +147,102 @@ TEST(FixedInference, ReluAndMeanPoolAreExactInFixed) {
   image.fill_uniform(rng, 0.0f, 1.0f);
   const nn::FixedForwardResult r = nn::forward_fixed(net, image, {32, 16});
   EXPECT_EQ(r.predicted, net.predict(image));
+}
+
+namespace {
+/// tests/test_execution.cpp's five architectures (0-4) plus the paper's
+/// Test-1 (5) and Test-4 (6). `logsoftmax` false drops the trailing
+/// LogSoftMax of those that have one; the weights do not change, since a
+/// LogSoftMax draws nothing from the init RNG.
+nn::Network error_fixture(int arch, bool logsoftmax) {
+  const Shape inputs[] = {Shape{1, 16, 16}, Shape{1, 16, 16}, Shape{2, 10, 10},
+                          Shape{2, 10, 10}, Shape{1, 2, 2},   Shape{1, 16, 16},
+                          Shape{3, 32, 32}};
+  nn::Network net(inputs[arch], "error_fixture");
+  bool has_logsoftmax = true;
+  switch (arch) {
+    case 0:
+      net.add_conv(2, 3, 3);
+      net.add_activation(nn::ActKind::kTanh);
+      net.add_max_pool(2, 2);
+      net.add_conv(3, 3, 3);
+      net.add_activation(nn::ActKind::kReLU);
+      net.add_mean_pool(2, 2);
+      net.add_linear(10);
+      net.add_activation(nn::ActKind::kSigmoid);
+      net.add_linear(6);
+      break;
+    case 1:
+      net.add_conv(3, 5, 5);
+      net.add_max_pool(3, 2);
+      net.add_linear(5);
+      break;
+    case 2:
+      net.add_conv(4, 3, 2);
+      net.add_activation(nn::ActKind::kTanh);
+      net.add_linear(8);
+      has_logsoftmax = false;
+      break;
+    case 3:
+      net.add_conv(3, 3, 3);
+      net.add_conv(2, 3, 3);
+      net.add_activation(nn::ActKind::kReLU);
+      net.add_linear(4);
+      net.add_activation(nn::ActKind::kTanh);
+      has_logsoftmax = false;
+      break;
+    case 4:
+      net.add_linear(9);
+      net.add_activation(nn::ActKind::kTanh);
+      net.add_linear(3);
+      break;
+    case 5:
+      net.add_conv(6, 5, 5);
+      net.add_max_pool(2, 2);
+      net.add_linear(10);
+      break;
+    default:
+      net.add_conv(12, 5, 5);
+      net.add_max_pool(2, 2);
+      net.add_conv(36, 5, 5);
+      net.add_max_pool(2, 2);
+      net.add_linear(36);
+      net.add_activation(nn::ActKind::kTanh);
+      net.add_linear(10);
+      break;
+  }
+  if (has_logsoftmax && logsoftmax) net.add_logsoftmax();
+  util::Rng rng(40 + static_cast<std::uint64_t>(arch));
+  net.init_weights(rng);
+  return net;
+}
+}  // namespace
+
+TEST(FixedInference, OutputErrorIsTheLogitGapToForward) {
+  // output_error is max |forward logits - dequantized fixed logits|, both
+  // read before the LogSoftMax, and reference_predicted is forward's top-1.
+  // Both sides are bit-exact, so the value is pinned exactly.
+  const FixedPointFormat fmt{16, 8};
+  for (int arch = 0; arch < 7; ++arch) {
+    nn::Network net = error_fixture(arch, /*logsoftmax=*/true);
+    nn::Network logits_net = error_fixture(arch, /*logsoftmax=*/false);
+    util::Rng rng(500 + static_cast<std::uint64_t>(arch));
+    for (int i = 0; i < 3; ++i) {
+      Tensor image(net.input_shape());
+      image.fill_uniform(rng, -1.0f, 1.0f);
+      const Tensor float_logits = logits_net.forward(image, /*train=*/false);
+      const Tensor fixed_logits = nn::forward_fixed(logits_net, image, fmt).scores;
+      ASSERT_EQ(float_logits.size(), fixed_logits.size());
+      float want = 0.0f;
+      for (std::size_t k = 0; k < float_logits.size(); ++k) {
+        want = std::max(want, std::fabs(float_logits[k] - fixed_logits[k]));
+      }
+      const nn::FixedForwardResult got = nn::forward_fixed(net, image, fmt);
+      EXPECT_EQ(got.output_error, want) << "arch " << arch << " image " << i;
+      EXPECT_EQ(got.reference_predicted, net.forward(image, /*train=*/false).argmax())
+          << "arch " << arch << " image " << i;
+    }
+  }
 }
 
 TEST(FixedInference, ValidatesInput) {

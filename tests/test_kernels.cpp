@@ -12,7 +12,8 @@
 //      `infer` through an avx2 context: every output element is produced by
 //      the same lane-independent FMA chain regardless of batch size.
 //   3. A scalar-pinned context stays bit-exact with Network::forward whether
-//      invoked per image or batched.
+//      invoked per image or batched, and the scalar kernels it runs are
+//      bit-exact with the seed loops (GEMM chain, pooling, log-softmax).
 //
 // The suite runs meaningfully under either CNN2FPGA_KERNEL dispatch mode: it
 // pins contexts explicitly, so only dispatch-default tests depend on the
@@ -148,7 +149,8 @@ TEST(KernelDispatch, ContextCapturesKindAtConstruction) {
 // -------------------------------------------------------------- raw kernels
 
 TEST(KernelGemm, MatchesNaiveReferenceOnAwkwardShapes) {
-  SKIP_WITHOUT_AVX2();
+  // The scalar GEMM must be bit-equal to the naive per-element chain; the
+  // AVX2 GEMM (when available) within tolerance of it.
   struct Case {
     std::size_t m, k, n;
   };
@@ -171,8 +173,12 @@ TEST(KernelGemm, MatchesNaiveReferenceOnAwkwardShapes) {
     kernels::pack_b(rows.data(), c.n, c.k, bp.data());
 
     for (int act = -1; act <= 2; ++act) {
-      std::vector<float> got(c.m * c.n, -777.0f);
-      kernels::gemm(pa, bp.data(), c.n, bias.data(), act, got.data(), c.n);
+      std::vector<float> scalar(c.m * c.n, -777.0f);
+      kernels::gemm_scalar(pa, bp.data(), c.n, bias.data(), act, scalar.data(), c.n);
+      std::vector<float> simd(c.m * c.n, -777.0f);
+      if (kernels::avx2_available()) {
+        kernels::gemm(pa, bp.data(), c.n, bias.data(), act, simd.data(), c.n);
+      }
       for (std::size_t mi = 0; mi < c.m; ++mi) {
         for (std::size_t ni = 0; ni < c.n; ++ni) {
           float want = bias[mi];
@@ -180,8 +186,12 @@ TEST(KernelGemm, MatchesNaiveReferenceOnAwkwardShapes) {
             want += a[mi * c.k + ki] * b[ni * c.k + ki];
           }
           if (act >= 0) want = Activation::apply(static_cast<ActKind>(act), want);
+          ASSERT_EQ(scalar[mi * c.n + ni], want)
+              << "scalar " << c.m << "x" << c.k << "x" << c.n << " act " << act << " at ("
+              << mi << "," << ni << ")";
+          if (!kernels::avx2_available()) continue;
           const float scale = std::max(1.0f, std::fabs(want));
-          ASSERT_LE(std::fabs(got[mi * c.n + ni] - want), kRelTol * scale)
+          ASSERT_LE(std::fabs(simd[mi * c.n + ni] - want), kRelTol * scale)
               << c.m << "x" << c.k << "x" << c.n << " act " << act << " at (" << mi
               << "," << ni << ")";
         }
@@ -231,7 +241,9 @@ TEST(KernelElementwise, ActivationIsChunkInvariant) {
 }
 
 TEST(KernelPool, PlaneMatchesSeedPoolForMaxAndMean) {
-  SKIP_WITHOUT_AVX2();
+  // Reference: the seed Pool2D::forward. The scalar plane kernel must match
+  // it bit for bit; the AVX2 one (when available) value-exactly for max and
+  // within tolerance for mean.
   struct Case {
     std::size_t ih, iw, k, step;
   };
@@ -242,9 +254,15 @@ TEST(KernelPool, PlaneMatchesSeedPoolForMaxAndMean) {
       Pool2D pool(kind, c.k, c.k, c.step);
       tensor::Tensor in(Shape{1, c.ih, c.iw});
       in.fill_uniform(rng, -2.0f, 2.0f);
-      tensor::Tensor want(pool.output_shape(in.shape()));
-      pool.infer_into(in, want);
+      const tensor::Tensor want = pool.forward(in, /*train=*/false);
 
+      tensor::Tensor scalar(want.shape());
+      kernels::pool_plane_scalar(kind == PoolKind::kMax, in.data(), c.ih, c.iw, c.k, c.k,
+                                 c.step, want.shape().height(), want.shape().width(),
+                                 scalar.data());
+      for (std::size_t i = 0; i < want.size(); ++i) ASSERT_EQ(scalar[i], want[i]);
+
+      if (!kernels::avx2_available()) continue;
       tensor::Tensor got(want.shape());
       util::aligned_vector<float> row_scratch(c.iw);
       kernels::pool_plane(kind == PoolKind::kMax, in.data(), c.ih, c.iw, c.k, c.k,
@@ -261,14 +279,19 @@ TEST(KernelPool, PlaneMatchesSeedPoolForMaxAndMean) {
 }
 
 TEST(KernelLogSoftmax, MatchesSeedAndPreservesArgmax) {
-  SKIP_WITHOUT_AVX2();
+  // Reference: the seed LogSoftMax::forward. The scalar kernel must match it
+  // bit for bit; the AVX2 one (when available) within tolerance, same argmax.
   util::Rng rng(23);
   for (const std::size_t n : {2u, 8u, 10u, 13u, 40u}) {
     tensor::Tensor logits(Shape{n});
     logits.fill_uniform(rng, -6.0f, 6.0f);
     LogSoftMax lsm;
-    tensor::Tensor want(logits.shape());
-    lsm.infer_into(logits, want);
+    const tensor::Tensor want = lsm.forward(logits, /*train=*/false);
+    tensor::Tensor scalar(logits.shape());
+    kernels::logsoftmax_scalar(logits.data(), scalar.data(), n);
+    for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(scalar[i], want[i]) << "n=" << n;
+
+    if (!kernels::avx2_available()) continue;
     tensor::Tensor got(logits.shape());
     kernels::logsoftmax(logits.data(), got.data(), n);
     expect_close(got, want, "logsoftmax n=" + std::to_string(n));
@@ -327,15 +350,18 @@ TEST(KernelParity, ScalarBatchStaysBitExactWithForward) {
   for (int arch = 0; arch < kArchCount; ++arch) {
     Network net = make_awkward_network(arch, 300u + static_cast<std::uint64_t>(arch));
     ExecutionContext ctx(net, kernels::Kind::kScalar, nullptr);
-    std::vector<tensor::Tensor> images;
-    for (std::uint64_t i = 0; i < 3; ++i) {
-      images.push_back(random_input(net.input_shape(), 4000 + i));
-    }
-    const std::vector<tensor::Tensor> batched = net.infer_batch(images, ctx);
-    for (std::size_t b = 0; b < images.size(); ++b) {
-      const tensor::Tensor want = net.forward(images[b], /*train=*/false);
-      for (std::size_t e = 0; e < want.size(); ++e) {
-        ASSERT_EQ(batched[b][e], want[e]) << "arch " << arch << " image " << b;
+    for (const std::size_t batch : {std::size_t{1}, std::size_t{3}, std::size_t{8}}) {
+      std::vector<tensor::Tensor> images;
+      for (std::uint64_t i = 0; i < batch; ++i) {
+        images.push_back(random_input(net.input_shape(), 4000 + i));
+      }
+      const std::vector<tensor::Tensor> batched = net.infer_batch(images, ctx);
+      for (std::size_t b = 0; b < images.size(); ++b) {
+        const tensor::Tensor want = net.forward(images[b], /*train=*/false);
+        for (std::size_t e = 0; e < want.size(); ++e) {
+          ASSERT_EQ(batched[b][e], want[e])
+              << "arch " << arch << " batch " << batch << " image " << b;
+        }
       }
     }
   }

@@ -205,6 +205,44 @@ TEST(StreamedFabric, UploadInstallsNewParameters) {
   }
 }
 
+TEST(StreamedFabric, ReuploadAfterClassifyServesNewWeights) {
+  // The core caches packed weights once it has classified, so a re-upload
+  // must replace them: after swapping in net_b's parameters the fabric has
+  // to answer with net_b's predictions, not net_a's.
+  const core::NetworkDescriptor d = streamed_descriptor();
+  nn::Network net_a = d.build_network();
+  util::Rng rng_a(16);
+  net_a.init_weights(rng_a);
+  nn::Network net_b = d.build_network();
+  util::Rng rng_b(17);
+  net_b.init_weights(rng_b);
+
+  axi::BlockDesign bd(net_a, hls::DirectiveSet::optimized(), hls::zedboard(),
+                      nn::NumericFormat::float32(), true);
+  ASSERT_TRUE(bd.upload_weights());
+  util::Rng rng(18);
+  Tensor first(Shape{1, 8, 8});
+  first.fill_uniform(rng, 0.0f, 1.0f);
+  const axi::ClassifyResult before = bd.classify(first);
+  ASSERT_TRUE(before.ok);
+  EXPECT_EQ(before.predicted, net_a.predict(first));
+
+  const auto pa = net_a.params();
+  const auto pb = net_b.params();
+  for (std::size_t i = 0; i < pa.size(); ++i) *pa[i].value = *pb[i].value;
+  ASSERT_TRUE(bd.upload_weights());
+
+  for (int trial = 0; trial < 5; ++trial) {
+    Tensor image(Shape{1, 8, 8});
+    image.fill_uniform(rng, 0.0f, 1.0f);
+    const axi::ClassifyResult hw = bd.classify(image);
+    ASSERT_TRUE(hw.ok);
+    const Tensor want = net_b.forward(image);
+    EXPECT_EQ(hw.scores, std::vector<float>(want.data(), want.data() + want.size()));
+    EXPECT_EQ(hw.predicted, net_b.predict(image));
+  }
+}
+
 TEST(StreamedFixed, FixedStreamedDesignGenerates) {
   const core::NetworkDescriptor d = streamed_descriptor(/*fixed=*/true);
   const core::GeneratedDesign design = core::Framework::generate_with_random_weights(d, 9);
