@@ -10,10 +10,16 @@
 //      calls), then per-image im2col_pack straight into packed-B panels and
 //      the fused 6x16 AVX2 GEMM epilogue. Parity (<= 1e-4 relative) is
 //      checked on the outputs being timed. The scalar engine's conv step
-//      (same packing, per-element gemm_scalar) is reported beside them.
+//      (same packing, per-element gemm_scalar) is reported beside them, and
+//      so is the AVX2 GEMM alone on the packed panels, as GFLOP/s and as a
+//      share of the host's single-thread FMA peak (12 independent FMA
+//      chains, the roof a register-resident 6x16 tile can reach). A GEMM
+//      whose accumulators spill to the stack shows up as a low share.
 //   2. Whole-network inference on the paper's Test-4 CIFAR network: seed
 //      forward(), scalar-pinned infer(), avx2 infer(), and fused
-//      infer_batch(8) per-image cost, plus argmax agreement.
+//      infer_batch(8) per-image cost, plus argmax agreement; and the
+//      network's 900->36 linear step alone (the unpacked linear kernel of
+//      the active engine) at batch 1 and 8.
 //
 // Gate (AVX2 hosts): geometric-mean conv-GEMM speedup >= 3x over the
 // GEMM-dominated layers (N >= 64 output pixels) and parity holds; the
@@ -27,20 +33,23 @@
 //     "bench": "kernels", "avx2_available": bool, "engine": "scalar"|"avx2",
 //     "conv": [{"name": str, "m": int, "k": int, "n": int,
 //               "seed_us": float, "scalar_us": float, "simd_us": float,
-//               "speedup": float,
-//               "max_rel_err": float, "int8_us": float,
+//               "speedup": float, "gemm_us": float, "gemm_gflops": float,
+//               "peak_share": float, "max_rel_err": float, "int8_us": float,
 //               "int8_speedup_vs_float": float, "int16_us": float,
 //               "int16_speedup_vs_float": float}, ...],
 //     "int8":  {"conv_speedup_vs_float_geomean": float,
 //               "gate_min_speedup": 2.0, "pass": bool},
 //     "int16": {"conv_speedup_vs_float_geomean": float,
 //               "gate_min_speedup": 1.0, "pass": bool},
-//     "conv_gemm_speedup_geomean": float,
+//     "conv_gemm_speedup_geomean": float, "host_peak_gflops": float,
+//     "test4_linear": {"m": int, "k": int, "b1_us": float, "b8_us": float},
 //     "net_forward_us": float, "net_infer_scalar_us": float,
 //     "net_infer_simd_us": float, "net_batch8_us_per_image": float,
 //     "net_speedup": float, "batch_fusion_speedup": float,
 //     "argmax_match": bool, "gate_min_speedup": 3.0, "pass": bool
 //   }
+#include <immintrin.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -103,6 +112,9 @@ struct ConvResult {
   double scalar_us = 0.0;  ///< scalar engine: im2col_pack + gemm_scalar
   double simd_us = 0.0;
   double speedup = 0.0;
+  double gemm_us = 0.0;      ///< the AVX2 GEMM alone on packed panels
+  double gemm_gflops = 0.0;
+  double peak_share = 0.0;   ///< gemm_gflops / host FMA peak
   double max_rel_err = 0.0;
   double int8_us = 0.0;   ///< quantized pipeline per call (pack + gemm)
   double int16_us = 0.0;
@@ -158,6 +170,14 @@ ConvResult measure_conv(const ConvCase& c, int samples) {
   };
   r.simd_us = time_us(simd_once, samples);
   r.speedup = r.seed_us / r.simd_us;
+  // simd_once left the packed panels in bpack.
+  r.gemm_us = time_us(
+      [&] {
+        ker::gemm(wp, bpack.data(), r.n, conv.bias().data(), /*act=*/-1, simd_out.data(),
+                  r.n);
+      },
+      samples);
+  r.gemm_gflops = 2.0 * static_cast<double>(r.m * r.k * r.n) / (r.gemm_us * 1e3);
 
   // Quantized pipelines on the same layer: activations arrive as raw fixed
   // values (as they do between layers of the quantized runner), so the timed
@@ -210,6 +230,77 @@ ConvResult measure_conv(const ConvCase& c, int samples) {
   return r;
 }
 
+volatile float g_sink = 0.0f;
+
+/// One timing of 12 independent FMA chains in registers: the single-thread
+/// floating-point roof of the AVX2 engine. This mirrors the host peak probe
+/// of perfbench's load generator (perfbench/loadgen/layers.cpp); keep the two
+/// in step until they share one helper.
+__attribute__((target("avx2,fma"))) double fma_peak_gflops_once() {
+  constexpr int kChains = 12;
+  constexpr long kIterations = 400000;
+  __m256 acc[kChains];
+  for (int c = 0; c < kChains; ++c) acc[c] = _mm256_set1_ps(static_cast<float>(c) * 1e-3f);
+  const __m256 a = _mm256_set1_ps(0.999999f);
+  const __m256 b = _mm256_set1_ps(1e-7f);
+  const auto start = Clock::now();
+  for (long i = 0; i < kIterations; ++i) {
+#pragma GCC unroll 12
+    for (int c = 0; c < kChains; ++c) acc[c] = _mm256_fmadd_ps(acc[c], a, b);
+  }
+  const double seconds = std::chrono::duration<double>(Clock::now() - start).count();
+  __m256 sum = acc[0];
+  for (int c = 1; c < kChains; ++c) sum = _mm256_add_ps(sum, acc[c]);
+  float lanes[8];
+  _mm256_storeu_ps(lanes, sum);
+  g_sink = lanes[0];
+  return 2.0 * 8.0 * kChains * static_cast<double>(kIterations) / seconds * 1e-9;
+}
+
+/// Best of 7 peak timings, matching the best-of-samples GEMM times it is
+/// set against.
+double fma_peak_gflops() {
+  double best = 0.0;
+  for (int r = 0; r < 7; ++r) best = std::max(best, fma_peak_gflops_once());
+  return best;
+}
+
+struct LinearResult {
+  std::size_t m = 0, k = 0;
+  double b1_us = 0.0, b8_us = 0.0;
+};
+
+/// The network's first linear step as the plan executor runs it on `kind`:
+/// the linear kernel over image-major rows, fused activation included, at
+/// batch 1 and 8.
+LinearResult measure_linear(const nn::Network& net, nn::kernels::Kind kind, int samples) {
+  namespace ker = nn::kernels;
+  const nn::ExecutionContext plan(net, kind, nullptr);
+  LinearResult r;
+  for (const nn::ExecutionContext::Step& step : plan.steps()) {
+    if (step.kind != nn::ExecutionContext::Step::Kind::kLinear) continue;
+    const auto* lin = static_cast<const nn::Linear*>(step.layer);
+    const int act = step.fused != nullptr ? static_cast<int>(step.fused->act()) : -1;
+    r.m = lin->out_features();
+    r.k = lin->in_features();
+    ker::PackedA wp;
+    ker::pack_a(lin->weights().data(), r.m, r.k, wp);
+    const tensor::Tensor x = random_tensor(nn::Shape{8, 1, r.k}, 30);
+    std::vector<float> out(8 * r.m);
+    const auto run = [&](std::size_t batch) {
+      if (kind == ker::Kind::kAvx2) {
+        ker::linear(wp, x.data(), batch, lin->bias().data(), act, out.data());
+      } else {
+        ker::linear_scalar(wp, x.data(), batch, lin->bias().data(), act, out.data());
+      }
+    };
+    r.b1_us = time_us([&] { run(1); }, samples);
+    r.b8_us = time_us([&] { run(8); }, samples);
+    break;
+  }
+  return r;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -226,6 +317,8 @@ int main(int argc, char** argv) {
   std::printf("SIMD kernel engine benchmark (single thread, engine: %s%s)\n",
               ker::kind_name(ker::active()), quick ? ", --quick" : "");
   std::puts("---------------------------------------------------------------------");
+  const double peak_gflops = avx2 ? fma_peak_gflops() : 0.0;
+  if (avx2) std::printf("host FMA peak (12 chains, one thread): %.1f GFLOP/s\n", peak_gflops);
 
   // The conv layers of the paper's case studies (Sec. V): Test-1/2 USPS conv,
   // Test-3 second conv, Test-4 CIFAR convs (post-pool input sizes).
@@ -242,7 +335,8 @@ int main(int argc, char** argv) {
   double worst_rel_err = 0.0;
   std::puts("conv GEMM, seed blocked path vs packed scalar and AVX2 kernels:");
   for (const ConvCase& c : cases) {
-    const ConvResult r = measure_conv(c, samples);
+    ConvResult r = measure_conv(c, samples);
+    if (avx2) r.peak_share = r.gemm_gflops / peak_gflops;
     conv_results.push_back(r);
     if (avx2) {
       // The >= 3x gate averages the GEMM-dominated layers (N >= 64 output
@@ -261,6 +355,8 @@ int main(int argc, char** argv) {
                   r.max_rel_err);
       std::printf("  %-26s scalar engine %7.2f us (%.2fx vs seed)\n", "", r.scalar_us,
                   r.seed_us / r.scalar_us);
+      std::printf("  %-26s GEMM alone %7.2f us, %6.1f GFLOP/s (%.0f%% of peak)\n", "",
+                  r.gemm_us, r.gemm_gflops, 100.0 * r.peak_share);
       std::printf("  %-26s int16 %7.2f us (%.2fx vs float)  int8 %7.2f us (%.2fx vs float)\n",
                   "", r.int16_us, r.int16_speedup, r.int8_us, r.int8_speedup);
     } else {
@@ -322,6 +418,10 @@ int main(int argc, char** argv) {
   } else {
     std::puts("  avx2 engine unavailable on this host; SIMD sections skipped.");
   }
+  const ker::Kind linear_kind = avx2 ? ker::Kind::kAvx2 : ker::Kind::kScalar;
+  const LinearResult linear = measure_linear(net, linear_kind, samples);
+  std::printf("  linear %zu->%zu step (%s):  %9.2f us at batch 1, %.2f us at batch 8\n",
+              linear.k, linear.m, ker::kind_name(linear_kind), linear.b1_us, linear.b8_us);
 
   constexpr double kGate = 3.0;
   constexpr double kInt8Gate = 2.0;   ///< int8 must at least halve float SIMD time
@@ -343,11 +443,13 @@ int main(int argc, char** argv) {
     const ConvResult& r = conv_results[i];
     json += util::format(
         "%s{\"name\": \"%s\", \"m\": %zu, \"k\": %zu, \"n\": %zu, \"seed_us\": %.3f, "
-        "\"scalar_us\": %.3f, \"simd_us\": %.3f, \"speedup\": %.3f, \"max_rel_err\": %.3e, "
+        "\"scalar_us\": %.3f, \"simd_us\": %.3f, \"speedup\": %.3f, \"gemm_us\": %.3f, "
+        "\"gemm_gflops\": %.3f, \"peak_share\": %.3f, \"max_rel_err\": %.3e, "
         "\"int8_us\": %.3f, \"int8_speedup_vs_float\": %.3f, "
         "\"int16_us\": %.3f, \"int16_speedup_vs_float\": %.3f}",
         i == 0 ? "" : ", ", r.name.c_str(), r.m, r.k, r.n, r.seed_us, r.scalar_us, r.simd_us,
-        r.speedup, r.max_rel_err, r.int8_us, r.int8_speedup, r.int16_us,
+        r.speedup, r.gemm_us, r.gemm_gflops, r.peak_share, r.max_rel_err, r.int8_us,
+        r.int8_speedup, r.int16_us,
         r.int16_speedup);
   }
   json += util::format(
@@ -357,6 +459,10 @@ int main(int argc, char** argv) {
       "\"gate_min_speedup\": %.1f, \"pass\": %s}",
       int8_geomean, kInt8Gate, int8_pass ? "true" : "false", int16_geomean, kInt16Gate,
       int16_pass ? "true" : "false");
+  json += util::format(
+      ", \"host_peak_gflops\": %.3f, \"test4_linear\": {\"m\": %zu, \"k\": %zu, "
+      "\"b1_us\": %.3f, \"b8_us\": %.3f}",
+      peak_gflops, linear.m, linear.k, linear.b1_us, linear.b8_us);
   json += util::format(
       ", \"conv_gemm_speedup_geomean\": %.3f, \"net_forward_us\": %.3f, "
       "\"net_infer_scalar_us\": %.3f, \"net_infer_simd_us\": %.3f, "

@@ -34,8 +34,9 @@
 // mutate weights must build fresh contexts afterwards.
 //
 // `Network::infer_batch` runs a whole micro-batch through ONE im2col + GEMM
-// per conv/linear step (weights stream from cache once per layer instead of
-// once per image), bit-identical to per-image `infer` in every mode.
+// per conv step (weights stream from cache once per layer instead of once per
+// image) and one kernel call per linear step, bit-identical to per-image
+// `infer` in every mode.
 //
 // Training keeps the mutable path: TrainContext wraps forward(train=true) +
 // backward so the train/infer split is explicit at every call site.
@@ -130,9 +131,11 @@ class ExecutionContext {
   void with_arithmetic(Fn&& fn);
 
   /// Grows the batch scratch to hold `batch` images of `elem`-byte values,
-  /// with packed-B panels of `packed_b_size(n, k)` elements.
+  /// with packed-B panels of `packed_b_size(n, k)` elements for every conv
+  /// step, and for every linear step when `packs_linear`.
   void ensure_batch(std::size_t batch, std::size_t elem,
-                    std::size_t (*packed_b_size)(std::size_t, std::size_t));
+                    std::size_t (*packed_b_size)(std::size_t, std::size_t),
+                    bool packs_linear);
 
   const Network* net_;
   kernels::Kind kernel_;
@@ -152,8 +155,7 @@ class ExecutionContext {
   util::aligned_vector<std::uint8_t> bpack_;     ///< packed-B panels
   util::aligned_vector<std::uint8_t> ping_;      ///< activation buffers
   util::aligned_vector<std::uint8_t> pong_;
-  util::aligned_vector<std::uint8_t> gemm_tmp_;  ///< linear GEMM output before transpose
-  util::aligned_vector<std::uint8_t> rows_;      ///< pack_b row pointers
+  util::aligned_vector<std::uint8_t> rows_;      ///< quantized pack_b row pointers
   util::aligned_vector<float> pool_row_;         ///< avx2 pool_plane row scratch
   std::size_t batch_capacity_ = 0;
   std::size_t max_image_elems_ = 0;  ///< max elements of any per-image buffer

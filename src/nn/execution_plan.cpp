@@ -1,8 +1,10 @@
 // The plan executor: one walker for every kernel engine x precision pair.
 //
 // One invocation runs a whole micro-batch through the context's plan with a
-// single im2col + packed GEMM per conv/linear step, so each layer's weight
+// single im2col + packed GEMM per conv step, so each conv layer's weight
 // panels stream from cache once per *batch* instead of once per image.
+// Linear steps make one kernel call per batch: quantized ones pack the rows
+// for one GEMM, float ones stream the weights against each image row.
 // Activations between steps live in the context's ping/pong buffers in one of
 // two layouts, tracked per step:
 //
@@ -15,12 +17,13 @@
 //                  channel stride B*pixels — no reshuffling between
 //                  conv/pool/conv chains.
 //   kImageMajor  — image b's flat activations at [b*elems, (b+1)*elems);
-//                  how inputs are loaded, what linear layers pack from, and
-//                  what log-softmax and the final store read.
+//                  how inputs are loaded, what linear layers read and write,
+//                  and what log-softmax and the final store read.
 //
 // The walker is written once against an *arithmetic*: the value type kept
 // between steps plus the kernels that load, pack, multiply, pool and activate
-// it. FloatArith runs float32 on either engine; QuantArith<int16_t> and
+// it. FloatArith runs float32 on either engine, and its linear steps stream
+// the weight panels against the image rows in place; QuantArith<int16_t> and
 // QuantArith<int8_t> run the raw fixed-point values of kernels_int.hpp
 // (Q8.8 / Q4.4) with the fixed-point renormalize + saturate in the GEMM
 // epilogue. Loading quantizes the float inputs and storing dequantizes the
@@ -80,7 +83,8 @@ const Activation* activation_of(const Step& step) {
 struct FloatArith {
   using Raw = float;
   using Pack = float;
-  using Row = const float*;
+  /// Linear steps read the image rows in place (linear()), not packed-B.
+  static constexpr bool kPacksLinear = false;
   static std::size_t packed_b_size(std::size_t n, std::size_t k) {
     return ker::packed_b_size(n, k);
   }
@@ -100,9 +104,6 @@ struct FloatArith {
               Pack* bpack, std::size_t col0, std::size_t n) const {
     ker::im2col_pack(in, cstride, channels, ih, iw, kh, kw, oh, ow, bpack, col0, n);
   }
-  void pack_rows(const Row* rows, std::size_t n, std::size_t k, Pack* bpack) const {
-    ker::pack_b(rows, n, k, bpack);
-  }
   void finish(Pack* bpack, std::size_t n, std::size_t k) const {
     ker::zero_pack_tail(bpack, n, k);
   }
@@ -115,6 +116,15 @@ struct FloatArith {
       ker::gemm(weights(layer, g), bpack, n, g.bias, act, c, n);
     } else {
       ker::gemm_scalar(weights(layer, g), bpack, n, g.bias, act, c, n);
+    }
+  }
+  /// Linear step over `count` image-major rows, without packing them.
+  void linear(std::size_t layer, const Gemm& g, const Raw* in, std::size_t count, int act,
+              Raw* out) const {
+    if (avx2) {
+      ker::linear(weights(layer, g), in, count, g.bias, act, out);
+    } else {
+      ker::linear_scalar(weights(layer, g), in, count, g.bias, act, out);
     }
   }
   void pool(bool is_max, const Raw* in, std::size_t ih, std::size_t iw, std::size_t kh,
@@ -151,7 +161,7 @@ struct QuantArith {
   using Raw = R;
   /// int8 panels hold u8 (maddubs wants the unsigned-offset operand).
   using Pack = std::conditional_t<k8, std::uint8_t, std::int16_t>;
-  using Row = const void*;
+  static constexpr bool kPacksLinear = true;
   static std::size_t packed_b_size(std::size_t n, std::size_t k) {
     return k8 ? ker::packed_b_size_s8(n, k) : ker::packed_b_size_s16(n, k);
   }
@@ -179,7 +189,7 @@ struct QuantArith {
       ker::im2col_pack_s16(in, cstride, channels, ih, iw, kh, kw, oh, ow, bpack, col0, n);
     }
   }
-  void pack_rows(const Row* rows, std::size_t n, std::size_t k, Pack* bpack) const {
+  void pack_rows(const void* const* rows, std::size_t n, std::size_t k, Pack* bpack) const {
     if constexpr (k8) {
       ker::pack_b_s8(rows, n, k, bpack);
     } else {
@@ -245,7 +255,7 @@ template <typename A>
 void run_steps(const Step* steps, std::size_t stop, const Shape& input_shape,
                const Tensor* const* inputs, std::size_t count, const A& ar,
                typename A::Pack* bpack, typename A::Raw* ping, typename A::Raw* pong,
-               typename A::Raw* gemm_tmp, typename A::Row* rows, float* const* out_rows) {
+               const void** rows, float* const* out_rows) {
   using Raw = typename A::Raw;
   const std::size_t in_elems = input_shape.elements();
   for (std::size_t b = 0; b < count; ++b) {
@@ -324,17 +334,22 @@ void run_steps(const Step* steps, std::size_t stop, const Shape& input_shape,
       case Step::Kind::kLinear: {
         const Gemm g = gemm_of(step);
         to_image_major(step.in_shape);
-        for (std::size_t b = 0; b < count; ++b) rows[b] = cur + b * g.k;
-        // No finish(): float pack_b zeroes its padding lanes itself, and the
-        // integer panels' padding only meets zero weights or dead columns.
-        ar.pack_rows(rows, count, g.k, bpack);
-        // GEMM produces C[m][b] (ldc = count); transpose to image-major. The
-        // input rows were already copied into the packed panels, so writing
-        // over `cur` is safe.
-        ar.gemm(step.layer_index, g, bpack, count, act, gemm_tmp);
-        for (std::size_t b = 0; b < count; ++b) {
-          for (std::size_t j = 0; j < g.m; ++j) cur[b * g.m + j] = gemm_tmp[j * count + b];
+        Raw* dst = free_buf();
+        if constexpr (!A::kPacksLinear) {
+          ar.linear(step.layer_index, g, cur, count, act, dst);
+        } else {
+          for (std::size_t b = 0; b < count; ++b) rows[b] = cur + b * g.k;
+          // No finish(): the integer panels' padding only meets zero weights
+          // or dead columns.
+          ar.pack_rows(rows, count, g.k, bpack);
+          // The rows now live in the panels, so the GEMM's C[m][b] (ldc =
+          // count) may overwrite `cur` before the transpose to image-major.
+          ar.gemm(step.layer_index, g, bpack, count, act, cur);
+          for (std::size_t b = 0; b < count; ++b) {
+            for (std::size_t j = 0; j < g.m; ++j) dst[b * g.m + j] = cur[j * count + b];
+          }
         }
+        cur = dst;
         break;
       }
       case Step::Kind::kActivation:
@@ -388,22 +403,21 @@ void ExecutionContext::with_arithmetic(Fn&& fn) {
 }
 
 void ExecutionContext::ensure_batch(std::size_t batch, std::size_t elem,
-                                    std::size_t (*packed_b_size)(std::size_t,
-                                                                 std::size_t)) {
+                                    std::size_t (*packed_b_size)(std::size_t, std::size_t),
+                                    bool packs_linear) {
   if (batch <= batch_capacity_) return;
   std::size_t need_bpack = 0;
-  std::size_t need_tmp = 0;
   for (const Step& step : steps_) {
-    if (step.kind != Step::Kind::kConv && step.kind != Step::Kind::kLinear) continue;
+    const bool packs = step.kind == Step::Kind::kConv ||
+                       (packs_linear && step.kind == Step::Kind::kLinear);
+    if (!packs) continue;
     const Gemm g = gemm_of(step);
     need_bpack = std::max(need_bpack, packed_b_size(batch * g.cols, g.k));
-    if (step.kind == Step::Kind::kLinear) need_tmp = std::max(need_tmp, g.m * batch);
   }
   bpack_.resize(need_bpack * elem);
-  gemm_tmp_.resize(need_tmp * elem);
   ping_.resize(batch * max_image_elems_ * elem);
   pong_.resize(batch * max_image_elems_ * elem);
-  rows_.resize(batch * sizeof(const void*));
+  if (packs_linear) rows_.resize(batch * sizeof(const void*));
   batch_capacity_ = batch;
 }
 
@@ -431,12 +445,11 @@ void Network::run_plan(const Tensor* const* inputs, std::size_t count, Execution
     using A = std::decay_t<decltype(ar)>;
     using Raw = typename A::Raw;
     // The byte buffers hold this arithmetic's element type.
-    ctx.ensure_batch(count, sizeof(Raw), &A::packed_b_size);
+    ctx.ensure_batch(count, sizeof(Raw), &A::packed_b_size, A::kPacksLinear);
     run_steps(ctx.steps_.data(), stop, input_shape_, inputs, count, ar,
               reinterpret_cast<typename A::Pack*>(ctx.bpack_.data()),
               reinterpret_cast<Raw*>(ctx.ping_.data()), reinterpret_cast<Raw*>(ctx.pong_.data()),
-              reinterpret_cast<Raw*>(ctx.gemm_tmp_.data()),
-              reinterpret_cast<typename A::Row*>(ctx.rows_.data()), out_rows);
+              reinterpret_cast<const void**>(ctx.rows_.data()), out_rows);
   });
 }
 

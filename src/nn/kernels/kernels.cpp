@@ -3,7 +3,7 @@
 // scalar kernels repeat forward()'s expressions, so this file must be built
 // like Network::forward — without FP contraction (top-level CMakeLists.txt)
 // and never with the flags of kernels_avx2.cpp. The AVX2 compute entry
-// points (gemm, pool_plane, activation_apply, logsoftmax) live in
+// points (gemm, linear, pool_plane, activation_apply, logsoftmax) live in
 // kernels_avx2.cpp, which is compiled with -mavx2 -mfma only when the
 // toolchain supports it; without CNN2FPGA_HAVE_AVX2 those symbols become
 // throwing stubs here and active() always resolves to kScalar.
@@ -171,6 +171,22 @@ void gemm_scalar(const PackedA& a, const float* bpack, std::size_t n, const floa
   }
 }
 
+void linear_scalar(const PackedA& a, const float* x, std::size_t batch, const float* bias,
+                   int act, float* out) {
+  const std::size_t m = a.rows;
+  const std::size_t k = a.cols;
+  for (std::size_t b = 0; b < batch; ++b) {
+    const float* xb = x + b * k;
+    for (std::size_t row = 0; row < m; ++row) {
+      const float* wm =
+          a.data.data() + (row / kPanelRows) * k * kPanelRows + row % kPanelRows;
+      float acc = bias != nullptr ? bias[row] : 0.0f;
+      for (std::size_t q = 0; q < k; ++q) acc += wm[q * kPanelRows] * xb[q];
+      out[b * m + row] = act < 0 ? acc : Activation::apply(static_cast<ActKind>(act), acc);
+    }
+  }
+}
+
 void pool_plane_scalar(bool is_max, const float* in, std::size_t ih, std::size_t iw,
                        std::size_t kh, std::size_t kw, std::size_t step, std::size_t oh,
                        std::size_t ow, float* out) {
@@ -215,19 +231,8 @@ const PackedA& PackCache::get(std::size_t layer, const float* w, std::size_t m,
                               std::size_t k) {
   if (layer >= entries_.size()) throw std::out_of_range("PackCache::get: layer index");
   Entry& e = *entries_[layer];
-  std::call_once(e.once, [&] {
-    pack_a(w, m, k, e.pack);
-    e.ready = true;
-  });
+  std::call_once(e.once, [&] { pack_a(w, m, k, e.pack); });
   return e.pack;
-}
-
-std::size_t PackCache::built() const {
-  std::size_t n = 0;
-  for (const auto& e : entries_) {
-    if (e->ready) ++n;
-  }
-  return n;
 }
 
 #ifndef CNN2FPGA_HAVE_AVX2
@@ -238,6 +243,9 @@ namespace {
 }  // namespace
 
 void gemm(const PackedA&, const float*, std::size_t, const float*, int, float*, std::size_t) {
+  no_avx2();
+}
+void linear(const PackedA&, const float*, std::size_t, const float*, int, float*) {
   no_avx2();
 }
 void pool_plane(bool, const float*, std::size_t, std::size_t, std::size_t, std::size_t,

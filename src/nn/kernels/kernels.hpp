@@ -122,6 +122,21 @@ void gemm(const PackedA& a, const float* bpack, std::size_t n, const float* bias
 void gemm_scalar(const PackedA& a, const float* bpack, std::size_t n, const float* bias,
                  int act, float* c, std::size_t ldc);
 
+/// Fully-connected step on the AVX2 engine, without packing the activations:
+///   out[b*M + m] = act(bias[m] + sum_k A[m][k] * x[b*K + k]),  b < batch.
+/// Streams the weight panels against `batch` image-major input rows in place
+/// and writes image-major output; `out` must not alias `x`. Every element
+/// gets the bias-seeded, in-order FMA chain and epilogue gemm computes for
+/// C[m][b] over pack_b of the same rows, so the two are bitwise equal.
+/// Requires avx2_available(); throws std::runtime_error otherwise.
+void linear(const PackedA& a, const float* x, std::size_t batch, const float* bias,
+            int act, float* out);
+
+/// The same step on the scalar engine, bitwise equal to gemm_scalar over
+/// pack_b of the same rows.
+void linear_scalar(const PackedA& a, const float* x, std::size_t batch, const float* bias,
+                   int act, float* out);
+
 /// Vectorized 2-D pooling over one channel plane (AVX2 engine). Reduces the
 /// kh window rows element-wise into `row_scratch` (>= iw floats), then the kw
 /// window columns per output pixel. Max pooling is value-exact with the seed
@@ -162,14 +177,10 @@ class PackCache {
 
   const PackedA& get(std::size_t layer, const float* w, std::size_t m, std::size_t k);
 
-  /// Number of layers with a built pack (diagnostics).
-  std::size_t built() const;
-
  private:
   struct Entry {
     std::once_flag once;
     PackedA pack;
-    bool ready = false;
   };
   std::vector<std::unique_ptr<Entry>> entries_;
 };

@@ -23,6 +23,9 @@ namespace cnn2fpga::nn::kernels {
 
 namespace {
 
+// The `#pragma GCC unroll 6` on gemm's row loops spells out kPanelRows.
+static_assert(kPanelRows == 6);
+
 inline __m256 apply_act(int act, __m256 x) {
   switch (act) {
     case static_cast<int>(ActKind::kTanh): return tanh256_ps(x);
@@ -66,9 +69,13 @@ void gemm(const PackedA& a, const float* bpack, std::size_t n, const float* bias
       const std::size_t live_rows = std::min(kPanelRows, m - row0);
 
       // 6x16 register block: 12 accumulators seeded with the row bias so the
-      // epilogue only has to apply the activation.
+      // epilogue only has to apply the activation. Every row loop is fully
+      // unrolled and the epilogue guards dead rows instead of stopping at
+      // live_rows, so no accumulator is ever indexed at run time and the
+      // tile stays in registers at -O2 too.
       __m256 acc_lo[kPanelRows];
       __m256 acc_hi[kPanelRows];
+#pragma GCC unroll 6
       for (std::size_t r = 0; r < kPanelRows; ++r) {
         const __m256 seed = (bias != nullptr && r < live_rows)
                                 ? _mm256_set1_ps(bias[row0 + r])
@@ -81,6 +88,7 @@ void gemm(const PackedA& a, const float* bpack, std::size_t n, const float* bias
         const __m256 b_lo = _mm256_loadu_ps(bp + kk * kPanelCols);
         const __m256 b_hi = _mm256_loadu_ps(bp + kk * kPanelCols + 8);
         const float* arow = ap + kk * kPanelRows;
+#pragma GCC unroll 6
         for (std::size_t r = 0; r < kPanelRows; ++r) {
           const __m256 av = _mm256_set1_ps(arow[r]);
           acc_lo[r] = _mm256_fmadd_ps(av, b_lo, acc_lo[r]);
@@ -88,9 +96,63 @@ void gemm(const PackedA& a, const float* bpack, std::size_t n, const float* bias
         }
       }
 
-      for (std::size_t r = 0; r < live_rows; ++r) {
+#pragma GCC unroll 6
+      for (std::size_t r = 0; r < kPanelRows; ++r) {
+        if (r >= live_rows) continue;
         store_row(c + (row0 + r) * ldc + col0, apply_act(act, acc_lo[r]),
                   apply_act(act, acc_hi[r]), live_cols);
+      }
+    }
+  }
+}
+
+void linear(const PackedA& a, const float* x, std::size_t batch, const float* bias,
+            int act, float* out) {
+  // Blocks of six weight panels (36 output rows) per image: six accumulator
+  // chains hide the FMA latency, and with the broadcast activation, one
+  // weight vector and the row mask they fit the 16 YMM registers. Lane r of
+  // acc[p] is output row (p0 + p)*6 + r and grows by the bias-seeded,
+  // in-order FMA chain gemm runs for that element.
+  constexpr std::size_t kBlockPanels = 6;
+  const std::size_t m = a.rows;
+  const std::size_t k = a.cols;
+  const std::size_t panels = (m + kPanelRows - 1) / kPanelRows;
+  const __m256i panel_rows = tail_mask(kPanelRows);
+
+  for (std::size_t b = 0; b < batch; ++b) {
+    const float* xb = x + b * k;
+    float* ob = out + b * m;
+    for (std::size_t p0 = 0; p0 < panels; p0 += kBlockPanels) {
+      // The dead slots of a short last block re-read its last live panel and
+      // store through an empty mask, so no loop indexes the accumulators at
+      // run time and they stay in registers.
+      const std::size_t live = std::min(kBlockPanels, panels - p0);
+      const float* wp[kBlockPanels];
+      __m256 acc[kBlockPanels];
+#pragma GCC unroll 6
+      for (std::size_t p = 0; p < kBlockPanels; ++p) {
+        const std::size_t panel = p0 + std::min(p, live - 1);
+        const std::size_t row = panel * kPanelRows;
+        wp[p] = a.data.data() + panel * k * kPanelRows;
+        acc[p] = bias != nullptr
+                     ? _mm256_maskload_ps(bias + row, tail_mask(std::min(kPanelRows, m - row)))
+                     : _mm256_setzero_ps();
+      }
+
+      for (std::size_t kk = 0; kk < k; ++kk) {
+        const __m256 xv = _mm256_broadcast_ss(xb + kk);
+#pragma GCC unroll 6
+        for (std::size_t p = 0; p < kBlockPanels; ++p) {
+          const __m256 w = _mm256_maskload_ps(wp[p] + kk * kPanelRows, panel_rows);
+          acc[p] = _mm256_fmadd_ps(w, xv, acc[p]);
+        }
+      }
+
+#pragma GCC unroll 6
+      for (std::size_t p = 0; p < kBlockPanels; ++p) {
+        const std::size_t row = std::min((p0 + p) * kPanelRows, m);  // m: dead slot
+        _mm256_maskstore_ps(ob + row, tail_mask(std::min(kPanelRows, m - row)),
+                            apply_act(act, acc[p]));
       }
     }
   }

@@ -494,10 +494,7 @@ const PackedWeightsS8& QuantPackCache::get8(std::size_t layer, const float* w,
                                             std::size_t k) {
   if (layer >= entries_.size()) throw std::out_of_range("QuantPackCache::get8: layer index");
   Entry& e = *entries_[layer];
-  std::call_once(e.once, [&] {
-    pack_weights_s8(w, bias, m, k, format_, e.p8);
-    e.ready = true;
-  });
+  std::call_once(e.once, [&] { pack_weights_s8(w, bias, m, k, format_, e.p8); });
   return e.p8;
 }
 
@@ -506,10 +503,7 @@ const PackedWeightsS16& QuantPackCache::get16(std::size_t layer, const float* w,
                                               std::size_t k) {
   if (layer >= entries_.size()) throw std::out_of_range("QuantPackCache::get16: layer index");
   Entry& e = *entries_[layer];
-  std::call_once(e.once, [&] {
-    pack_weights_s16(w, bias, m, k, format_, e.p16);
-    e.ready = true;
-  });
+  std::call_once(e.once, [&] { pack_weights_s16(w, bias, m, k, format_, e.p16); });
   return e.p16;
 }
 
@@ -536,14 +530,6 @@ const std::int16_t* QuantPackCache::lut16(ActKind act) {
     }
   });
   return lut.t16.data();
-}
-
-std::size_t QuantPackCache::built() const {
-  std::size_t n = 0;
-  for (const auto& e : entries_) {
-    if (e->ready) ++n;
-  }
-  return n;
 }
 
 #ifndef CNN2FPGA_HAVE_AVX2

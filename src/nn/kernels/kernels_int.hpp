@@ -184,15 +184,11 @@ class QuantPackCache {
   const std::int8_t* lut8(ActKind act);
   const std::int16_t* lut16(ActKind act);
 
-  /// Number of layers with a built pack (diagnostics).
-  std::size_t built() const;
-
  private:
   struct Entry {
     std::once_flag once;
     PackedWeightsS8 p8;
     PackedWeightsS16 p16;
-    bool ready = false;
   };
   struct Lut {
     std::once_flag once;

@@ -2,15 +2,16 @@
 // only keeps the TU's flags uniform with kernels_avx2.cpp; these kernels are
 // pure integer SIMD).
 //
-// int8 (gemm_s8_avx2): 6x16 register-blocked, 12 YMM int32 accumulators
-// seeded with (bias<<frac) - 128*sum(w). B panels hold offset-u8 activations
-// in dword groups of 4 consecutive k; A panels hold the matching s8 weight
-// dwords per row, broadcast with one vpbroadcastd each. Per 8 k-steps:
-// two vpmaddubsw pair-sums (bounded by the +/-31 weight clamp, so exact),
-// one saturation-free vpaddsw combine, one vpmaddwd widen, one vpaddd — 30
-// vector ops per 6x16x8 = 768 MACs versus 96 FMAs on the float path.
+// int8 (gemm_s8_avx2): 3x16 register tiles (half a 6-row weight panel), 6
+// YMM int32 accumulators seeded with (bias<<frac) - 128*sum(w). B panels hold
+// offset-u8 activations in dword groups of 4 consecutive k; A panels hold the
+// matching s8 weight dwords per row, broadcast with one vpbroadcastd each. Per
+// row, 16 columns and 8 k-steps: four vpmaddubsw pair-sums (bounded by the
+// +/-31 weight clamp, so exact), two saturation-free vpaddsw combines, two
+// vpmaddwd widens and two vpaddd — 10 vector ops per 128 MACs versus 16 FMAs
+// on the float path.
 //
-// int16 (gemm_s16_avx2): same blocking over pair-interleaved s16 panels; one
+// int16 (gemm_s16_avx2): same tiles over pair-interleaved s16 panels; one
 // vpmaddwd + vpaddd per 2 k-steps per 8 columns. ALU-neutral with float FMA
 // but half the operand bytes, which is where its speedup comes from.
 //
@@ -30,6 +31,18 @@
 namespace cnn2fpga::nn::kernels::detail {
 
 namespace {
+
+/// Rows of C per register tile: half a weight panel. A 6x16 int8 tile is 12
+/// accumulators beside four B vectors, the ones vector and the broadcasts,
+/// more than the 16 YMM registers, and the 6x16 int16 tile leaves none to
+/// spare, so each panel runs as two 3-row passes over the same B panel.
+/// Integer adds are exact, so the split cannot change a result. The
+/// `#pragma GCC unroll 3` row loops spell out kTileRows: fully unrolled, with
+/// the epilogue guarding dead rows rather than stopping at live_rows, they
+/// never index the accumulators at run time, so the tile stays in registers
+/// at -O2 too.
+constexpr std::size_t kTileRows = 3;
+static_assert(kPanelRows == 2 * kTileRows);
 
 inline __m256i broadcast_dword(const void* p) {
   std::int32_t v;
@@ -72,14 +85,16 @@ void gemm_s8_avx2(const PackedWeightsS8& a, const std::uint8_t* bpack, std::size
   for (std::size_t q = 0; q * kPanelCols < n; ++q) {
     const std::uint8_t* bpanel = bpack + q * kp * kPanelCols;
     const std::size_t live_cols = std::min(kPanelCols, n - q * kPanelCols);
-    for (std::size_t p = 0; p * kPanelRows < a.rows; ++p) {
-      const std::int8_t* apanel = a.panels.data() + p * kp * kPanelRows;
-      const std::int32_t* seed = a.seed.data() + p * kPanelRows;
-      const std::size_t live_rows = std::min(kPanelRows, a.rows - p * kPanelRows);
+    for (std::size_t row0 = 0; row0 < a.rows; row0 += kTileRows) {
+      // Rows [row0, row0 + 3) are half of weight panel row0 / 6.
+      const std::int8_t* apanel = a.panels.data() + (row0 / kPanelRows) * kp * kPanelRows +
+                                  (row0 % kPanelRows) * 4;
+      const std::size_t live_rows = std::min(kTileRows, a.rows - row0);
 
-      __m256i acc_lo[kPanelRows], acc_hi[kPanelRows];
-      for (std::size_t r = 0; r < kPanelRows; ++r) {
-        acc_lo[r] = _mm256_set1_epi32(seed[r]);
+      __m256i acc_lo[kTileRows], acc_hi[kTileRows];
+#pragma GCC unroll 3
+      for (std::size_t r = 0; r < kTileRows; ++r) {
+        acc_lo[r] = _mm256_set1_epi32(a.seed[row0 + r]);
         acc_hi[r] = acc_lo[r];
       }
 
@@ -90,7 +105,8 @@ void gemm_s8_avx2(const PackedWeightsS8& a, const std::uint8_t* bpack, std::size
         const __m256i b1_lo = _mm256_load_si256(reinterpret_cast<const __m256i*>(bk + 64));
         const __m256i b1_hi = _mm256_load_si256(reinterpret_cast<const __m256i*>(bk + 96));
         const std::int8_t* ak = apanel + g * kPanelRows;
-        for (std::size_t r = 0; r < kPanelRows; ++r) {
+#pragma GCC unroll 3
+        for (std::size_t r = 0; r < kTileRows; ++r) {
           const __m256i a0 = broadcast_dword(ak + r * 4);
           const __m256i a1 = broadcast_dword(ak + kPanelRows * 4 + r * 4);
           const __m256i s_lo = _mm256_adds_epi16(_mm256_maddubs_epi16(b0_lo, a0),
@@ -102,11 +118,13 @@ void gemm_s8_avx2(const PackedWeightsS8& a, const std::uint8_t* bpack, std::size
         }
       }
 
-      for (std::size_t r = 0; r < live_rows; ++r) {
+#pragma GCC unroll 3
+      for (std::size_t r = 0; r < kTileRows; ++r) {
+        if (r >= live_rows) continue;
         __m128i bytes = narrow_s8(renorm8(acc_lo[r], half, shift),
                                   renorm8(acc_hi[r], half, shift));
         if (relu) bytes = _mm_max_epi8(bytes, zero8);
-        std::int8_t* dst = c + (p * kPanelRows + r) * ldc + q * kPanelCols;
+        std::int8_t* dst = c + (row0 + r) * ldc + q * kPanelCols;
         if (live_cols == kPanelCols) {
           _mm_storeu_si128(reinterpret_cast<__m128i*>(dst), bytes);
         } else {
@@ -131,14 +149,16 @@ void gemm_s16_avx2(const PackedWeightsS16& a, const std::int16_t* bpack, std::si
   for (std::size_t q = 0; q * kPanelCols < n; ++q) {
     const std::int16_t* bpanel = bpack + q * kp * kPanelCols;
     const std::size_t live_cols = std::min(kPanelCols, n - q * kPanelCols);
-    for (std::size_t p = 0; p * kPanelRows < a.rows; ++p) {
-      const std::int16_t* apanel = a.panels.data() + p * kp * kPanelRows;
-      const std::int32_t* seed = a.seed.data() + p * kPanelRows;
-      const std::size_t live_rows = std::min(kPanelRows, a.rows - p * kPanelRows);
+    for (std::size_t row0 = 0; row0 < a.rows; row0 += kTileRows) {
+      const std::int16_t* apanel = a.panels.data() +
+                                   (row0 / kPanelRows) * kp * kPanelRows +
+                                   (row0 % kPanelRows) * 2;
+      const std::size_t live_rows = std::min(kTileRows, a.rows - row0);
 
-      __m256i acc_lo[kPanelRows], acc_hi[kPanelRows];
-      for (std::size_t r = 0; r < kPanelRows; ++r) {
-        acc_lo[r] = _mm256_set1_epi32(seed[r]);
+      __m256i acc_lo[kTileRows], acc_hi[kTileRows];
+#pragma GCC unroll 3
+      for (std::size_t r = 0; r < kTileRows; ++r) {
+        acc_lo[r] = _mm256_set1_epi32(a.seed[row0 + r]);
         acc_hi[r] = acc_lo[r];
       }
 
@@ -147,18 +167,21 @@ void gemm_s16_avx2(const PackedWeightsS16& a, const std::int16_t* bpack, std::si
         const __m256i b_lo = _mm256_load_si256(reinterpret_cast<const __m256i*>(bk));
         const __m256i b_hi = _mm256_load_si256(reinterpret_cast<const __m256i*>(bk + 16));
         const std::int16_t* ak = apanel + g * kPanelRows;
-        for (std::size_t r = 0; r < kPanelRows; ++r) {
+#pragma GCC unroll 3
+        for (std::size_t r = 0; r < kTileRows; ++r) {
           const __m256i av = broadcast_dword(ak + r * 2);
           acc_lo[r] = _mm256_add_epi32(acc_lo[r], _mm256_madd_epi16(b_lo, av));
           acc_hi[r] = _mm256_add_epi32(acc_hi[r], _mm256_madd_epi16(b_hi, av));
         }
       }
 
-      for (std::size_t r = 0; r < live_rows; ++r) {
+#pragma GCC unroll 3
+      for (std::size_t r = 0; r < kTileRows; ++r) {
+        if (r >= live_rows) continue;
         __m256i words = narrow_s16(renorm8(acc_lo[r], half, shift),
                                    renorm8(acc_hi[r], half, shift));
         if (relu) words = _mm256_max_epi16(words, zero16);
-        std::int16_t* dst = c + (p * kPanelRows + r) * ldc + q * kPanelCols;
+        std::int16_t* dst = c + (row0 + r) * ldc + q * kPanelCols;
         if (live_cols == kPanelCols) {
           _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst), words);
         } else {

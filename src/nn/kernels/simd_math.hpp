@@ -76,7 +76,7 @@ inline __m256 sigmoid256_ps(__m256 x) {
   return _mm256_div_ps(one, _mm256_add_ps(one, e));
 }
 
-/// AVX2 mask with the first `live` (1..8) lanes enabled for maskload/maskstore.
+/// AVX2 mask with the first `live` (0..8) lanes enabled for maskload/maskstore.
 inline __m256i tail_mask(std::size_t live) {
   alignas(32) static const int kMask[16] = {-1, -1, -1, -1, -1, -1, -1, -1,
                                             0,  0,  0,  0,  0,  0,  0,  0};

@@ -72,10 +72,11 @@ class Network {
   Tensor infer_logits(const Tensor& input, ExecutionContext& ctx) const;
 
   /// Batch inference: the whole micro-batch runs through ONE im2col + GEMM
-  /// per conv/linear layer (weights stream from cache once per layer, not
-  /// once per image), bit-identical to per-image infer() through the same
-  /// context in every engine and precision. `outputs[i]` is assigned the
-  /// result for `inputs[i]`; the spans must be the same length.
+  /// per conv layer (weights stream from cache once per layer, not once per
+  /// image) and one kernel call per linear layer, bit-identical to per-image
+  /// infer() through the same context in every engine and precision.
+  /// `outputs[i]` is assigned the result for `inputs[i]`; the spans must be
+  /// the same length.
   void infer_batch(std::span<const Tensor* const> inputs, std::span<Tensor> outputs,
                    ExecutionContext& ctx) const;
 

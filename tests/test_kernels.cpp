@@ -200,6 +200,54 @@ TEST(KernelGemm, MatchesNaiveReferenceOnAwkwardShapes) {
   }
 }
 
+TEST(KernelGemm, InPlaceLinearBitwiseEqualsPackedGemm) {
+  // linear / linear_scalar read image-major rows without packing them; each
+  // output must carry the exact bits gemm / gemm_scalar produce for C[m][b]
+  // over pack_b of the same rows. M straddles the 6-row panel and the
+  // linear kernel's 6-panel blocks (37 rows leave a block of one panel).
+  util::Rng rng(23);
+  for (const std::size_t m : {1, 5, 6, 7, 10, 36, 37}) {
+    for (const std::size_t k : {1, 7, 900}) {
+      std::vector<float> w(m * k), bias(m);
+      for (float& v : w) v = rng.uniform(-1.0f, 1.0f);
+      for (float& v : bias) v = rng.uniform(-0.5f, 0.5f);
+      kernels::PackedA pa;
+      kernels::pack_a(w.data(), m, k, pa);
+      for (const std::size_t batch : {1, 2, 3, 4, 5, 8, 17}) {
+        std::vector<float> x(batch * k);
+        for (float& v : x) v = rng.uniform(-1.0f, 1.0f);
+        std::vector<const float*> rows(batch);
+        for (std::size_t b = 0; b < batch; ++b) rows[b] = x.data() + b * k;
+        util::aligned_vector<float> bp(kernels::packed_b_size(batch, k));
+        kernels::pack_b(rows.data(), batch, k, bp.data());
+        for (int act = -1; act <= static_cast<int>(ActKind::kReLU); ++act) {
+          for (const kernels::Kind kind : {kernels::Kind::kScalar, kernels::Kind::kAvx2}) {
+            if (kind == kernels::Kind::kAvx2 && !kernels::avx2_available()) continue;
+            std::vector<float> want(m * batch), got(m * batch, -777.0f);
+            if (kind == kernels::Kind::kAvx2) {
+              kernels::gemm(pa, bp.data(), batch, bias.data(), act, want.data(), batch);
+              kernels::linear(pa, x.data(), batch, bias.data(), act, got.data());
+            } else {
+              kernels::gemm_scalar(pa, bp.data(), batch, bias.data(), act, want.data(),
+                                   batch);
+              kernels::linear_scalar(pa, x.data(), batch, bias.data(), act, got.data());
+            }
+            for (std::size_t b = 0; b < batch; ++b) {
+              for (std::size_t r = 0; r < m; ++r) {
+                ASSERT_EQ(std::memcmp(&got[b * m + r], &want[r * batch + b], sizeof(float)),
+                          0)
+                    << kernels::kind_name(kind) << " M=" << m << " K=" << k
+                    << " batch=" << batch << " act=" << act << " at (" << r << "," << b
+                    << "): linear=" << got[b * m + r] << " gemm=" << want[r * batch + b];
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(KernelElementwise, ActivationMatchesScalarIncludingSaturation) {
   SKIP_WITHOUT_AVX2();
   // 13 elements: one full vector plus a 5-lane masked tail. Values span the
@@ -341,6 +389,54 @@ TEST(KernelParity, BatchFusionBitIdenticalToPerImageInfer) {
                               fused[b].size() * sizeof(float)),
                   0)
             << "arch " << arch << " batch " << batch << " image " << b;
+      }
+    }
+  }
+}
+
+TEST(KernelParity, BackToBackLinearsBatchBitIdenticalToInfer) {
+  // Three linear steps in a row, none a multiple of the 6-row panel: each
+  // reads the buffer the previous one wrote, so a wrong ping/pong choice or
+  // row stride at any batch size breaks infer_batch == infer.
+  Network net(Shape{2, 3, 5}, "linear_chain");
+  net.add_linear(13);
+  net.add_linear(11);
+  net.add_activation(ActKind::kSigmoid);
+  net.add_linear(5);
+  util::Rng rng(71);
+  net.init_weights(rng);
+  std::vector<tensor::Tensor> images;
+  for (std::uint64_t i = 0; i < 17; ++i) {
+    images.push_back(random_input(net.input_shape(), 9000 + i));
+  }
+  for (const kernels::Kind kind : {kernels::Kind::kScalar, kernels::Kind::kAvx2}) {
+    if (kind == kernels::Kind::kAvx2 && !kernels::avx2_available()) continue;
+    for (const ServePrecision prec :
+         {ServePrecision::kFloat32, ServePrecision::kInt16, ServePrecision::kInt8}) {
+      ExecutionContext ctx(net, kind, nullptr, prec, nullptr);
+      std::vector<tensor::Tensor> per_image;
+      for (const tensor::Tensor& image : images) per_image.push_back(net.infer(image, ctx));
+      if (kind == kernels::Kind::kScalar && prec == ServePrecision::kFloat32) {
+        for (std::size_t i = 0; i < images.size(); ++i) {
+          const tensor::Tensor want = net.forward(images[i], /*train=*/false);
+          ASSERT_EQ(std::memcmp(per_image[i].data(), want.data(), want.size() * sizeof(float)),
+                    0)
+              << "scalar infer vs forward, image " << i;
+        }
+      }
+      for (const std::size_t batch : {1, 2, 3, 4, 5, 8, 17}) {
+        const std::vector<tensor::Tensor> subset(images.begin(),
+                                                 images.begin() + static_cast<long>(batch));
+        const std::vector<tensor::Tensor> fused = net.infer_batch(subset, ctx);
+        ASSERT_EQ(fused.size(), batch);
+        for (std::size_t b = 0; b < batch; ++b) {
+          ASSERT_EQ(fused[b].shape(), per_image[b].shape());
+          ASSERT_EQ(std::memcmp(fused[b].data(), per_image[b].data(),
+                                fused[b].size() * sizeof(float)),
+                    0)
+              << kernels::kind_name(kind) << " " << serve_precision_name(prec) << " batch "
+              << batch << " image " << b;
+        }
       }
     }
   }
