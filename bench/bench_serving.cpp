@@ -46,13 +46,13 @@
 //      threads — the fabric's functional simulation runs on a host core, so
 //      a single-thread host makes the duel zero-sum by construction.
 //   7. (--sharded) Multi-process scaling through the shard router. Three
-//      scalar-pinned worker processes are forked up front (fork must precede
-//      any thread in this process — see shard/process.hpp): one serves as the
-//      single-process baseline fleet, two as the sharded fleet. Four CIFAR
-//      designs — chosen offline with the same consistent-hash ring the router
-//      uses so each fleet worker is primary for exactly two — are deployed
-//      through both routers, then the same closed-loop keep-alive client load
-//      rotates across them against each fleet. Both measurements traverse the
+//      scalar-pinned worker processes (this binary in --worker mode) are
+//      launched: one serves as the single-process baseline fleet, two as the
+//      sharded fleet. Four CIFAR designs — chosen offline with the same
+//      consistent-hash ring the router uses so each fleet worker is primary
+//      for exactly two — are deployed through both routers, then the same
+//      closed-loop keep-alive client load rotates across them against each
+//      fleet. Both measurements traverse the
 //      identical router -> persistent-HTTP -> worker path, so the ratio
 //      isolates what the second worker PROCESS buys. Every routed logit is
 //      checked bit-for-bit against a local scalar reference. Gated: >= 1.7x
@@ -77,11 +77,8 @@
 //   SERVING_JSON {...}
 // and writes that same JSON object to BENCH_serving.json (override the path
 // with --out <path>) so CI archives a parseable file, not a captured table.
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -629,11 +626,12 @@ struct ShardedResult {
   bool deploy_ok = true;
 };
 
-/// Forked worker body: a full serving runtime, scalar-pinned so both fleets
-/// are CPU-bound on the same engine and the scaling ratio measures process
-/// parallelism (and so routed logits stay bit-exact with the scalar
-/// reference). Alive until the parent's control pipe reads EOF.
-int shard_worker_main(int port, int shutdown_fd, bool reuse_port = false) {
+/// --worker mode (the launch protocol of shard/process.hpp): a full serving
+/// runtime, scalar-pinned so both fleets are CPU-bound on the same engine and
+/// the scaling ratio measures process parallelism (and so routed logits stay
+/// bit-exact with the scalar reference). Binds the port the parent holds
+/// reserved, and lives until the parent closes the control socket.
+int shard_worker_main(int port, int control_fd) {
   nn::kernels::ScopedKernelOverride pin(nn::kernels::Kind::kScalar);
   serve::ServingConfig config;
   config.worker_threads = 2;
@@ -642,7 +640,7 @@ int shard_worker_main(int port, int shutdown_fd, bool reuse_port = false) {
   config.backends.accelerator = false;
   serve::ServingRuntime runtime(config);
   web::ServerConfig server_config;
-  server_config.reuse_port = reuse_port;  // supervised restart: parent holds the port
+  server_config.reuse_port = true;
   web::HttpServer server(server_config);
   serve::install_serve_api(server, runtime);
   try {
@@ -651,14 +649,25 @@ int shard_worker_main(int port, int shutdown_fd, bool reuse_port = false) {
     std::fprintf(stderr, "shard worker on port %d failed to start: %s\n", port, e.what());
     return 1;
   }
-  char byte = 0;
-  while (true) {
-    const ssize_t n = ::read(shutdown_fd, &byte, 1);
-    if (n == 0) break;  // EOF: parent asked us to stop (or died)
-    if (n < 0 && errno != EINTR) break;
-  }
+  serve::shard::report_ready_and_wait(control_fd);
   server.stop();
   return 0;
+}
+
+/// Launch `count` shard workers, each on its own reserved port. Empty if any
+/// of them did not come up (the ones that did are stopped).
+std::vector<std::unique_ptr<serve::shard::ProcessLauncher>> launch_shard_workers(
+    std::size_t count) {
+  std::vector<std::unique_ptr<serve::shard::ProcessLauncher>> workers;
+  for (std::size_t i = 0; i < count; ++i) {
+    workers.push_back(std::make_unique<serve::shard::ProcessLauncher>(
+        serve::shard::ReservedPort::reserve(), std::vector<std::string>{}, 30000));
+    if (!workers.back()->start()) {
+      std::fprintf(stderr, "shard worker %zu did not become ready\n", i);
+      return {};
+    }
+  }
+  return workers;
 }
 
 /// Closed-loop throughput through a router: `clients` threads each keep one
@@ -714,9 +723,7 @@ double shard_throughput(serve::shard::Router& router,
 }
 
 /// The --sharded duel: the same closed-loop CIFAR load through the shard
-/// router against a 1-worker fleet and a 2-worker fleet. MUST run before this
-/// process creates any thread: all three worker processes are forked first
-/// (a forked copy of a multithreaded process is unusable — shard/process.hpp).
+/// router against a 1-worker fleet and a 2-worker fleet.
 ShardedResult measure_sharded(bool quick) {
   ShardedResult out;
   constexpr std::size_t kFleet = 2;
@@ -724,34 +731,12 @@ ShardedResult measure_sharded(bool quick) {
   constexpr std::size_t kShardClients = 8;
   const std::size_t per_client = quick ? 25 : 120;
 
-  // Fork every worker before anything else: ports[0] is the baseline fleet's
-  // lone worker, ports[1..2] the sharded fleet.
-  std::vector<int> ports;
-  for (std::size_t i = 0; i < 1 + kFleet; ++i) {
-    const int port = serve::shard::reserve_local_port();
-    if (port == 0) {
-      std::fprintf(stderr, "sharded: could not reserve a local port\n");
-      out.deploy_ok = false;
-      return out;
-    }
-    ports.push_back(port);
-  }
-  std::vector<serve::shard::WorkerProcess> procs(1 + kFleet);
-  for (std::size_t i = 0; i < procs.size(); ++i) {
-    if (!procs[i].spawn(ports[i], [](int port, int fd) { return shard_worker_main(port, fd); })) {
-      std::fprintf(stderr, "sharded: fork of worker %zu failed\n", i);
-      out.deploy_ok = false;
-      return out;
-    }
-  }
-  for (std::size_t i = 0; i < procs.size(); ++i) {
-    if (!serve::shard::wait_until_ready(ports[i], 30000)) {
-      std::fprintf(stderr, "sharded: worker %zu on port %d did not become ready\n", i,
-                   ports[i]);
-      out.deploy_ok = false;
-      for (auto& proc : procs) proc.stop();
-      return out;
-    }
+  // workers[0] is the baseline fleet's lone worker, workers[1..2] the
+  // sharded fleet.
+  const auto workers = launch_shard_workers(1 + kFleet);
+  if (workers.empty()) {
+    out.deploy_ok = false;
+    return out;
   }
 
   // Pick four CIFAR designs whose content keys split 2+2 across the sharded
@@ -790,14 +775,14 @@ ShardedResult measure_sharded(bool quick) {
   baseline_config.replication = 1;
   baseline_config.worker.client.read_timeout_ms = 60000;
   serve::shard::Router baseline(baseline_config);
-  baseline.add_worker("worker-0", "127.0.0.1", ports[0]);
+  baseline.add_worker("worker-0", "127.0.0.1", workers[0]->port());
 
   serve::shard::RouterConfig fleet_config;
   fleet_config.replication = 2;
   fleet_config.worker.client.read_timeout_ms = 60000;
   serve::shard::Router fleet(fleet_config);
   for (std::size_t w = 0; w < kFleet; ++w) {
-    fleet.add_worker(util::format("worker-%zu", w), "127.0.0.1", ports[1 + w]);
+    fleet.add_worker(util::format("worker-%zu", w), "127.0.0.1", workers[1 + w]->port());
   }
 
   // Deploy through both routers and build the local scalar reference: the
@@ -856,8 +841,6 @@ ShardedResult measure_sharded(bool quick) {
     out.scaling = out.sharded_ips / out.baseline_ips;
   }
   out.key_mismatches = fleet.key_mismatches() + baseline.key_mismatches();
-
-  for (auto& proc : procs) proc.stop();
   return out;
 }
 
@@ -924,10 +907,6 @@ std::size_t chaos_settle(serve::shard::Router& router,
 /// journaled router over three SUPERVISED workers absorbs SIGKILLs under
 /// closed-loop load, then the router itself is torn down and rebuilt from the
 /// journal — twice, the second time with a deliberately torn journal tail.
-/// Forks its initial workers before any thread exists; supervised RESTARTS
-/// fork from a threaded process, which is exactly the production scenario the
-/// supervisor is built for (worker children silence logging first so they
-/// never touch a lock the fork may have captured — shard/supervisor.hpp).
 ChaosResult measure_chaos(bool quick) {
   ChaosResult out;
   constexpr std::size_t kFleet = 3;
@@ -937,8 +916,13 @@ ChaosResult measure_chaos(bool quick) {
   const std::string journal_path = "bench_chaos_journal.log";
   std::remove(journal_path.c_str());
 
-  // Reserve each worker's port for the whole drill, then fork the initial
-  // fleet while this process is still single-threaded.
+  // Each worker's port stays reserved for the whole drill, so a restarted
+  // worker comes back at the address the routers know.
+  auto workers = launch_shard_workers(kFleet);
+  if (workers.empty()) {
+    out.deploy_ok = false;
+    return out;
+  }
   serve::shard::SupervisorConfig supervisor_config;
   supervisor_config.backoff_initial_ms = 100;
   supervisor_config.backoff_max_ms = 500;
@@ -946,27 +930,8 @@ ChaosResult measure_chaos(bool quick) {
   serve::shard::Supervisor supervisor(supervisor_config);
   std::vector<serve::shard::ProcessLauncher*> launchers;
   for (std::size_t i = 0; i < kFleet; ++i) {
-    auto reserved = serve::shard::ReservedPort::reserve();
-    if (!reserved.valid()) {
-      std::fprintf(stderr, "chaos: could not reserve a local port\n");
-      out.deploy_ok = false;
-      return out;
-    }
-    auto launcher = std::make_unique<serve::shard::ProcessLauncher>(
-        std::move(reserved),
-        [](int port, int fd) {
-          util::set_log_level(util::LogLevel::kOff);  // fork-safety: first statement
-          return shard_worker_main(port, fd, /*reuse_port=*/true);
-        },
-        30000);
-    if (!launcher->start()) {
-      std::fprintf(stderr, "chaos: worker %zu did not become ready\n", i);
-      out.deploy_ok = false;
-      supervisor.stop_all();
-      return out;
-    }
-    launchers.push_back(launcher.get());
-    supervisor.add_slot(util::format("worker-%zu", i), std::move(launcher));
+    launchers.push_back(workers[i].get());
+    supervisor.add_slot(util::format("worker-%zu", i), std::move(workers[i]));
   }
 
   const auto make_router = [&](bool expect_journal_ok) {
@@ -1152,20 +1117,17 @@ ChaosResult measure_chaos(bool quick) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  bool overload = false;
-  bool hetero = false;
-  bool sharded = false;
-  bool chaos = false;
-  std::string out_path = "BENCH_serving.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-    if (std::strcmp(argv[i], "--overload") == 0) overload = true;
-    if (std::strcmp(argv[i], "--hetero") == 0) hetero = true;
-    if (std::strcmp(argv[i], "--sharded") == 0) sharded = true;
-    if (std::strcmp(argv[i], "--chaos") == 0) chaos = true;
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) out_path = argv[++i];
+  const util::CliArgs args(argc, argv);
+  if (args.has("worker")) {
+    return shard_worker_main(static_cast<int>(args.get_int("port", 0)),
+                             static_cast<int>(args.get_int("control-fd", -1)));
   }
+  const bool quick = args.has("quick");
+  const bool overload = args.has("overload");
+  const bool hetero = args.has("hetero");
+  const bool sharded = args.has("sharded");
+  const bool chaos = args.has("chaos");
+  const std::string out_path = args.get_string("out", "BENCH_serving.json");
   const std::size_t kClients = 8;
   const std::size_t kPerClient = quick ? 60 : 400;
   const std::size_t kBatch = 8;
@@ -1176,9 +1138,6 @@ int main(int argc, char** argv) {
               kClients, quick ? ", --quick" : "", hw_threads);
   std::puts("------------------------------------------------------------------");
 
-  // The fork-dependent sections run before ANY other section creates a thread
-  // in this process (shard/process.hpp). Each one joins every thread it
-  // started before returning, so they can run back to back.
   ChaosResult havoc;
   bool chaos_ok = true;
   std::string chaos_json = "false";

@@ -16,23 +16,23 @@
 //                                          response summary, exit
 //
 // Sharded mode (see DESIGN.md "Sharded serving"): one router process
-// consistent-hashes designs across N forked worker processes and fans
+// consistent-hashes designs across N worker processes and fans
 // /api/v1/deploy|predict out to them over persistent local connections;
-// /api/v1/metrics and /api/v1/readyz aggregate the whole fleet.
+// /api/v1/metrics and /api/v1/readyz aggregate the whole fleet. Each worker
+// is this binary re-executed in --worker mode with the router's serving
+// flags, on a port the router holds reserved; a supervisor restarts crashed
+// workers (exponential backoff) and catalog repair re-fills them.
 //   --router               run as the fleet front door
-//   --workers N            worker processes to fork (router mode; default 2).
+//   --workers N            worker processes to spawn (router mode; default 2).
 //                          Without --router, N is the executor thread count
 //                          of the single-process runtime (default 4).
 //   --replication R        distinct workers holding each design (default 2)
-//   --worker-threads N     executor threads per forked worker (default 2)
+//   --worker-threads N     executor threads per worker process (default 2)
 //
 // Crash safety (see DESIGN.md "Crash recovery and durability"):
 //   --journal PATH         durable deploy journal: every accepted deploy is
 //                          fsynced to PATH before the 200, and a restarted
 //                          router replays it to recover its full design set
-//   --supervise            hold each worker's port reserved and restart
-//                          crashed workers (exponential backoff); a restarted
-//                          worker is re-filled through catalog repair
 //   --restart-budget N     crashes tolerated per worker per minute before the
 //                          slot is marked permanently down (default 5)
 //
@@ -58,9 +58,6 @@
 //   --placer POLICY        batch placement: "cost" (default; completion-cost
 //                          model, spills overflow to the idle engine), "cpu",
 //                          or "accel"
-#include <unistd.h>
-
-#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <memory>
@@ -99,8 +96,8 @@ bool parse_backends(const std::string& backends, serve::BackendsConfig* config) 
   return true;
 }
 
-/// Shared flag parsing for the single-process runtime and each forked
-/// worker; only the executor thread count differs between the modes.
+/// Shared flag parsing for the single-process runtime and each worker
+/// process; only the executor thread count differs between the modes.
 bool build_serving_config(const util::CliArgs& args, std::size_t default_threads,
                           serve::ServingConfig* config) {
   config->worker_threads = default_threads;
@@ -127,12 +124,16 @@ bool build_serving_config(const util::CliArgs& args, std::size_t default_threads
   return true;
 }
 
-/// Forked worker body: one full serving runtime on a fixed port, alive until
-/// the router's control pipe reads EOF. Supervised workers bind with
-/// SO_REUSEPORT: the router keeps a reservation socket on the same port so a
-/// restarted worker can never lose the port to another process.
-int run_worker_child(const util::CliArgs& args, int port, int shutdown_fd,
-                     bool reuse_port = false) {
+/// The flags build_serving_config reads in a worker; the router passes its
+/// own values of them on to every worker it launches.
+constexpr const char* kWorkerServingFlags[] = {
+    "worker-threads", "max-batch", "max-wait-us", "max-queue-depth", "deadline-ms",
+    "breaker-failures", "breaker-cooldown-ms", "backends", "placer"};
+
+/// --worker mode, the launch protocol of serve/shard/process.hpp (not a user
+/// setting): one full serving runtime on the port the router holds reserved
+/// (hence SO_REUSEPORT), alive until the router closes the control socket.
+int run_worker(const util::CliArgs& args) {
   serve::ServingConfig config;
   if (!build_serving_config(
           args, static_cast<std::size_t>(args.get_int("worker-threads", 2)), &config)) {
@@ -140,21 +141,17 @@ int run_worker_child(const util::CliArgs& args, int port, int shutdown_fd,
   }
   serve::ServingRuntime runtime(config);
   web::ServerConfig server_config;
-  server_config.reuse_port = reuse_port;
+  server_config.reuse_port = true;
   web::HttpServer server(server_config);
   serve::install_serve_api(server, runtime);
+  const int port = static_cast<int>(args.get_int("port", 0));
   try {
     server.start(port);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "worker on port %d failed to start: %s\n", port, e.what());
     return 1;
   }
-  char byte = 0;
-  while (true) {
-    const ssize_t n = ::read(shutdown_fd, &byte, 1);
-    if (n == 0) break;                        // EOF: parent asked us to stop (or died)
-    if (n < 0 && errno != EINTR) break;
-  }
+  serve::shard::report_ready_and_wait(static_cast<int>(args.get_int("control-fd", -1)));
   server.stop();
   return 0;
 }
@@ -165,73 +162,29 @@ int run_router(const util::CliArgs& args) {
     std::fprintf(stderr, "--router needs --workers >= 1\n");
     return 1;
   }
-
-  const bool supervise = args.has("supervise");
   const std::string journal_path = args.get_string("journal", "");
 
-  // Fork every worker BEFORE any thread exists in this process (a forked
-  // copy of a multithreaded process is unusable — see shard/process.hpp).
-  // Supervised restarts later fork from a threaded router, which is safe only
-  // because run_worker_child silences logging before any worker thread could
-  // contend a lock the child inherited (see shard/supervisor.hpp).
-  std::vector<serve::shard::WorkerProcess> workers;
+  std::vector<std::string> worker_args;
+  for (const char* flag : kWorkerServingFlags) {
+    if (const auto value = args.get(flag)) {
+      worker_args.push_back(util::format("--%s=%s", flag, value->c_str()));
+    }
+  }
   serve::shard::SupervisorConfig supervisor_config;
   supervisor_config.restart_budget =
       static_cast<std::uint64_t>(args.get_int("restart-budget", 5));
   serve::shard::Supervisor supervisor(supervisor_config);
   std::vector<int> ports;
-  if (supervise) {
-    for (int i = 0; i < worker_count; ++i) {
-      auto reserved = serve::shard::ReservedPort::reserve();
-      if (!reserved.valid()) {
-        std::fprintf(stderr, "could not reserve a local port for worker %d\n", i);
-        return 1;
-      }
-      ports.push_back(reserved.port());
-      auto launcher = std::make_unique<serve::shard::ProcessLauncher>(
-          std::move(reserved),
-          [&args](int worker_port, int shutdown_fd) {
-            // First statement post-fork: the child may have been forked from a
-            // threaded router during a restart, so it must not touch stdio
-            // locks (LOG gates on an atomic level check).
-            util::set_log_level(util::LogLevel::kOff);
-            return run_worker_child(args, worker_port, shutdown_fd, /*reuse_port=*/true);
-          },
-          15000);
-      if (!launcher->start()) {
-        std::fprintf(stderr, "worker %d on port %d did not become ready\n", i,
-                     launcher->port());
-        return 1;
-      }
-      supervisor.add_slot(util::format("worker-%d", i), std::move(launcher));
+  for (int i = 0; i < worker_count; ++i) {
+    auto launcher = std::make_unique<serve::shard::ProcessLauncher>(
+        serve::shard::ReservedPort::reserve(), worker_args, 15000);
+    if (!launcher->start()) {
+      std::fprintf(stderr, "worker %d on port %d did not become ready\n", i,
+                   launcher->port());
+      return 1;
     }
-  } else {
-    workers.resize(static_cast<std::size_t>(worker_count));
-    for (int i = 0; i < worker_count; ++i) {
-      const int port = serve::shard::reserve_local_port();
-      if (port == 0) {
-        std::fprintf(stderr, "could not reserve a local port for worker %d\n", i);
-        return 1;
-      }
-      ports.push_back(port);
-    }
-    for (int i = 0; i < worker_count; ++i) {
-      const bool spawned = workers[static_cast<std::size_t>(i)].spawn(
-          ports[static_cast<std::size_t>(i)], [&args](int port, int shutdown_fd) {
-            return run_worker_child(args, port, shutdown_fd);
-          });
-      if (!spawned) {
-        std::fprintf(stderr, "fork of worker %d failed\n", i);
-        return 1;
-      }
-    }
-    for (int i = 0; i < worker_count; ++i) {
-      if (!serve::shard::wait_until_ready(ports[static_cast<std::size_t>(i)], 15000)) {
-        std::fprintf(stderr, "worker %d on port %d did not become ready\n", i,
-                     ports[static_cast<std::size_t>(i)]);
-        return 1;
-      }
-    }
+    ports.push_back(launcher->port());
+    supervisor.add_slot(util::format("worker-%d", i), std::move(launcher));
   }
 
   serve::shard::RouterConfig config;
@@ -272,7 +225,7 @@ int run_router(const util::CliArgs& args) {
   web::install_api(server);  // generate/train/boards stay on the front door
   serve::shard::install_router_api(server, router);
   const int port = server.start(static_cast<int>(args.get_int("port", 0)));
-  if (supervise) router.attach_supervisor(&supervisor);
+  router.attach_supervisor(&supervisor);
   router.start_probing();
 
   std::printf("cnn2fpga shard router listening on http://127.0.0.1:%d\n", port);
@@ -281,11 +234,9 @@ int run_router(const util::CliArgs& args) {
     std::printf(" worker-%d=127.0.0.1:%d", i, ports[static_cast<std::size_t>(i)]);
   }
   std::printf("\n");
-  if (supervise) {
-    std::printf("supervisor: restart budget %llu crashes / %d ms per worker\n",
-                static_cast<unsigned long long>(supervisor_config.restart_budget),
-                supervisor_config.budget_window_ms);
-  }
+  std::printf("supervisor: restart budget %llu crashes / %d ms per worker\n",
+              static_cast<unsigned long long>(supervisor_config.restart_budget),
+              supervisor_config.budget_window_ms);
   if (!journal_path.empty()) {
     std::printf("deploy journal: %s (fsync per record)\n", journal_path.c_str());
   }
@@ -299,11 +250,7 @@ int run_router(const util::CliArgs& args) {
   g_shutdown.acquire();
   router.stop_probing();
   server.stop();
-  if (supervise) {
-    supervisor.stop_all();
-  } else {
-    for (auto& worker : workers) worker.stop();
-  }
+  supervisor.stop_all();
   std::puts("\nrouter stopped");
   return 0;
 }
@@ -314,6 +261,7 @@ int main(int argc, char** argv) {
   const util::CliArgs args(argc, argv);
   util::set_log_level(util::LogLevel::kInfo);
 
+  if (args.has("worker")) return run_worker(args);
   if (args.has("router")) return run_router(args);
 
   web::HttpServer server;

@@ -14,9 +14,6 @@ AcceleratorBackend::~AcceleratorBackend() { shutdown(); }
 BackendCapabilities AcceleratorBackend::capabilities() const {
   BackendCapabilities caps;
   caps.concurrency = 1;  // one physical IP core
-  caps.fused_batching = false;
-  caps.fixed_point = true;
-  caps.modeled_latency = true;
   caps.eager_partial_flush = false;  // DMA round trip wants full batches
   return caps;
 }

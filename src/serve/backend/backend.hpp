@@ -37,13 +37,6 @@ namespace cnn2fpga::serve {
 struct BackendCapabilities {
   /// Concurrent batches the backend can execute (its slot count).
   std::size_t concurrency = 1;
-  /// Whole-batch fused execution (one im2col+GEMM per layer) vs. per-image.
-  bool fused_batching = false;
-  /// Executes fixed-point (Q(m,n)) designs.
-  bool fixed_point = true;
-  /// Execution wall time includes a modeled-latency component (the simulated
-  /// fabric sleeps for the axi::BlockDesign invocation time).
-  bool modeled_latency = false;
   /// A partial lane is still worth an eager flush: per-invocation setup is
   /// cheap, so a small batch wastes little capacity. False for the fabric —
   /// its DMA round trip amortizes over a full batch, so an idle accelerator

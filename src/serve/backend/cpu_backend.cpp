@@ -2,16 +2,11 @@
 
 #include <chrono>
 
-#include "nn/kernels/kernels.hpp"
-
 namespace cnn2fpga::serve {
 
 BackendCapabilities CpuBackend::capabilities() const {
   BackendCapabilities caps;
   caps.concurrency = executor_.thread_count();
-  caps.fused_batching = nn::kernels::active() == nn::kernels::Kind::kAvx2;
-  caps.fixed_point = true;
-  caps.modeled_latency = false;
   return caps;
 }
 

@@ -26,44 +26,52 @@ double Histogram::mean() const {
   return n == 0 ? 0.0 : static_cast<double>(sum()) / static_cast<double>(n);
 }
 
-std::uint64_t Histogram::percentile(double p) const {
-  const std::uint64_t total = count();
-  if (total == 0) return 0;
-  if (p < 0.0) p = 0.0;
-  if (p > 1.0) p = 1.0;
-  const double target = p * static_cast<double>(total);
-  std::uint64_t cumulative = 0;
+HistogramCounts Histogram::snapshot() const {
+  HistogramCounts counts;
   for (std::size_t i = 0; i < kBuckets; ++i) {
-    cumulative += buckets_[i].load(std::memory_order_relaxed);
-    if (static_cast<double>(cumulative) >= target) {
-      // Never report beyond the observed maximum (tightens the top bucket).
-      const std::uint64_t bound = bucket_upper_bound(i);
-      const std::uint64_t observed_max = max();
-      return bound < observed_max ? bound : observed_max;
-    }
+    counts.buckets[i] = buckets_[i].load(std::memory_order_relaxed);
   }
-  return max();
+  counts.count = count();
+  counts.sum = sum();
+  counts.max = max();
+  return counts;
 }
 
-json::Value Histogram::to_json() const {
+std::uint64_t HistogramCounts::percentile(double p) const {
+  if (count == 0) return 0;
+  if (p < 0.0) p = 0.0;
+  if (p > 1.0) p = 1.0;
+  const double target = p * static_cast<double>(count);
+  std::uint64_t cumulative = 0;
+  for (std::size_t i = 0; i < kBuckets; ++i) {
+    cumulative += buckets[i];
+    if (static_cast<double>(cumulative) >= target) {
+      // Never report beyond the observed maximum (tightens the top bucket).
+      const std::uint64_t bound = Histogram::bucket_upper_bound(i);
+      return bound < max ? bound : max;
+    }
+  }
+  return max;
+}
+
+json::Value HistogramCounts::to_json() const {
   json::Object out;
-  out["count"] = count();
-  out["sum"] = sum();
-  out["mean"] = mean();
-  out["max"] = max();
+  out["count"] = count;
+  out["sum"] = sum;
+  out["mean"] = count == 0 ? 0.0 : static_cast<double>(sum) / static_cast<double>(count);
+  out["max"] = max;
   out["p50"] = percentile(0.50);
   out["p95"] = percentile(0.95);
   out["p99"] = percentile(0.99);
-  json::Array buckets;
+  json::Array pairs;
   for (std::size_t i = 0; i < kBuckets; ++i) {
-    const std::uint64_t n = buckets_[i].load(std::memory_order_relaxed);
-    if (n == 0) continue;
+    if (buckets[i] == 0) continue;
     json::Array pair;
     pair.push_back(json::Value(static_cast<std::int64_t>(i)));
-    pair.push_back(json::Value(n));
-    buckets.push_back(json::Value(std::move(pair)));
+    pair.push_back(json::Value(buckets[i]));
+    pairs.push_back(json::Value(std::move(pair)));
   }
-  out["buckets"] = std::move(buckets);
+  out["buckets"] = std::move(pairs);
   return json::Value(std::move(out));
 }
 

@@ -7,6 +7,7 @@
 // by whatever landed between two loads).
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <string>
@@ -48,6 +49,29 @@ class Gauge {
   std::atomic<std::uint64_t> peak_{0};
 };
 
+/// Plain bucket counts of a log2 histogram: what a live Histogram snapshots
+/// into and what a fleet aggregator sums scraped worker histograms into. Both
+/// render through the one percentile rule and the one JSON shape here.
+struct HistogramCounts {
+  static constexpr std::size_t kBuckets = 40;  ///< covers values up to ~2^39
+
+  std::array<std::uint64_t, kBuckets> buckets{};
+  std::uint64_t count = 0;
+  std::uint64_t sum = 0;
+  std::uint64_t max = 0;
+
+  /// Value below which fraction `p` (0..1) of the samples fall, estimated as
+  /// the upper bound of the containing bucket but never above `max`. 0 if
+  /// empty.
+  std::uint64_t percentile(double p) const;
+
+  /// {"count", "sum", "mean", "max", "p50", "p95", "p99",
+  ///  "buckets": [[index, count], ...]} — `buckets` is sparse (non-empty
+  /// buckets only) so a router can merge histograms across workers exactly
+  /// instead of approximating from pre-computed percentiles.
+  json::Value to_json() const;
+};
+
 /// Log2-bucketed histogram of non-negative integer samples (microseconds,
 /// batch sizes). Recording is a pair of relaxed atomic adds; percentiles are
 /// estimated as the upper bound of the containing power-of-two bucket, so
@@ -55,11 +79,10 @@ class Gauge {
 /// queueing regression, at zero locking cost.
 class Histogram {
  public:
-  static constexpr std::size_t kBuckets = 40;  ///< covers values up to ~2^39
+  static constexpr std::size_t kBuckets = HistogramCounts::kBuckets;
 
   /// Largest value bucket `index` can hold: 2^index - 1 (bucket 0 holds only
-  /// 0). Public so a fleet aggregator merging scraped bucket arrays computes
-  /// percentiles with exactly the same rounding as a live histogram.
+  /// 0).
   static std::uint64_t bucket_upper_bound(std::size_t index) {
     return index == 0 ? 0 : (std::uint64_t{1} << index) - 1;
   }
@@ -72,13 +95,12 @@ class Histogram {
   double mean() const;
 
   /// Value below which fraction `p` (0..1) of the samples fall. 0 if empty.
-  std::uint64_t percentile(double p) const;
+  std::uint64_t percentile(double p) const { return snapshot().percentile(p); }
 
-  /// {"count", "sum", "mean", "max", "p50", "p95", "p99",
-  ///  "buckets": [[index, count], ...]} — `buckets` is sparse (non-empty
-  /// buckets only) so a router can merge histograms across workers exactly
-  /// instead of approximating from pre-computed percentiles.
-  json::Value to_json() const;
+  /// The shape of HistogramCounts::to_json.
+  json::Value to_json() const { return snapshot().to_json(); }
+
+  HistogramCounts snapshot() const;
 
  private:
   std::atomic<std::uint64_t> buckets_[kBuckets] = {};

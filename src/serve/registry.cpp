@@ -77,6 +77,16 @@ double DeployedDesign::invocation_seconds(std::size_t images) const {
          static_cast<double>(images) * axi::kStreamingDriverSeconds;
 }
 
+std::string design_key(const core::NetworkDescriptor& descriptor,
+                       const std::vector<std::uint8_t>& weights, nn::ServePrecision precision) {
+  std::string key = core::Framework::cache_key(descriptor, weights);
+  if (precision != nn::ServePrecision::kFloat32) {
+    key += "-";
+    key += nn::serve_precision_name(precision);
+  }
+  return key;
+}
+
 DesignRegistry::DesignRegistry(std::size_t capacity, ServeMetrics* metrics,
                                BreakerConfig breaker_config, FaultInjector* faults)
     : capacity_(capacity == 0 ? 1 : capacity),
@@ -87,15 +97,7 @@ DesignRegistry::DesignRegistry(std::size_t capacity, ServeMetrics* metrics,
 DeployOutcome DesignRegistry::deploy(const core::NetworkDescriptor& descriptor,
                                      std::vector<std::uint8_t> weights,
                                      nn::ServePrecision precision) {
-  // The registry is content-addressed over (descriptor, weights, precision):
-  // the serving arithmetic changes what a deployed instance computes, so the
-  // same network at two precisions is two cache entries. float32 keeps the
-  // bare hash so pre-precision ids stay stable.
-  std::string key = core::Framework::cache_key(descriptor, weights);
-  if (precision != nn::ServePrecision::kFloat32) {
-    key += "-";
-    key += nn::serve_precision_name(precision);
-  }
+  const std::string key = design_key(descriptor, weights, precision);
   if (metrics_) metrics_->deploys.add();
 
   {

@@ -137,6 +137,14 @@ struct DeployedDesign {
   double invocation_seconds(std::size_t images) const;
 };
 
+/// A deployed design's content address: Framework::cache_key over
+/// (descriptor, weights), plus "-<precision>" for a serving precision other
+/// than float32 (the same network at two precisions computes different
+/// things; float32 keeps the bare hash so pre-precision ids stay stable). The
+/// shard router places designs by this same key.
+std::string design_key(const core::NetworkDescriptor& descriptor,
+                       const std::vector<std::uint8_t>& weights, nn::ServePrecision precision);
+
 struct DeployOutcome {
   std::shared_ptr<DeployedDesign> design;
   bool cache_hit = false;

@@ -2,46 +2,25 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <signal.h>
+#include <spawn.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <algorithm>
+#include <cerrno>
 #include <chrono>
-#include <mutex>
-#include <thread>
-#include <vector>
+#include <cstdlib>
+#include <memory>
 
-#include "web/http_client.hpp"
+extern char** environ;
 
 namespace cnn2fpga::serve::shard {
 
 namespace {
-// Every live control-pipe write end in this process. A fork inherits ALL of
-// them, not just the new child's — and a sibling holding another worker's
-// write end keeps that worker's pipe open forever, so closing the parent's
-// copy would never deliver the EOF shutdown signal. Each fresh child
-// therefore closes every previously registered write end first thing.
-std::mutex g_control_mutex;
-std::vector<int> g_control_fds;
-
-void register_control_fd(int fd) {
-  std::lock_guard<std::mutex> lock(g_control_mutex);
-  g_control_fds.push_back(fd);
-}
-
-void unregister_control_fd(int fd) {
-  std::lock_guard<std::mutex> lock(g_control_mutex);
-  g_control_fds.erase(std::remove(g_control_fds.begin(), g_control_fds.end(), fd),
-                      g_control_fds.end());
-}
-
-void close_inherited_control_fds() {
-  // Post-fork, pre-threads: the registry is a plain copy from the parent.
-  for (const int fd : g_control_fds) ::close(fd);
-  g_control_fds.clear();
-}
+/// The fd number the worker finds its end of the control socket at.
+constexpr int kChildControlFd = 3;
 }  // namespace
 
 int reserve_local_port() {
@@ -113,117 +92,123 @@ ReservedPort ReservedPort::reserve() {
   return reserved;
 }
 
-WorkerProcess::~WorkerProcess() { stop(); }
+ProcessLauncher::ProcessLauncher(ReservedPort reserved, std::vector<std::string> args,
+                                 int ready_timeout_ms, std::string program)
+    : reserved_(std::move(reserved)),
+      args_(std::move(args)),
+      ready_timeout_ms_(ready_timeout_ms),
+      program_(std::move(program)) {}
 
-WorkerProcess::WorkerProcess(WorkerProcess&& other) noexcept
-    : pid_(other.pid_), control_fd_(other.control_fd_), port_(other.port_) {
-  other.pid_ = -1;
-  other.control_fd_ = -1;
-  other.port_ = 0;
+ProcessLauncher::~ProcessLauncher() { stop(); }
+
+bool ProcessLauncher::start() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (pid_ > 0) return true;
+  if (!reserved_.valid() || !spawn_locked()) return false;
+  if (await_ready_locked()) return true;
+  end_locked(/*kill=*/true);
+  return false;
 }
 
-WorkerProcess& WorkerProcess::operator=(WorkerProcess&& other) noexcept {
-  if (this != &other) {
-    stop();
-    pid_ = other.pid_;
-    control_fd_ = other.control_fd_;
-    port_ = other.port_;
-    other.pid_ = -1;
-    other.control_fd_ = -1;
-    other.port_ = 0;
-  }
-  return *this;
-}
+bool ProcessLauncher::spawn_locked() {
+  int fds[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds) != 0) return false;
+  const std::string port = std::to_string(reserved_.port());
+  const std::string control_fd = std::to_string(kChildControlFd);
+  // argv[0] names the binary itself rather than /proc/self/exe, so ps and
+  // pgrep show which program a worker runs.
+  const std::unique_ptr<char, decltype(&std::free)> name(::realpath(program_.c_str(), nullptr),
+                                                         &std::free);
+  std::vector<const char*> argv = {name ? name.get() : program_.c_str(), "--worker", "--port",
+                                   port.c_str(), "--control-fd", control_fd.c_str()};
+  for (const std::string& arg : args_) argv.push_back(arg.c_str());
+  argv.push_back(nullptr);
 
-bool WorkerProcess::spawn(int port, const ChildMain& child_main) {
-  if (running()) return false;
-  int pipe_fds[2];
-  if (::pipe(pipe_fds) != 0) return false;
-
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    ::close(pipe_fds[0]);
-    ::close(pipe_fds[1]);
+  // The child keeps stdio plus its end of the pair as kChildControlFd.
+  // Everything else this process has open (listeners, client connections,
+  // the journal, reservations) is closed before exec.
+  posix_spawn_file_actions_t actions;
+  ::posix_spawn_file_actions_init(&actions);
+  ::posix_spawn_file_actions_adddup2(&actions, fds[1], kChildControlFd);
+  ::posix_spawn_file_actions_addclosefrom_np(&actions, kChildControlFd + 1);
+  pid_t pid = -1;
+  const int rc = ::posix_spawn(&pid, program_.c_str(), &actions, nullptr,
+                               const_cast<char* const*>(argv.data()), environ);
+  ::posix_spawn_file_actions_destroy(&actions);
+  ::close(fds[1]);
+  if (rc != 0) {
+    ::close(fds[0]);
     return false;
   }
-  if (pid == 0) {
-    // Child: keep only the read end; EOF on it (parent closed its write end,
-    // or died) is the shutdown signal. Drop the write ends inherited from
-    // every sibling worker — holding them would block THEIR shutdown EOFs.
-    ::close(pipe_fds[1]);
-    close_inherited_control_fds();
-    int code = 1;
-    try {
-      code = child_main(port, pipe_fds[0]);
-    } catch (...) {
-      code = 1;
-    }
-    ::_exit(code);
-  }
-  ::close(pipe_fds[0]);
-  register_control_fd(pipe_fds[1]);
   pid_ = pid;
-  control_fd_ = pipe_fds[1];
-  port_ = port;
+  control_fd_ = fds[0];
   return true;
 }
 
-void WorkerProcess::reap() {
-  if (pid_ <= 0) return;
-  int status = 0;
-  ::waitpid(pid_, &status, 0);
-  pid_ = -1;
-}
-
-bool WorkerProcess::poll_alive() {
-  if (pid_ <= 0) return false;
-  int status = 0;
-  const pid_t done = ::waitpid(pid_, &status, WNOHANG);
-  if (done == 0) return true;  // still running
-  // Exited (or ECHILD — someone else reaped it): either way the process is
-  // gone. Drop the control fd so the registry doesn't accumulate dead ends.
-  pid_ = -1;
-  if (control_fd_ >= 0) {
-    unregister_control_fd(control_fd_);
-    ::close(control_fd_);
-    control_fd_ = -1;
-  }
-  return false;
-}
-
-void WorkerProcess::stop() {
-  if (control_fd_ >= 0) {
-    unregister_control_fd(control_fd_);
-    ::close(control_fd_);
-    control_fd_ = -1;
-  }
-  reap();
-}
-
-void WorkerProcess::kill_now() {
-  if (pid_ <= 0) return;
-  ::kill(pid_, SIGKILL);
-  if (control_fd_ >= 0) {
-    unregister_control_fd(control_fd_);
-    ::close(control_fd_);
-    control_fd_ = -1;
-  }
-  reap();
-}
-
-bool wait_until_ready(int port, int timeout_ms) {
-  web::ClientConfig config;
-  config.connect_timeout_ms = 250;
-  config.read_timeout_ms = 1000;
-  config.write_timeout_ms = 1000;
+bool ProcessLauncher::await_ready_locked() {
   const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
-  while (std::chrono::steady_clock::now() < deadline) {
-    web::HttpClient client("127.0.0.1", port, config);
-    if (client.request("GET", "/api/v1/readyz")) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(ready_timeout_ms_);
+  pollfd watch{control_fd_, POLLIN, 0};
+  int ready = 0;
+  do {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    if (left.count() <= 0) return false;
+    ready = ::poll(&watch, 1, static_cast<int>(left.count()));
+  } while (ready < 0 && errno == EINTR);
+  if (ready <= 0) return false;
+  char byte = 0;
+  // One byte: ready. EOF: the child exited before it got there.
+  return ::recv(control_fd_, &byte, 1, 0) == 1;
+}
+
+void ProcessLauncher::end_locked(bool kill) {
+  if (pid_ <= 0) return;
+  if (kill) ::kill(pid_, SIGKILL);
+  ::close(control_fd_);
+  control_fd_ = -1;
+  while (::waitpid(pid_, nullptr, 0) < 0 && errno == EINTR) {
   }
+  pid_ = -1;
+}
+
+bool ProcessLauncher::alive() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (pid_ <= 0) return false;
+  if (::waitpid(pid_, nullptr, WNOHANG) == 0) return true;
+  // Exited and reaped just now (or ECHILD: reaped elsewhere). Either way it
+  // is gone, and its pid may already belong to another process.
+  ::close(control_fd_);
+  control_fd_ = -1;
+  pid_ = -1;
   return false;
+}
+
+void ProcessLauncher::stop() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  end_locked(/*kill=*/false);
+}
+
+void ProcessLauncher::kill_now() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  end_locked(/*kill=*/true);
+}
+
+pid_t ProcessLauncher::pid() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return pid_;
+}
+
+void report_ready_and_wait(int control_fd) {
+  const char ready = 1;
+  // MSG_NOSIGNAL: a parent that already died must not SIGPIPE the worker.
+  if (::send(control_fd, &ready, 1, MSG_NOSIGNAL) != 1) return;
+  char byte = 0;
+  while (true) {
+    const ssize_t n = ::recv(control_fd, &byte, 1, 0);
+    if (n == 0) return;  // EOF: the parent closed its end, or died
+    if (n < 0 && errno != EINTR) return;
+  }
 }
 
 }  // namespace cnn2fpga::serve::shard

@@ -1,39 +1,39 @@
-// Worker process lifecycle for the shard router (fork + control pipe).
+// Worker processes of the shard router: port reservation and launch.
 //
 // A sharded fleet is real processes, not threads: each worker owns its own
 // registry, batcher and executor, so a crash (or a SIGKILL in a failover
-// drill) takes down exactly one shard. The helpers here keep the lifecycle
-// minimal and dependency-free:
+// drill) takes down exactly one shard.
 //
 //   * ReservedPort picks a free ephemeral port up front AND keeps holding it
 //     (a bound, never-listening SO_REUSEPORT socket) so the router knows
 //     every worker's address before any of them is up and a supervisor can
 //     restart a crashed worker on the same port with zero race window — the
 //     kernel never hands a reserved port to an unrelated bind,
-//   * WorkerProcess forks a child that runs the caller's `child_main` (it
-//     starts the serving runtime, then blocks on the inherited control pipe;
-//     EOF on that pipe is the shutdown signal — robust even when the parent
-//     dies, since the kernel closes the pipe for it),
-//   * wait_until_ready() polls the worker's /api/v1/readyz until it answers.
+//   * ProcessLauncher starts a worker in exactly one way: posix_spawn of a
+//     program (by default this process's own binary, /proc/self/exe) as
+//         <program> --worker --port P --control-fd 3 <args...>
+//     The child's fd 3 is one end of a socketpair and every other inherited
+//     fd above stdio is closed before exec; the parent's end is close-on-exec,
+//     so no other child ever holds it. The worker calls
+//     report_ready_and_wait() once its HttpServer is listening: it writes one
+//     byte, then blocks until the parent closes its end (or dies — the kernel
+//     closes it then). EOF before that byte means the worker died starting.
 //
-// fork(2) must happen before the parent creates threads (a forked copy of a
-// multithreaded process only keeps the calling thread — any mutex another
-// thread held stays locked forever in the child). codegen_server and the
-// bench harness therefore spawn every worker first and only then build their
-// own router/runtime state. Tests that run under ThreadSanitizer use
-// in-process workers instead (TSan does not support fork+threads).
+// Every worker is a fresh exec of a whole program, so a launch is safe from
+// any thread at any time, including a restart from a busy, threaded router.
 #pragma once
 
 #include <sys/types.h>
 
-#include <functional>
+#include <mutex>
 #include <string>
+#include <vector>
 
 namespace cnn2fpga::serve::shard {
 
 /// Reserve a free 127.0.0.1 port: bind ephemeral, read it back, close. The
-/// tiny window before the worker rebinds it is acceptable for one-shot local
-/// fleets; supervised fleets use ReservedPort, which has no window at all.
+/// port is free again once this returns, so another bind can take it before
+/// the caller does; fleets use ReservedPort, which has no such window.
 int reserve_local_port();
 
 /// A 127.0.0.1 port held reserved for a worker's whole lifetime, across any
@@ -65,50 +65,74 @@ class ReservedPort {
   int port_ = 0;
 };
 
-class WorkerProcess {
+/// How a supervisor slot starts, probes and stops its worker. All calls are
+/// made from the supervising thread (plus stop_all at teardown); a launcher
+/// that is also poked from elsewhere (a chaos drill killing workers) must
+/// synchronize internally, as ProcessLauncher does.
+class WorkerLauncher {
  public:
-  /// Runs in the forked child. Must start serving on `port`, block until
-  /// `shutdown_fd` reads EOF, shut down cleanly and return. The child
-  /// _exit()s with the returned code (destructors of the parent's globals are
-  /// deliberately not run twice).
-  using ChildMain = std::function<int(int port, int shutdown_fd)>;
-
-  WorkerProcess() = default;
-  ~WorkerProcess();
-  WorkerProcess(const WorkerProcess&) = delete;
-  WorkerProcess& operator=(const WorkerProcess&) = delete;
-  WorkerProcess(WorkerProcess&& other) noexcept;
-  WorkerProcess& operator=(WorkerProcess&& other) noexcept;
-
-  /// Fork and run `child_main` in the child. Returns false if fork failed.
-  bool spawn(int port, const ChildMain& child_main);
-
-  /// Graceful stop: close the control pipe (child sees EOF), wait for exit.
-  void stop();
-
-  /// SIGKILL the child (failover drills: death without any goodbye).
-  void kill_now();
-
-  /// Non-blocking liveness poll (waitpid WNOHANG). Returns true while the
-  /// child is alive; an exited/crashed child is reaped — no zombie — and
-  /// running() turns false. This is the supervisor's crash detector.
-  bool poll_alive();
-
-  bool running() const { return pid_ > 0; }
-  pid_t pid() const { return pid_; }
-  int port() const { return port_; }
-
- private:
-  void reap();
-
-  pid_t pid_ = -1;
-  int control_fd_ = -1;  ///< write end; closing it is the shutdown signal
-  int port_ = 0;
+  virtual ~WorkerLauncher() = default;
+  /// (Re)start the worker on its fixed port and wait until it is serving.
+  /// Returns false if the worker could not be brought up.
+  virtual bool start() = 0;
+  /// Cheap liveness poll. Must reap an exited worker (no zombies).
+  virtual bool alive() = 0;
+  /// Graceful stop (fleet teardown).
+  virtual void stop() = 0;
+  virtual int port() const = 0;
 };
 
-/// Poll GET /api/v1/readyz on 127.0.0.1:`port` until any HTTP response
-/// arrives (readyz may legitimately answer 503 while empty — answering at all
-/// proves the server is up) or `timeout_ms` elapses.
-bool wait_until_ready(int port, int timeout_ms);
+/// The one way a real worker process is started, probed and stopped: owns
+/// the worker's port reservation, its pid and the parent end of its control
+/// socket (see the header comment for the protocol).
+class ProcessLauncher : public WorkerLauncher {
+ public:
+  /// `args` follow the protocol flags on the worker's command line (the
+  /// parent's serving flags). `program` is the binary to run in --worker
+  /// mode; by default this process's own.
+  ProcessLauncher(ReservedPort reserved, std::vector<std::string> args, int ready_timeout_ms,
+                  std::string program = "/proc/self/exe");
+  ~ProcessLauncher() override;
+  ProcessLauncher(const ProcessLauncher&) = delete;
+  ProcessLauncher& operator=(const ProcessLauncher&) = delete;
+
+  /// Spawn the worker and wait for its ready byte. Fails as soon as the child
+  /// exits without sending it, or after `ready_timeout_ms` (the child is then
+  /// killed); either way the child is reaped. True at once if running.
+  bool start() override;
+  /// Non-blocking (waitpid WNOHANG): an exited or crashed child is reaped and
+  /// reported dead. This is the supervisor's crash detector.
+  bool alive() override;
+  /// Graceful stop: close the control socket (the child sees EOF), wait for
+  /// the child to exit.
+  void stop() override;
+  int port() const override { return reserved_.port(); }
+
+  /// SIGKILL the worker and reap it (failover drills: death without any
+  /// goodbye). Safe to call from any thread; waits for a start() in progress.
+  void kill_now();
+
+  /// The running child's pid, or -1.
+  pid_t pid() const;
+
+ private:
+  bool spawn_locked();
+  bool await_ready_locked();
+  /// Close the control socket, optionally SIGKILL first, and reap.
+  void end_locked(bool kill);
+
+  const ReservedPort reserved_;
+  const std::vector<std::string> args_;
+  const int ready_timeout_ms_;
+  const std::string program_;
+  mutable std::mutex mutex_;  ///< guards pid_ and control_fd_
+  pid_t pid_ = -1;
+  int control_fd_ = -1;  ///< parent end; closing it is the shutdown signal
+};
+
+/// Worker side of the launch protocol: report ready on `control_fd`, then
+/// block until the parent closes its end (or dies). Call once the worker's
+/// HttpServer is listening, then shut down and exit.
+void report_ready_and_wait(int control_fd);
 
 }  // namespace cnn2fpga::serve::shard

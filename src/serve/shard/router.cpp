@@ -4,10 +4,10 @@
 #include <chrono>
 
 #include "core/descriptor.hpp"
-#include "core/framework.hpp"
 #include "nn/quantize.hpp"
 #include "nn/serialize.hpp"
 #include "serve/metrics.hpp"
+#include "serve/registry.hpp"
 #include "util/base64.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
@@ -46,67 +46,30 @@ bool is_histogram_node(const json::Value& value) {
          value.find("count") != nullptr && value.find("sum") != nullptr;
 }
 
-/// Accumulates Histogram::to_json nodes from several workers and re-emits the
-/// same shape. Because workers export raw log2 buckets, the merged count,
-/// sum, max and percentiles are exactly what one fleet-wide histogram would
-/// have recorded — not an approximation from per-worker percentiles.
-struct HistogramAccumulator {
-  std::uint64_t count = 0;
-  std::uint64_t sum = 0;
-  std::uint64_t max = 0;
-  std::map<long, std::uint64_t> buckets;
-
-  void absorb(const json::Value& node) {
-    count += u64_field(node, "count");
-    sum += u64_field(node, "sum");
-    max = std::max(max, u64_field(node, "max"));
-    const json::Value* array = node.find("buckets");
-    if (array == nullptr || !array->is_array()) return;
-    for (const json::Value& pair : array->as_array()) {
-      if (!pair.is_array() || pair.as_array().size() != 2) continue;
-      try {
-        buckets[pair.as_array()[0].as_int()] +=
-            static_cast<std::uint64_t>(pair.as_array()[1].as_int());
-      } catch (const json::JsonError&) {
+/// Add a Histogram::to_json node scraped from a worker to `into`. Because
+/// workers export raw log2 buckets, the merged count, sum, max and
+/// percentiles are exactly what one fleet-wide histogram would have recorded
+/// — not an approximation from per-worker percentiles. Malformed bucket
+/// pairs, out-of-range bucket indices and negative counts are dropped.
+void absorb_histogram(const json::Value& node, HistogramCounts* into) {
+  into->count += u64_field(node, "count");
+  into->sum += u64_field(node, "sum");
+  into->max = std::max(into->max, u64_field(node, "max"));
+  const json::Value* array = node.find("buckets");
+  if (array == nullptr || !array->is_array()) return;
+  for (const json::Value& pair : array->as_array()) {
+    if (!pair.is_array() || pair.as_array().size() != 2) continue;
+    try {
+      const long index = pair.as_array()[0].as_int();
+      const long n = pair.as_array()[1].as_int();
+      if (index < 0 || index >= static_cast<long>(HistogramCounts::kBuckets) || n < 0) {
+        continue;
       }
+      into->buckets[static_cast<std::size_t>(index)] += static_cast<std::uint64_t>(n);
+    } catch (const json::JsonError&) {
     }
   }
-
-  std::uint64_t percentile(double p) const {
-    if (count == 0) return 0;
-    const double target = p * static_cast<double>(count);
-    std::uint64_t cumulative = 0;
-    for (const auto& [index, n] : buckets) {
-      cumulative += n;
-      if (static_cast<double>(cumulative) >= target) {
-        const std::uint64_t bound =
-            Histogram::bucket_upper_bound(static_cast<std::size_t>(index));
-        return bound < max ? bound : max;
-      }
-    }
-    return max;
-  }
-
-  json::Value to_json() const {
-    json::Object out;
-    out["count"] = count;
-    out["sum"] = sum;
-    out["mean"] = count == 0 ? 0.0 : static_cast<double>(sum) / static_cast<double>(count);
-    out["max"] = max;
-    out["p50"] = percentile(0.50);
-    out["p95"] = percentile(0.95);
-    out["p99"] = percentile(0.99);
-    json::Array array;
-    for (const auto& [index, n] : buckets) {
-      json::Array pair;
-      pair.push_back(json::Value(static_cast<long>(index)));
-      pair.push_back(json::Value(n));
-      array.push_back(json::Value(std::move(pair)));
-    }
-    out["buckets"] = std::move(array);
-    return json::Value(std::move(out));
-  }
-};
+}
 
 void merge_object(json::Object& into, const json::Object& from);
 
@@ -116,10 +79,10 @@ void merge_object(json::Object& into, const json::Object& from);
 /// merged totals afterwards (fix_fleet_rates).
 void merge_value(json::Value& into, const json::Value& from) {
   if (is_histogram_node(into) && is_histogram_node(from)) {
-    HistogramAccumulator acc;
-    acc.absorb(into);
-    acc.absorb(from);
-    into = acc.to_json();
+    HistogramCounts merged;
+    absorb_histogram(into, &merged);
+    absorb_histogram(from, &merged);
+    into = merged.to_json();
     return;
   }
   if (into.is_object() && from.is_object()) {
@@ -215,12 +178,7 @@ std::optional<std::string> compute_design_key(const std::string& body,
       net.init_weights(rng);
       weights = nn::serialize_weights(net);
     }
-    std::string key = core::Framework::cache_key(descriptor, weights);
-    if (precision != nn::ServePrecision::kFloat32) {
-      key += "-";
-      key += nn::serve_precision_name(precision);
-    }
-    return key;
+    return design_key(descriptor, weights, precision);
   } catch (const json::JsonError& e) {
     if (error) *error = api_error(400, "bad_request", e.what());
     return std::nullopt;

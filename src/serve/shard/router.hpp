@@ -3,9 +3,9 @@
 // One router process owns the public /api/v1 surface and fans requests out to
 // N single-process serving runtimes (workers) over persistent local HTTP
 // connections. Placement is content-addressed: the router computes the same
-// design key the workers' registries compute (Framework::cache_key over the
-// descriptor + expanded weights, plus the serving-precision suffix) and hashes
-// it onto a consistent-hash ring (shard/ring.hpp), so
+// design key the workers' registries compute (serve::design_key over the
+// descriptor, expanded weights and serving precision) and hashes it onto a
+// consistent-hash ring (shard/ring.hpp), so
 //
 //   * a deploy lands on `replication` distinct workers (hot designs survive a
 //     single worker death),

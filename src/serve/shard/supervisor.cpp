@@ -10,48 +10,6 @@ namespace cnn2fpga::serve::shard {
 
 using cnn2fpga::util::format;
 
-// ---------------------------------------------------------------------------
-// ProcessLauncher
-
-ProcessLauncher::ProcessLauncher(ReservedPort reserved, WorkerProcess::ChildMain child_main,
-                                 int ready_timeout_ms)
-    : reserved_(std::move(reserved)),
-      child_main_(std::move(child_main)),
-      ready_timeout_ms_(ready_timeout_ms) {}
-
-bool ProcessLauncher::start() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (process_.running()) return true;
-    if (!reserved_.valid()) return false;
-    if (!process_.spawn(reserved_.port(), child_main_)) return false;
-  }
-  // Wait outside the lock: alive()/kill_now() must stay responsive while the
-  // fresh worker warms up.
-  if (wait_until_ready(reserved_.port(), ready_timeout_ms_)) return true;
-  std::lock_guard<std::mutex> lock(mutex_);
-  process_.kill_now();
-  return false;
-}
-
-bool ProcessLauncher::alive() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return process_.poll_alive();
-}
-
-void ProcessLauncher::stop() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  process_.stop();
-}
-
-void ProcessLauncher::kill_now() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  process_.kill_now();
-}
-
-// ---------------------------------------------------------------------------
-// Supervisor
-
 const char* slot_state_name(SlotState state) {
   switch (state) {
     case SlotState::kRunning: return "running";
@@ -139,7 +97,7 @@ void Supervisor::tick() {
     }
 
     // kBackoff: attempt the restart once the delay elapsed. The launcher
-    // blocks until the worker answers readyz (or its timeout), outside the
+    // blocks until the worker is serving (or its timeout), outside the
     // lock so status()/readyz stay responsive during the warm-up.
     if (now < due) continue;
     const bool up = slot->launcher->start();

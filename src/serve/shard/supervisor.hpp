@@ -9,7 +9,7 @@
 //            crash detected (waitpid WNOHANG)
 //   kRunning ────────────────────────────────► kBackoff(delay)
 //      ▲                                            │ delay elapsed
-//      │ restart succeeded (process up + readyz)    ▼
+//      │ restart succeeded (worker reported ready)  ▼
 //      └──────────────────────────────────── restart attempt ──► failed:
 //                                                 next kBackoff(delay×factor),
 //                                                 or kDead once the rolling
@@ -26,11 +26,11 @@
 // what it already does for any returning worker: restore it to the ring and
 // replay missing designs from the catalog (redeploy-on-404 covers races).
 //
-// Mechanism vs policy: the supervisor only knows the WorkerLauncher
-// interface. ProcessLauncher is the real fork-based one (reserved port held
-// across restarts, so a restart cannot lose the port); tests inject an
-// in-process launcher, which keeps the whole state machine runnable under
-// ThreadSanitizer (TSan does not support fork+threads).
+// Mechanism vs policy: the supervisor only knows the WorkerLauncher interface
+// (process.hpp). ProcessLauncher is the real one: it re-executes the binary
+// in --worker mode on a port reserved across restarts, so a restart from the
+// busy router is as safe as the first start. Tests inject an in-process
+// launcher, which keeps the state machine runnable under ThreadSanitizer.
 #pragma once
 
 #include <chrono>
@@ -46,50 +46,6 @@
 #include "serve/shard/process.hpp"
 
 namespace cnn2fpga::serve::shard {
-
-/// How a supervisor slot starts, probes and stops its worker. All calls are
-/// made from the supervising thread (plus stop_all at teardown); a launcher
-/// that is also poked from elsewhere (a chaos driver killing workers) must
-/// synchronize internally, as ProcessLauncher does.
-class WorkerLauncher {
- public:
-  virtual ~WorkerLauncher() = default;
-  /// (Re)start the worker on its fixed port and wait until it answers
-  /// readyz. Returns false if the worker could not be brought up.
-  virtual bool start() = 0;
-  /// Cheap liveness poll. Must reap an exited worker (no zombies).
-  virtual bool alive() = 0;
-  /// Graceful stop (fleet teardown).
-  virtual void stop() = 0;
-  virtual int port() const = 0;
-};
-
-/// Fork-based launcher: owns the worker's port reservation and its
-/// WorkerProcess. NOTE restart forks from whatever the supervising process
-/// has become — under load that is a multithreaded router, so the child must
-/// only rely on async-signal-safe-ish state until exec-free re-init is done
-/// (our child mains build everything fresh and first of all silence logging;
-/// see bench_serving --chaos).
-class ProcessLauncher : public WorkerLauncher {
- public:
-  ProcessLauncher(ReservedPort reserved, WorkerProcess::ChildMain child_main,
-                  int ready_timeout_ms = 10000);
-
-  bool start() override;
-  bool alive() override;
-  void stop() override;
-  int port() const override { return reserved_.port(); }
-
-  /// SIGKILL the worker (chaos drills). Safe to call from any thread.
-  void kill_now();
-
- private:
-  std::mutex mutex_;
-  ReservedPort reserved_;
-  WorkerProcess::ChildMain child_main_;
-  WorkerProcess process_;
-  int ready_timeout_ms_;
-};
 
 struct SupervisorConfig {
   int backoff_initial_ms = 200;   ///< first restart delay after a crash
@@ -118,8 +74,8 @@ class Supervisor {
   /// Router::add_worker).
   void add_slot(const std::string& id, std::unique_ptr<WorkerLauncher> launcher);
 
-  /// Invoked after a slot was successfully restarted (worker answering
-  /// readyz) with the slot id. The router hooks this to probe_now() so the
+  /// Invoked after a slot was successfully restarted (worker serving) with
+  /// the slot id. The router hooks this to probe_now() so the
   /// empty worker rejoins the ring and gets repaired immediately instead of
   /// on the next probe period.
   void on_restart(std::function<void(const std::string& id)> callback);

@@ -27,6 +27,7 @@ const char* status_text(int status) {
     case 404: return "Not Found";
     case 405: return "Method Not Allowed";
     case 408: return "Request Timeout";
+    case 410: return "Gone";
     case 413: return "Content Too Large";
     case 429: return "Too Many Requests";
     case 500: return "Internal Server Error";

@@ -67,10 +67,9 @@ struct ServerConfig {
   /// normal). Clients opt in per request with `Connection: keep-alive`.
   int keep_alive_timeout_ms = 5000;
   int backlog = 64;                         ///< listen(2) backlog
-  /// Also set SO_REUSEPORT before binding. Worker processes restarted by the
-  /// shard supervisor use this to bind a port their parent keeps reserved
-  /// (serve/shard ReservedPort), so a restart can never lose the port to an
-  /// unrelated ephemeral bind.
+  /// Also set SO_REUSEPORT before binding. Shard worker processes use this
+  /// to bind a port their parent keeps reserved (serve/shard ReservedPort),
+  /// so a restart can never lose the port to an unrelated ephemeral bind.
   bool reuse_port = false;
 };
 

@@ -186,14 +186,11 @@ TEST(Backends, CapabilitiesDescribeTheEngines) {
   EXPECT_EQ(cpu.id(), BackendId::kCpu);
   EXPECT_STREQ(cpu.name(), "cpu");
   EXPECT_EQ(cpu.capabilities().concurrency, 3u);
-  EXPECT_FALSE(cpu.capabilities().modeled_latency);
 
   AcceleratorBackend accel({.sleep_for_model = false});
   EXPECT_EQ(accel.id(), BackendId::kAccelerator);
   EXPECT_STREQ(accel.name(), "accelerator");
   EXPECT_EQ(accel.capabilities().concurrency, 1u);  // one physical IP core
-  EXPECT_TRUE(accel.capabilities().modeled_latency);
-  EXPECT_TRUE(accel.capabilities().fixed_point);
 }
 
 TEST(Backends, CpuAndAcceleratorProduceIdenticalLogits) {

@@ -1115,6 +1115,33 @@ TEST(ServeHttp, EndToEndConcurrentClients) {
 
 // --------------------------------------------------- HTTP server hardening
 
+namespace {
+
+/// Send `request` as raw bytes on a fresh connection and read until the
+/// server closes it: the only view that shows the status line as sent.
+std::string raw_exchange(int port, const std::string& request) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  if (fd < 0) return "";
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  std::string reply;
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0 &&
+      ::send(fd, request.data(), request.size(), MSG_NOSIGNAL) > 0) {
+    char buf[512];
+    ssize_t n;
+    while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
+      reply.append(buf, static_cast<std::size_t>(n));
+    }
+  }
+  ::close(fd);
+  return reply;
+}
+
+}  // namespace
+
 TEST(HttpHardening, OversizedBodyAnswers413) {
   web::ServerConfig config;
   config.max_body_bytes = 1024;
@@ -1140,21 +1167,18 @@ TEST(HttpHardening, MalformedRequestLineAnswers400) {
   const int port = server.start(0);
 
   // Raw socket: a request line without an HTTP version token.
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
-  const char* garbage = "TOTAL GARBAGE\r\n\r\n";
-  ASSERT_GT(::send(fd, garbage, std::strlen(garbage), MSG_NOSIGNAL), 0);
-  std::string reply;
-  char buf[512];
-  ssize_t n;
-  while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) reply.append(buf, static_cast<std::size_t>(n));
-  ::close(fd);
+  const std::string reply = raw_exchange(port, "TOTAL GARBAGE\r\n\r\n");
   EXPECT_NE(reply.find("400"), std::string::npos) << reply;
+  server.stop();
+}
+
+TEST(HttpHardening, RetiredAliasStatusLineSaysGone) {
+  web::HttpServer server;
+  web::install_api(server);
+  const int port = server.start(0);
+  // HttpResponse keeps no reason phrase, so only the raw reply shows it.
+  const std::string reply = raw_exchange(port, "GET /api/boards HTTP/1.1\r\n\r\n");
+  EXPECT_EQ(reply.rfind("HTTP/1.1 410 Gone\r\n", 0), 0u) << reply;
   server.stop();
 }
 

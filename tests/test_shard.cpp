@@ -6,10 +6,10 @@
 //
 // Router tests use in-process workers: several (ServingRuntime, HttpServer)
 // pairs in this one process, reached over real TCP. That exercises the same
-// transport the production fleet uses while staying fork-free, so the whole
-// file runs under ThreadSanitizer (TSan does not support fork+threads; the
-// fork-based fleet is exercised by codegen_server --router and the bench
-// harness instead).
+// transport the production fleet uses inside one process, so the whole file
+// runs under ThreadSanitizer. Real worker processes are exercised by
+// test_process (ProcessLauncher + codegen_server --worker) and the bench
+// harness.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -529,6 +529,38 @@ TEST(Router, FleetMetricsSumCountersAndMergeHistograms) {
             0u);
 }
 
+TEST(Router, FleetHistogramMergeDropsOutOfRangeBuckets) {
+  // Two stub workers whose scraped histograms carry bucket pairs a real
+  // Histogram never emits: out-of-range indices, negative counts and
+  // malformed pairs.
+  const char* scraped[] = {
+      R"({"lat": {"count": 3, "sum": 10, "max": 7,
+                  "buckets": [[2, 1], [3, 2], [99, 5], [-1, 4], [2, -7], ["x", 1], [1]]}})",
+      R"({"lat": {"count": 1, "sum": 4, "max": 4, "buckets": [[3, 1]]}})"};
+  std::vector<std::unique_ptr<web::HttpServer>> stubs;
+  shard::RouterConfig config;
+  config.probe_interval_ms = 0;
+  shard::Router router(config);
+  for (const char* body : scraped) {
+    stubs.push_back(std::make_unique<web::HttpServer>());
+    stubs.back()->route("GET", "/api/v1/metrics", [body](const web::HttpRequest&) {
+      web::HttpResponse response;
+      response.body = body;
+      return response;
+    });
+    const int port = stubs.back()->start(0);
+    router.add_worker(util::format("stub-%zu", stubs.size()), "127.0.0.1", port);
+  }
+
+  const json::Value lat =
+      json::parse(router.handle_metrics({}).body).at("fleet").at("lat");
+  EXPECT_EQ(lat.get_int("count", -1), 4);
+  EXPECT_EQ(lat.get_int("sum", -1), 14);
+  EXPECT_EQ(lat.get_int("p99", -1), 7);
+  EXPECT_EQ(lat.at("buckets").dump(), "[[2,1],[3,3]]");
+  for (auto& stub : stubs) stub->stop();
+}
+
 TEST(Router, DeployWithNoWorkersAnswers503) {
   shard::RouterConfig config;
   config.probe_interval_ms = 0;
@@ -561,7 +593,7 @@ TEST(Router, ComputeDesignKeyMatchesRegistry) {
 }
 
 // ---------------------------------------------------------------------------
-// Supervisor state machine (in-process launcher: fork-free, TSan-friendly)
+// Supervisor state machine (in-process launcher, TSan-friendly)
 // ---------------------------------------------------------------------------
 
 /// Controllable stand-in for a worker process: `up` is the liveness the
