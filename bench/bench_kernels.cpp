@@ -14,7 +14,10 @@
 //      so is the AVX2 GEMM alone on the packed panels, as GFLOP/s and as a
 //      share of the host's single-thread FMA peak (12 independent FMA
 //      chains, the roof a register-resident 6x16 tile can reach). A GEMM
-//      whose accumulators spill to the stack shows up as a low share.
+//      whose accumulators spill to the stack shows up as a low share. The
+//      int8 and int16 GEMMs alone on their packed panels are reported beside
+//      the float GEMM alone, with their ratios to it: what an integer
+//      pipeline could reach over float once both im2cols cost nothing.
 //   2. Whole-network inference on the paper's Test-4 CIFAR network: seed
 //      forward(), scalar-pinned infer(), avx2 infer(), and fused
 //      infer_batch(8) per-image cost, plus argmax agreement; and the
@@ -36,10 +39,14 @@
 //               "speedup": float, "gemm_us": float, "gemm_gflops": float,
 //               "peak_share": float, "max_rel_err": float, "int8_us": float,
 //               "int8_speedup_vs_float": float, "int16_us": float,
-//               "int16_speedup_vs_float": float}, ...],
+//               "int16_speedup_vs_float": float, "int8_gemm_us": float,
+//               "int8_gemm_speedup_vs_float": float, "int16_gemm_us": float,
+//               "int16_gemm_speedup_vs_float": float}, ...],
 //     "int8":  {"conv_speedup_vs_float_geomean": float,
+//               "gemm_speedup_vs_float_geomean": float,
 //               "gate_min_speedup": 2.0, "pass": bool},
 //     "int16": {"conv_speedup_vs_float_geomean": float,
+//               "gemm_speedup_vs_float_geomean": float,
 //               "gate_min_speedup": 1.0, "pass": bool},
 //     "conv_gemm_speedup_geomean": float, "host_peak_gflops": float,
 //     "test4_linear": {"m": int, "k": int, "b1_us": float, "b8_us": float},
@@ -120,6 +127,10 @@ struct ConvResult {
   double int16_us = 0.0;
   double int8_speedup = 0.0;   ///< vs the float SIMD pipeline (simd_us)
   double int16_speedup = 0.0;
+  double int8_gemm_us = 0.0;   ///< the int8 GEMM alone on packed panels
+  double int16_gemm_us = 0.0;
+  double int8_gemm_speedup = 0.0;   ///< vs the float GEMM alone (gemm_us)
+  double int16_gemm_speedup = 0.0;
 };
 
 /// Seed blocked GEMM vs the scalar and AVX2 kernel pipelines on one conv
@@ -202,6 +213,13 @@ ConvResult measure_conv(const ConvCase& c, int samples) {
         },
         samples);
     r.int8_speedup = r.simd_us / r.int8_us;
+    // The pipeline left the packed panels in b8.
+    r.int8_gemm_us = time_us(
+        [&] {
+          ker::gemm_s8(ker::Kind::kAvx2, w8, b8.data(), r.n, f8, /*act=*/-1, c8.data(), r.n);
+        },
+        samples);
+    r.int8_gemm_speedup = r.gemm_us / r.int8_gemm_us;
 
     const nn::FixedPointFormat f16 = nn::serve_precision_format(nn::ServePrecision::kInt16);
     util::aligned_vector<std::int16_t> x16(x.size());
@@ -220,6 +238,13 @@ ConvResult measure_conv(const ConvCase& c, int samples) {
         },
         samples);
     r.int16_speedup = r.simd_us / r.int16_us;
+    r.int16_gemm_us = time_us(
+        [&] {
+          ker::gemm_s16(ker::Kind::kAvx2, w16, b16.data(), r.n, f16, /*act=*/-1, c16.data(),
+                        r.n);
+        },
+        samples);
+    r.int16_gemm_speedup = r.gemm_us / r.int16_gemm_us;
   }
 
   for (std::size_t i = 0; i < seed_out.size(); ++i) {
@@ -331,6 +356,7 @@ int main(int argc, char** argv) {
   std::vector<ConvResult> conv_results;
   double log_speedup_sum = 0.0;
   double log_int8_sum = 0.0, log_int16_sum = 0.0;
+  double log_int8_gemm_sum = 0.0, log_int16_gemm_sum = 0.0;
   std::size_t gated = 0;
   double worst_rel_err = 0.0;
   std::puts("conv GEMM, seed blocked path vs packed scalar and AVX2 kernels:");
@@ -347,6 +373,8 @@ int main(int argc, char** argv) {
         log_speedup_sum += std::log(r.speedup);
         log_int8_sum += std::log(r.int8_speedup);
         log_int16_sum += std::log(r.int16_speedup);
+        log_int8_gemm_sum += std::log(r.int8_gemm_speedup);
+        log_int16_gemm_sum += std::log(r.int16_gemm_speedup);
         ++gated;
       }
       worst_rel_err = std::max(worst_rel_err, r.max_rel_err);
@@ -359,6 +387,10 @@ int main(int argc, char** argv) {
                   r.gemm_us, r.gemm_gflops, 100.0 * r.peak_share);
       std::printf("  %-26s int16 %7.2f us (%.2fx vs float)  int8 %7.2f us (%.2fx vs float)\n",
                   "", r.int16_us, r.int16_speedup, r.int8_us, r.int8_speedup);
+      std::printf("  %-26s GEMM alone: int16 %7.2f us (%.2fx vs float)  int8 %7.2f us"
+                  " (%.2fx vs float)\n",
+                  "", r.int16_gemm_us, r.int16_gemm_speedup, r.int8_gemm_us,
+                  r.int8_gemm_speedup);
     } else {
       std::printf("  %-26s M=%-3zu K=%-4zu N=%-5zu %8.2f us, scalar engine %7.2f us"
                   "  (no AVX2 engine)\n",
@@ -371,10 +403,17 @@ int main(int argc, char** argv) {
       avx2 && gated > 0 ? std::exp(log_int8_sum / static_cast<double>(gated)) : 0.0;
   const double int16_geomean =
       avx2 && gated > 0 ? std::exp(log_int16_sum / static_cast<double>(gated)) : 0.0;
+  const double int8_gemm_geomean =
+      avx2 && gated > 0 ? std::exp(log_int8_gemm_sum / static_cast<double>(gated)) : 0.0;
+  const double int16_gemm_geomean =
+      avx2 && gated > 0 ? std::exp(log_int16_gemm_sum / static_cast<double>(gated)) : 0.0;
   if (avx2) {
     std::printf("  geometric-mean conv GEMM speedup (N >= 64 layers): %.2fx\n", geomean);
     std::printf("  quantized vs float SIMD geomean (N >= 64 layers): int8 %.2fx, int16 %.2fx\n",
                 int8_geomean, int16_geomean);
+    std::printf("  GEMM alone, quantized vs float geomean (N >= 64 layers): int8 %.2fx,"
+                " int16 %.2fx\n",
+                int8_gemm_geomean, int16_gemm_geomean);
   }
 
   // Whole-network cost on the Test-4 CIFAR network.
@@ -446,19 +485,21 @@ int main(int argc, char** argv) {
         "\"scalar_us\": %.3f, \"simd_us\": %.3f, \"speedup\": %.3f, \"gemm_us\": %.3f, "
         "\"gemm_gflops\": %.3f, \"peak_share\": %.3f, \"max_rel_err\": %.3e, "
         "\"int8_us\": %.3f, \"int8_speedup_vs_float\": %.3f, "
-        "\"int16_us\": %.3f, \"int16_speedup_vs_float\": %.3f}",
+        "\"int16_us\": %.3f, \"int16_speedup_vs_float\": %.3f, "
+        "\"int8_gemm_us\": %.3f, \"int8_gemm_speedup_vs_float\": %.3f, "
+        "\"int16_gemm_us\": %.3f, \"int16_gemm_speedup_vs_float\": %.3f}",
         i == 0 ? "" : ", ", r.name.c_str(), r.m, r.k, r.n, r.seed_us, r.scalar_us, r.simd_us,
         r.speedup, r.gemm_us, r.gemm_gflops, r.peak_share, r.max_rel_err, r.int8_us,
-        r.int8_speedup, r.int16_us,
-        r.int16_speedup);
+        r.int8_speedup, r.int16_us, r.int16_speedup, r.int8_gemm_us, r.int8_gemm_speedup,
+        r.int16_gemm_us, r.int16_gemm_speedup);
   }
   json += util::format(
       "], \"int8\": {\"conv_speedup_vs_float_geomean\": %.3f, "
-      "\"gate_min_speedup\": %.1f, \"pass\": %s}, "
+      "\"gemm_speedup_vs_float_geomean\": %.3f, \"gate_min_speedup\": %.1f, \"pass\": %s}, "
       "\"int16\": {\"conv_speedup_vs_float_geomean\": %.3f, "
-      "\"gate_min_speedup\": %.1f, \"pass\": %s}",
-      int8_geomean, kInt8Gate, int8_pass ? "true" : "false", int16_geomean, kInt16Gate,
-      int16_pass ? "true" : "false");
+      "\"gemm_speedup_vs_float_geomean\": %.3f, \"gate_min_speedup\": %.1f, \"pass\": %s}",
+      int8_geomean, int8_gemm_geomean, kInt8Gate, int8_pass ? "true" : "false", int16_geomean,
+      int16_gemm_geomean, kInt16Gate, int16_pass ? "true" : "false");
   json += util::format(
       ", \"host_peak_gflops\": %.3f, \"test4_linear\": {\"m\": %zu, \"k\": %zu, "
       "\"b1_us\": %.3f, \"b8_us\": %.3f}",

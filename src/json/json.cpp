@@ -1,8 +1,9 @@
 #include "json/json.hpp"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 #include "util/strings.hpp"
 
@@ -148,19 +149,24 @@ void escape_into(std::string& out, const std::string& s) {
   out.push_back('"');
 }
 
+/// Integral values below 1e15 print as integers, everything else in the
+/// general format at 17 significant digits, which round-trips every IEEE-754
+/// double. std::to_chars with an explicit format and precision prints what
+/// printf's "%lld" and "%.17g" print, byte for byte; the output must not
+/// change, because design ids hash dumped descriptors.
 void number_into(std::string& out, double d) {
   if (std::isnan(d) || std::isinf(d)) {
     // JSON cannot represent non-finite numbers; null is the conventional stand-in.
     out += "null";
     return;
   }
+  char buf[32] = {};  // "%.17g" needs at most 24 bytes: sign, 17 digits, '.', "e-308"
   const double rounded = std::nearbyint(d);
-  if (rounded == d && std::fabs(d) < 1e15) {
-    out += format("%lld", static_cast<long long>(rounded));
-  } else {
-    // %.17g round-trips every IEEE-754 double.
-    out += format("%.17g", d);
-  }
+  const std::to_chars_result printed =
+      rounded == d && std::fabs(d) < 1e15
+          ? std::to_chars(buf, buf + sizeof(buf), static_cast<long long>(rounded))
+          : std::to_chars(buf, buf + sizeof(buf), d, std::chars_format::general, 17);
+  out.append(buf, printed.ptr);
 }
 
 void dump_into(std::string& out, const Value& v, bool pretty, int depth);
@@ -363,19 +369,52 @@ class Parser {
     return Value(std::move(arr));
   }
 
+  /// True when byte `c` ends a run of plain string content: a closing quote,
+  /// an escape, or a raw control byte (an error).
+  static bool ends_run(unsigned char c) { return c == '"' || c == '\\' || c < 0x20; }
+
+  /// True when any of the 8 bytes packed in `w` ends a run. (x - 0x01..01) &
+  /// ~x & 0x80..80 is non-zero iff some byte of x is zero, so w XOR a
+  /// repeated '"' or '\\' finds those bytes; with 0x20..20 subtracted instead
+  /// it finds bytes below 0x20. The test says only whether a byte matches,
+  /// not which one, so it holds for either byte order.
+  static bool word_ends_run(std::uint64_t w) {
+    constexpr std::uint64_t kOnes = 0x0101010101010101ULL;
+    constexpr std::uint64_t kHigh = 0x8080808080808080ULL;
+    const std::uint64_t quote = w ^ (kOnes * '"');
+    const std::uint64_t backslash = w ^ (kOnes * '\\');
+    const std::uint64_t found = ((quote - kOnes) & ~quote) | ((backslash - kOnes) & ~backslash) |
+                                ((w - kOnes * 0x20) & ~w);
+    return (found & kHigh) != 0;
+  }
+
+  /// Offset of the first byte at or after `i` that ends a run, or the end of
+  /// the text: whole words at a time, then bytes within the word that matched.
+  std::size_t run_end(std::size_t i) const {
+    while (i + sizeof(std::uint64_t) <= text_.size()) {
+      std::uint64_t w = 0;
+      std::memcpy(&w, text_.data() + i, sizeof(w));
+      if (word_ends_run(w)) break;
+      i += sizeof(w);
+    }
+    while (i < text_.size() && !ends_run(static_cast<unsigned char>(text_[i]))) ++i;
+    return i;
+  }
+
   std::string parse_string() {
     expect('"');
     std::string out;
     while (true) {
+      // Plain content up to the next quote, escape or control byte is
+      // copied in one append.
+      const std::size_t end = run_end(pos_);
+      out.append(text_.data() + pos_, end - pos_);
+      pos_ = end;
       const char c = take();
       if (c == '"') break;
-      if (static_cast<unsigned char>(c) < 0x20) {
+      if (c != '\\') {
         --pos_;
         fail("raw control character in string");
-      }
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
       }
       const char esc = take();
       switch (esc) {

@@ -1,7 +1,7 @@
 #include "serve/server.hpp"
 
 #include <chrono>
-#include <cstring>
+#include <span>
 #include <stdexcept>
 
 #include "serve/backend/accel_backend.hpp"
@@ -35,15 +35,18 @@ tensor::Tensor decode_image(const json::Value& doc, const nn::Shape& shape) {
   tensor::Tensor image{shape};
   try {
     if (const json::Value* encoded = doc.find("image_base64"); encoded != nullptr) {
-      const auto bytes = util::base64_decode(encoded->as_string());
+      const std::string& text = encoded->as_string();
+      // The payload is decoded straight into the tensor's float32 storage.
+      const std::span<std::uint8_t> storage(reinterpret_cast<std::uint8_t*>(image.data()),
+                                            expected * sizeof(float));
+      if (util::base64_decode_into(text, storage)) return image;
+      // Rejected: decode again only to tell bad base64, which wins, from a
+      // payload of the wrong size.
+      const auto bytes = util::base64_decode(text);
       if (!bytes) throw std::invalid_argument("image_base64 is not valid base64");
-      if (bytes->size() != expected * sizeof(float)) {
-        throw ShapeMismatchError(format(
-            "image_base64 decodes to %zu bytes; input %s needs %zu (float32 CHW)",
-            bytes->size(), shape.to_string().c_str(), expected * sizeof(float)));
-      }
-      std::memcpy(image.data(), bytes->data(), bytes->size());
-      return image;
+      throw ShapeMismatchError(format(
+          "image_base64 decodes to %zu bytes; input %s needs %zu (float32 CHW)", bytes->size(),
+          shape.to_string().c_str(), storage.size()));
     }
     if (const json::Value* array = doc.find("image"); array != nullptr) {
       const json::Array& values = array->as_array();

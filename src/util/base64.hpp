@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -17,5 +18,11 @@ std::string base64_encode(const std::vector<std::uint8_t>& bytes);
 
 /// Returns nullopt on invalid input (bad characters, bad padding).
 std::optional<std::vector<std::uint8_t>> base64_decode(std::string_view text);
+
+/// Decodes `text` straight into `out`. True iff `text` is valid base64 that
+/// decodes to exactly `out.size()` bytes; on false the contents of `out` are
+/// unspecified. A caller that must tell bad input from a wrong size decodes
+/// again with base64_decode.
+bool base64_decode_into(std::string_view text, std::span<std::uint8_t> out);
 
 }  // namespace cnn2fpga::util

@@ -5,8 +5,11 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 
 #include "util/logging.hpp"
@@ -47,16 +50,21 @@ struct ReadOutcome {
 
 ReadOutcome error_outcome(int status) { return {std::nullopt, status}; }
 
-/// Read until the full header block (and Content-Length body) has arrived.
+/// Read one request: the header block, then exactly Content-Length body
+/// bytes. `carry` holds bytes the connection delivered past the previous
+/// request (a pipelined client, RFC 9112 §9.3.2, may send the next request in
+/// the same segment); the request starts there, and on return `carry` holds
+/// whatever arrived past this one.
 /// The socket carries SO_RCVTIMEO, so a stalled client surfaces as
 /// EAGAIN/EWOULDBLOCK and is answered with 408 instead of pinning a handler.
 /// On a kept-alive connection (`first == false`) a timeout before the first
 /// byte of the next request is ordinary idle expiry, not a protocol error —
 /// the connection is closed without a response.
-ReadOutcome read_request(int fd, const ServerConfig& config, bool first) {
-  std::string data;
+ReadOutcome read_request(int fd, const ServerConfig& config, bool first, std::string& carry) {
+  std::string data = std::move(carry);
+  carry.clear();
+  std::size_t header_end = data.find("\r\n\r\n");
   char buf[4096];
-  std::size_t header_end = std::string::npos;
   while (header_end == std::string::npos) {
     const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
     if (n < 0) {
@@ -65,8 +73,10 @@ ReadOutcome read_request(int fd, const ServerConfig& config, bool first) {
       return error_outcome(timed_out ? 408 : 0);
     }
     if (n == 0) return error_outcome(data.empty() ? 0 : 400);  // truncated request
+    // The terminator may straddle the previous read: search its last 3 bytes too.
+    const std::size_t searched = data.size() < 3 ? 0 : data.size() - 3;
     data.append(buf, static_cast<std::size_t>(n));
-    header_end = data.find("\r\n\r\n");
+    header_end = data.find("\r\n\r\n", searched);
     if (data.size() > (1u << 20)) return error_outcome(413);  // oversized headers
   }
 
@@ -94,24 +104,27 @@ ReadOutcome read_request(int fd, const ServerConfig& config, bool first) {
 
   std::size_t content_length = 0;
   if (const auto it = request.headers.find("content-length"); it != request.headers.end()) {
-    char* end = nullptr;
-    content_length = static_cast<std::size_t>(std::strtoul(it->second.c_str(), &end, 10));
-    if (end == it->second.c_str()) return error_outcome(400);
-    if (content_length > config.max_body_bytes) return error_outcome(413);
+    const std::optional<std::size_t> parsed = parse_content_length(it->second);
+    if (!parsed) return error_outcome(400);
+    if (*parsed > config.max_body_bytes) return error_outcome(413);
+    content_length = *parsed;
   }
 
-  std::string body = data.substr(header_end + 4);
-  if (body.size() > config.max_body_bytes) return error_outcome(413);
-  while (body.size() < content_length) {
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+  // The body is sized once; what the header reads already brought is copied
+  // in, and the rest is received straight into it.
+  const std::size_t body_start = header_end + 4;
+  const std::size_t buffered = std::min(data.size() - body_start, content_length);
+  request.body.resize(content_length);
+  std::memcpy(request.body.data(), data.data() + body_start, buffered);
+  carry.assign(data, body_start + buffered);
+  for (std::size_t have = buffered; have < content_length;) {
+    const ssize_t n = ::recv(fd, request.body.data() + have, content_length - have, 0);
     if (n < 0) {
       return error_outcome(errno == EAGAIN || errno == EWOULDBLOCK ? 408 : 400);
     }
     if (n == 0) return error_outcome(400);  // body truncated by the peer
-    body.append(buf, static_cast<std::size_t>(n));
-    if (body.size() > config.max_body_bytes) return error_outcome(413);
+    have += static_cast<std::size_t>(n);
   }
-  request.body = body.substr(0, content_length);
   return {std::move(request), 0};
 }
 
@@ -254,6 +267,7 @@ void HttpServer::handler_loop() {
 
 void HttpServer::handle_connection(int fd) {
   bool first = true;
+  std::string carry;  // bytes received past the request being served
   while (true) {
     if (!first) {
       // Arm the idle wait: the shorter keep-alive timeout replaces the
@@ -271,7 +285,7 @@ void HttpServer::handle_connection(int fd) {
         ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
       }
     }
-    const ReadOutcome outcome = read_request(fd, config_, first);
+    const ReadOutcome outcome = read_request(fd, config_, first, carry);
     if (!first) {
       std::lock_guard<std::mutex> lock(conn_mutex_);
       idle_fds_.erase(fd);
@@ -314,6 +328,17 @@ HttpResponse HttpServer::dispatch(const HttpRequest& request) const {
   }
   return api_error(404, "not_found",
                    format("no route for %s %s", request.method.c_str(), request.path.c_str()));
+}
+
+std::optional<std::size_t> parse_content_length(std::string_view value) {
+  if (value.empty() || value.find_first_not_of("0123456789") != std::string_view::npos) {
+    return std::nullopt;
+  }
+  std::size_t length = 0;
+  const std::from_chars_result parsed =
+      std::from_chars(value.data(), value.data() + value.size(), length);
+  if (parsed.ec == std::errc::result_out_of_range) return std::numeric_limits<std::size_t>::max();
+  return length;
 }
 
 std::optional<HttpResponse> http_request(const std::string& host, int port,

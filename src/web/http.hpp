@@ -20,7 +20,9 @@
 // open for further requests (bounded by `keep_alive_timeout_ms` between
 // them) — the transport the shard router's per-worker connection pool rides
 // on (src/serve/shard). Clients that say nothing, or say `close`, get the
-// historical one-request-per-connection behavior.
+// historical one-request-per-connection behavior. A client may pipeline:
+// bytes that arrive past one request start the next, and the responses go
+// out in request order.
 #pragma once
 
 #include <atomic>
@@ -32,6 +34,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -121,6 +124,12 @@ class HttpServer {
   /// keep-alive timeout; in-flight requests still complete normally.
   std::set<int> idle_fds_;
 };
+
+/// A Content-Length value as RFC 9112 §6.3 allows it: one or more ASCII
+/// digits and nothing else (no sign, no whitespace, no suffix). nullopt when
+/// the value is not a digit string; a value past the range of size_t reads as
+/// its maximum, which every size limit rejects.
+std::optional<std::size_t> parse_content_length(std::string_view value);
 
 /// Blocking single-request client (test utility).
 std::optional<HttpResponse> http_request(const std::string& host, int port,

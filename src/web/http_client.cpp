@@ -195,9 +195,8 @@ std::optional<HttpResponse> HttpClient::try_request(
     if (name == "content-type") {
       response.content_type = value;
     } else if (name == "content-length") {
-      char* end = nullptr;
-      content_length = static_cast<std::size_t>(std::strtoul(value.c_str(), &end, 10));
-      if (end == value.c_str()) return std::nullopt;
+      content_length = parse_content_length(value);
+      if (!content_length) return std::nullopt;  // not a digit string
     } else {
       if (name == "connection" && util::to_lower(value) == "close") server_closes = true;
       response.headers[name] = value;

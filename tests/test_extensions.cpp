@@ -3,6 +3,10 @@
 // (the paper's stated future work).
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string_view>
+#include <vector>
+
 #include "hls/roofline.hpp"
 #include "json/json.hpp"
 #include "util/base64.hpp"
@@ -46,6 +50,123 @@ TEST(Base64, RejectsMalformedInput) {
   EXPECT_FALSE(util::base64_decode("Zg==Zg==").has_value());  // padding mid-stream
   EXPECT_FALSE(util::base64_decode("Z===").has_value());      // 3 pad chars
   EXPECT_TRUE(util::base64_decode("").has_value());
+}
+
+namespace {
+
+/// base64_decode as it was when it decoded one character and pushed one
+/// byte per step; the oracle for the group decoder.
+std::optional<std::vector<std::uint8_t>> byte_loop_base64_decode(std::string_view text) {
+  static constexpr std::string_view kAlphabet =
+      "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
+  if (text.size() % 4 != 0) return std::nullopt;
+  std::vector<std::uint8_t> out;
+  for (std::size_t i = 0; i < text.size(); i += 4) {
+    int padding = 0;
+    std::uint32_t triple = 0;
+    for (int j = 0; j < 4; ++j) {
+      const char c = text[i + j];
+      if (c == '=') {
+        if (i + 4 != text.size() || j < 2) return std::nullopt;
+        ++padding;
+        triple <<= 6;
+        continue;
+      }
+      if (padding > 0) return std::nullopt;
+      const std::size_t value = kAlphabet.find(c);
+      if (value == std::string_view::npos) return std::nullopt;
+      triple = (triple << 6) | static_cast<std::uint32_t>(value);
+    }
+    out.push_back(static_cast<std::uint8_t>((triple >> 16) & 0xFF));
+    if (padding < 2) out.push_back(static_cast<std::uint8_t>((triple >> 8) & 0xFF));
+    if (padding < 1) out.push_back(static_cast<std::uint8_t>(triple & 0xFF));
+  }
+  return out;
+}
+
+std::vector<std::uint8_t> random_bytes(util::Rng& rng, std::size_t size) {
+  std::vector<std::uint8_t> bytes(size);
+  for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.next_below(256));
+  return bytes;
+}
+
+}  // namespace
+
+TEST(Base64, DecodeMatchesTheByteLoopOracle) {
+  // Bytes outside the alphabet, the NUL byte and non-ASCII included.
+  static constexpr std::string_view kBad("!-_ .\n\0\x80\xff", 9);
+  util::Rng rng(77);
+  std::size_t checked = 0, mismatches = 0;
+  const auto check = [&](const std::string& text) {
+    ++checked;
+    const auto got = util::base64_decode(text);
+    const auto want = byte_loop_base64_decode(text);
+    if (got == want || ++mismatches > 5) return;
+    ADD_FAILURE() << ::testing::PrintToString(text) << ": decoder "
+                  << (got ? "accepts" : "rejects") << ", oracle " << (want ? "accepts" : "rejects");
+  };
+  const auto mutate_everywhere = [&](const std::string& encoded) {
+    check(encoded);
+    for (std::size_t pos = 0; pos < encoded.size(); ++pos) {
+      std::string mutated = encoded;
+      mutated[pos] = '=';
+      check(mutated);
+      mutated[pos] = kBad[rng.next_below(kBad.size())];
+      check(mutated);
+    }
+    for (std::size_t cut = 1; cut <= 3 && cut <= encoded.size(); ++cut) {
+      check(encoded.substr(0, encoded.size() - cut));
+    }
+    check(encoded + "=");
+    check(encoded + "A===");
+  };
+  for (std::size_t length = 0; length <= 64; ++length) {
+    mutate_everywhere(util::base64_encode(random_bytes(rng, length)));
+  }
+  // Noise: alphabet characters with '=' and bad bytes mixed in.
+  while (checked < 10000) {
+    std::string text(4 * rng.next_below(17), 'A');
+    for (char& c : text) {
+      const std::uint64_t pick = rng.next_below(20);
+      c = pick == 0 ? '=' : pick == 1 ? kBad[rng.next_below(kBad.size())]
+                                      : "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+                                            [rng.next_below(64)];
+    }
+    if (!text.empty() && rng.next_below(2) == 0) text.back() = '=';
+    check(text);
+  }
+  // One image-sized payload: 16 KB, mutated at its ends and middle.
+  const std::string image = util::base64_encode(random_bytes(rng, 16 * 1024));
+  check(image);
+  for (const std::size_t pos : {std::size_t{0}, image.size() / 2, image.size() - 5,
+                                image.size() - 2, image.size() - 1}) {
+    std::string mutated = image;
+    mutated[pos] = '=';
+    check(mutated);
+    mutated[pos] = '!';
+    check(mutated);
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << checked;
+}
+
+TEST(Base64, DecodeIntoNeedsValidInputOfTheExactSize) {
+  util::Rng rng(78);
+  for (std::size_t length = 0; length <= 64; ++length) {
+    const std::vector<std::uint8_t> bytes = random_bytes(rng, length);
+    const std::string encoded = util::base64_encode(bytes);
+    std::vector<std::uint8_t> out(length, 0xAA);
+    EXPECT_TRUE(util::base64_decode_into(encoded, out)) << length;
+    EXPECT_EQ(out, bytes) << length;
+    std::vector<std::uint8_t> longer(length + 1);
+    EXPECT_FALSE(util::base64_decode_into(encoded, longer)) << length;
+    if (length > 0) {
+      std::vector<std::uint8_t> shorter(length - 1);
+      EXPECT_FALSE(util::base64_decode_into(encoded, shorter)) << length;
+      std::string bad = encoded;
+      bad[rng.next_below(bad.size())] = '!';
+      EXPECT_FALSE(util::base64_decode_into(bad, out)) << bad;
+    }
+  }
 }
 
 // ---------------------------------------------------------------- roofline

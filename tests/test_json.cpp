@@ -2,11 +2,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <iterator>
 #include <limits>
+#include <string>
+#include <string_view>
 
 #include "json/json.hpp"
+#include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace json = cnn2fpga::json;
+namespace util = cnn2fpga::util;
 
 TEST(JsonParse, Scalars) {
   EXPECT_TRUE(json::parse("null").is_null());
@@ -150,4 +157,291 @@ TEST(JsonValue, MutableObjectBuilding) {
   v["b"]["c"] = json::Value("deep");
   EXPECT_EQ(v.at("a").as_int(), 1);
   EXPECT_EQ(v.at("b").at("c").as_string(), "deep");
+}
+
+// ------------------------------------- differential: the byte-loop oracles
+
+namespace {
+
+/// The parser's string handling as it was when it took one byte per step,
+/// kept as the oracle for json::parse's run scan. It parses documents that
+/// hold one string, and throws the same messages with the same line and
+/// column as json::parse.
+class ByteLoopStringParser {
+ public:
+  explicit ByteLoopStringParser(std::string_view text) : text_(text) {}
+
+  std::string parse_document() {
+    skip_ws();
+    if (peek() != '"') fail("the oracle parses string documents only");
+    std::string value = parse_string();
+    skip_ws();
+    if (pos_ != text_.size()) fail("trailing characters after JSON document");
+    return value;
+  }
+
+ private:
+  [[noreturn]] void fail(const std::string& msg) const {
+    std::size_t line = 1, col = 1;
+    for (std::size_t i = 0; i < pos_ && i < text_.size(); ++i) {
+      if (text_[i] == '\n') {
+        ++line;
+        col = 1;
+      } else {
+        ++col;
+      }
+    }
+    throw json::JsonError(util::format("JSON parse error at line %zu, column %zu: %s", line, col,
+                                       msg.c_str()));
+  }
+
+  bool eof() const { return pos_ >= text_.size(); }
+  char peek() const { return eof() ? '\0' : text_[pos_]; }
+  char take() {
+    if (eof()) fail("unexpected end of input");
+    return text_[pos_++];
+  }
+
+  void skip_ws() {
+    while (!eof() && (peek() == ' ' || peek() == '\t' || peek() == '\n' || peek() == '\r')) {
+      ++pos_;
+    }
+  }
+
+  std::string parse_string() {
+    ++pos_;  // the opening quote
+    std::string out;
+    while (true) {
+      const char c = take();
+      if (c == '"') break;
+      if (static_cast<unsigned char>(c) < 0x20) {
+        --pos_;
+        fail("raw control character in string");
+      }
+      if (c != '\\') {
+        out.push_back(c);
+        continue;
+      }
+      const char esc = take();
+      switch (esc) {
+        case '"': out.push_back('"'); break;
+        case '\\': out.push_back('\\'); break;
+        case '/': out.push_back('/'); break;
+        case 'b': out.push_back('\b'); break;
+        case 'f': out.push_back('\f'); break;
+        case 'n': out.push_back('\n'); break;
+        case 'r': out.push_back('\r'); break;
+        case 't': out.push_back('\t'); break;
+        case 'u': append_unicode_escape(out); break;
+        default:
+          --pos_;
+          fail("invalid escape sequence");
+      }
+    }
+    return out;
+  }
+
+  unsigned parse_hex4() {
+    unsigned value = 0;
+    for (int i = 0; i < 4; ++i) {
+      const char c = take();
+      value <<= 4;
+      if (c >= '0' && c <= '9') value |= static_cast<unsigned>(c - '0');
+      else if (c >= 'a' && c <= 'f') value |= static_cast<unsigned>(c - 'a' + 10);
+      else if (c >= 'A' && c <= 'F') value |= static_cast<unsigned>(c - 'A' + 10);
+      else {
+        --pos_;
+        fail("invalid \\u escape digit");
+      }
+    }
+    return value;
+  }
+
+  void append_unicode_escape(std::string& out) {
+    unsigned cp = parse_hex4();
+    if (cp >= 0xD800 && cp <= 0xDBFF) {
+      if (take() != '\\' || take() != 'u') fail("unpaired surrogate in \\u escape");
+      const unsigned low = parse_hex4();
+      if (low < 0xDC00 || low > 0xDFFF) fail("invalid low surrogate");
+      cp = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
+    } else if (cp >= 0xDC00 && cp <= 0xDFFF) {
+      fail("unpaired low surrogate");
+    }
+    if (cp < 0x80) {
+      out.push_back(static_cast<char>(cp));
+    } else if (cp < 0x800) {
+      out.push_back(static_cast<char>(0xC0 | (cp >> 6)));
+      out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+    } else if (cp < 0x10000) {
+      out.push_back(static_cast<char>(0xE0 | (cp >> 12)));
+      out.push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
+      out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+    } else {
+      out.push_back(static_cast<char>(0xF0 | (cp >> 18)));
+      out.push_back(static_cast<char>(0x80 | ((cp >> 12) & 0x3F)));
+      out.push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
+      out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+    }
+  }
+
+  std::string_view text_;
+  std::size_t pos_ = 0;
+};
+
+/// Accepted value, or the error message, of one parse.
+struct StringOutcome {
+  bool ok = false;
+  std::string text;
+  bool operator==(const StringOutcome&) const = default;
+};
+
+StringOutcome parse_with_json(std::string_view doc) {
+  try {
+    return {true, json::parse(doc).as_string()};
+  } catch (const json::JsonError& e) {
+    return {false, e.what()};
+  }
+}
+
+StringOutcome parse_with_oracle(std::string_view doc) {
+  try {
+    return {true, ByteLoopStringParser(doc).parse_document()};
+  } catch (const json::JsonError& e) {
+    return {false, e.what()};
+  }
+}
+
+/// Escape sequences, well formed and not; a prefix of one ends the input
+/// inside the escape.
+constexpr const char* kEscapes[] = {
+    "\\n",      "\\\"",     "\\\\",           "\\/",     "\\b",           "\\f",
+    "\\r",      "\\t",      "\\u00e9",        "\\u20AC", "\\ud83d\\ude00", "\\ud83d",
+    "\\ude00",  "\\ud83dx", "\\ud83d\\u0041", "\\u12",   "\\uZZZZ",       "\\x41"};
+
+/// A byte biased toward those that end a plain run: quotes, backslashes,
+/// control and non-ASCII bytes.
+char biased_byte(util::Rng& rng) {
+  switch (rng.next_below(6)) {
+    case 0: return '"';
+    case 1: return '\\';
+    case 2: return static_cast<char>(rng.next_below(0x20));
+    case 3: return static_cast<char>(0x80 + rng.next_below(0x80));
+    default: return static_cast<char>(0x20 + rng.next_below(0x5F));
+  }
+}
+
+std::string random_string_document(util::Rng& rng) {
+  std::string doc;
+  // Leading whitespace, newlines included, moves the line and column.
+  for (std::uint64_t n = rng.next_below(4); n > 0; --n) doc += " \n\t\r"[rng.next_below(4)];
+  doc += '"';
+  for (std::uint64_t piece = rng.next_below(8); piece > 0; --piece) {
+    // Plain runs of 0-19 bytes put what follows at every offset in a word.
+    for (std::uint64_t n = rng.next_below(20); n > 0; --n) {
+      doc += static_cast<char>('a' + rng.next_below(26));
+    }
+    switch (rng.next_below(4)) {
+      case 0: doc += kEscapes[rng.next_below(std::size(kEscapes))]; break;
+      case 1: doc += biased_byte(rng); break;
+      case 2: doc += "\xC3\xA9"; break;  // UTF-8 e-acute
+      default: break;
+    }
+  }
+  switch (rng.next_below(4)) {
+    case 0: break;  // the input ends inside the string
+    case 1: doc += std::string("\"") + biased_byte(rng); break;
+    case 2: doc += "\"\n "; break;
+    default: doc += '"'; break;
+  }
+  return doc;
+}
+
+/// The number format from before std::to_chars: integral values below 1e15
+/// through "%lld", everything else through "%.17g".
+std::string printf_number(double d) {
+  if (std::isnan(d) || std::isinf(d)) return "null";
+  const double rounded = std::nearbyint(d);
+  if (rounded == d && std::fabs(d) < 1e15) {
+    return util::format("%lld", static_cast<long long>(rounded));
+  }
+  return util::format("%.17g", d);
+}
+
+}  // namespace
+
+TEST(JsonDifferential, StringScanMatchesTheByteLoop) {
+  std::size_t checked = 0, mismatches = 0;
+  const auto check = [&](const std::string& doc) {
+    ++checked;
+    const StringOutcome got = parse_with_json(doc);
+    const StringOutcome want = parse_with_oracle(doc);
+    if (got == want || ++mismatches > 5) return;
+    ADD_FAILURE() << "document " << ::testing::PrintToString(doc) << "\n  json::parse: "
+                  << (got.ok ? "ok " : "error ") << ::testing::PrintToString(got.text)
+                  << "\n  byte loop:   " << (want.ok ? "ok " : "error ")
+                  << ::testing::PrintToString(want.text);
+  };
+  // Every escape after 0-16 plain bytes, so at every offset mod 8, whole and
+  // cut short at each of its bytes (the input ends inside the escape).
+  for (std::size_t offset = 0; offset <= 16; ++offset) {
+    for (const std::string_view escape : kEscapes) {
+      for (std::size_t cut = 0; cut <= escape.size(); ++cut) {
+        const std::string doc = "\"" + std::string(offset, 'x') + std::string(escape.substr(0, cut));
+        check(doc);
+        check(doc + "\"");
+        check(doc + "tail\"");
+      }
+    }
+  }
+  util::Rng rng(2024);
+  for (int i = 0; i < 10000; ++i) check(random_string_document(rng));
+  EXPECT_EQ(mismatches, 0u) << "of " << checked;
+  EXPECT_GT(checked, 10000u);
+}
+
+TEST(JsonDifferential, NumberOutputMatchesPrintf) {
+  std::vector<double> values = {0.0, -0.0, 1.0, -1.0, 0.5, 1e15, -1e15, 1e16, 1e300,
+                                std::numeric_limits<double>::max(),
+                                std::numeric_limits<double>::lowest(),
+                                std::numeric_limits<double>::min(),
+                                std::numeric_limits<double>::denorm_min(),
+                                -std::numeric_limits<double>::denorm_min(),
+                                9007199254740992.0, 9007199254740993.0};
+  util::Rng rng(17);
+  // Logits: floats widened to double, as the predict response prints them.
+  for (const double scale : {1e-6, 1e-3, 1.0, 10.0, 1e4, 1e9}) {
+    for (int i = 0; i < 2000; ++i) {
+      values.push_back(static_cast<double>(static_cast<float>(rng.uniform(-scale, scale))));
+    }
+  }
+  // Integers and near-integers on both sides of the 1e15 switch-over.
+  for (long long k = -1000; k <= 1000; ++k) {
+    values.push_back(1e15 + static_cast<double>(k));
+    values.push_back(-1e15 + static_cast<double>(k));
+    values.push_back(1e15 + static_cast<double>(k) + 0.5);
+    values.push_back(static_cast<double>(k));
+    values.push_back(static_cast<double>(k) + 0.25);
+  }
+  // Subnormals and arbitrary finite bit patterns.
+  for (int i = 0; i < 2000; ++i) {
+    const std::uint64_t mantissa = rng.next_u64() & ((std::uint64_t{1} << 52) - 1);
+    const std::uint64_t sign = rng.next_below(2) << 63;
+    double subnormal = 0.0;
+    const std::uint64_t subnormal_bits = sign | mantissa;
+    std::memcpy(&subnormal, &subnormal_bits, sizeof(subnormal));
+    values.push_back(subnormal);
+    double any = 0.0;
+    const std::uint64_t any_bits = rng.next_u64();
+    std::memcpy(&any, &any_bits, sizeof(any));
+    if (std::isfinite(any)) values.push_back(any);
+  }
+  std::size_t mismatches = 0;
+  for (const double d : values) {
+    const std::string got = json::Value(d).dump();
+    const std::string want = printf_number(d);
+    if (got != want && ++mismatches <= 5) {
+      ADD_FAILURE() << util::format("%a", d) << ": dump " << got << ", printf " << want;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << values.size();
 }

@@ -715,6 +715,49 @@ TEST(ServeApi, PredictErrorsUseTheEnvelope) {
   EXPECT_GE(runtime.metrics().predict_errors.value(), 3u);
 }
 
+TEST(ServeApi, MalformedImagePayloadIsReportedBeforeItsSize) {
+  ServingRuntime runtime;
+  const auto deployed = json::parse(
+      runtime.handle_deploy([] { web::HttpRequest r; r.body = deploy_body("b64_net"); return r; }())
+          .body);
+  const std::string design_id = deployed.at("design_id").as_string();
+  const auto predict = [&](const std::string& image_base64) {
+    web::HttpRequest request;
+    request.body = util::format(R"({"design_id": "%s", "image_base64": "%s"})",
+                                design_id.c_str(), image_base64.c_str());
+    return runtime.handle_predict(request);
+  };
+  const auto message = [](const web::HttpResponse& response) {
+    return json::parse(response.body).at("error").at("message").as_string();
+  };
+  const std::string valid = util::base64_encode(std::vector<std::uint8_t>(64 * sizeof(float), 0));
+
+  // Malformed and of the wrong size at once: the malformed payload wins.
+  for (const std::string& both : {std::string("!!!!"), std::string("QUJD=A=="),
+                                  valid.substr(0, 40) + "!" + valid.substr(41, 39)}) {
+    const auto response = predict(both);
+    EXPECT_EQ(response.status, 400) << both;
+    EXPECT_EQ(error_code(response), "bad_request") << both;
+    EXPECT_EQ(message(response), "image_base64 is not valid base64") << both;
+  }
+  // Malformed at the right length, and at a length no base64 has.
+  for (const std::string& malformed : {valid.substr(0, 40) + "!" + valid.substr(41),
+                                       valid.substr(0, valid.size() - 1)}) {
+    const auto response = predict(malformed);
+    EXPECT_EQ(error_code(response), "bad_request") << malformed;
+    EXPECT_EQ(message(response), "image_base64 is not valid base64") << malformed;
+  }
+  // Well formed but one float short: a shape mismatch naming both sizes.
+  const auto short_response =
+      predict(util::base64_encode(std::vector<std::uint8_t>(63 * sizeof(float), 0)));
+  EXPECT_EQ(short_response.status, 400);
+  EXPECT_EQ(error_code(short_response), "shape_mismatch");
+  EXPECT_EQ(message(short_response),
+            "image_base64 decodes to 252 bytes; input (1, 8, 8) needs 256 (float32 CHW)");
+  // Well formed and the right size: served.
+  EXPECT_EQ(predict(valid).status, 200);
+}
+
 TEST(ServeApi, DeployRejectsUnknownPrecision) {
   ServingRuntime runtime;
   json::Value doc = json::parse(deploy_body("bad_precision"));
@@ -1246,6 +1289,70 @@ TEST(HttpHardening, SlowReaderCannotPinTheHandlerThread) {
   EXPECT_EQ(health->status, 200);
   EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(waited).count(), 5000);
   ::close(fd);
+  server.stop();
+}
+
+TEST(HttpHardening, PipelinedRequestsAreAnsweredInOrder) {
+  web::HttpServer server;
+  web::install_api(server);
+  server.route("POST", "/echo", [](const web::HttpRequest& request) {
+    return web::HttpResponse{200, "text/plain", "echo:" + request.body, {}};
+  });
+  const int port = server.start(0);
+
+  // One write carries a kept-alive POST with a body and then a GET that
+  // closes the connection. Both must be answered, in order, without waiting
+  // out the keep-alive timeout for a second request that already arrived.
+  const std::string requests =
+      "POST /echo HTTP/1.1\r\nHost: test\r\nConnection: keep-alive\r\n"
+      "Content-Length: 11\r\n\r\nhello world"
+      "GET /healthz HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n";
+  const auto started = std::chrono::steady_clock::now();
+  const std::string reply = raw_exchange(port, requests);
+  const auto waited = std::chrono::duration_cast<std::chrono::milliseconds>(
+                          std::chrono::steady_clock::now() - started)
+                          .count();
+
+  const std::size_t first = reply.find("HTTP/1.1 200 OK\r\n");
+  ASSERT_EQ(first, 0u) << reply;
+  const std::size_t second = reply.find("HTTP/1.1 200 OK\r\n", first + 1);
+  ASSERT_NE(second, std::string::npos) << reply;
+  const std::size_t echo = reply.find("echo:hello world");
+  EXPECT_LT(echo, second) << reply;
+  EXPECT_NE(reply.find("{\"status\":\"ok\"}", second), std::string::npos) << reply;
+  EXPECT_LT(waited, server.config().keep_alive_timeout_ms / 2) << reply;
+  server.stop();
+}
+
+TEST(HttpHardening, ContentLengthMustBeDigitsOnly) {
+  web::HttpServer server;
+  std::atomic<int> handled{0};
+  server.route("POST", "/count", [&handled](const web::HttpRequest& request) {
+    handled.fetch_add(1);
+    return web::HttpResponse{200, "text/plain", request.body, {}};
+  });
+  const int port = server.start(0);
+  const auto post = [port](const std::string& content_length) {
+    return raw_exchange(port, "POST /count HTTP/1.1\r\nHost: test\r\nContent-Length: " +
+                                  content_length + "\r\n\r\n{}");
+  };
+
+  // Values strtoul would read as numbers are invalid too (RFC 9112 §6.3):
+  // each answers 400 and closes the connection before any handler runs.
+  for (const std::string value : {"2x", "+2", "-1", "", "2 2", "0x2"}) {
+    const std::string reply = post(value);
+    EXPECT_EQ(reply.rfind("HTTP/1.1 400 Bad Request\r\n", 0), 0u) << "'" << value << "': " << reply;
+  }
+  EXPECT_EQ(handled.load(), 0);
+  // A digit string past any body limit, past 64 bits even, is still 413.
+  const std::string huge = post("1234567890123456789012345");
+  EXPECT_EQ(huge.rfind("HTTP/1.1 413 Content Too Large\r\n", 0), 0u) << huge;
+  EXPECT_EQ(handled.load(), 0);
+
+  const std::string valid = post("2");
+  EXPECT_EQ(valid.rfind("HTTP/1.1 200 OK\r\n", 0), 0u) << valid;
+  EXPECT_NE(valid.find("\r\n\r\n{}"), std::string::npos) << valid;
+  EXPECT_EQ(handled.load(), 1);
   server.stop();
 }
 

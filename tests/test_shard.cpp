@@ -12,12 +12,18 @@
 // harness.
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <chrono>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "json/json.hpp"
@@ -220,6 +226,43 @@ TEST(HttpClient, StaleKeepAliveConnectionRetriesOnFreshSocket) {
   EXPECT_EQ(response->status, 200);
   EXPECT_EQ(client.connections_opened(), 2u);
   server.stop();
+}
+
+TEST(HttpClient, NonDigitContentLengthIsATransportFailure) {
+  // A one-connection server that answers every request with a canned reply,
+  // so the client sees exactly the Content-Length value under test.
+  for (const auto& [value, accepted] : std::vector<std::pair<std::string, bool>>{
+           {"2", true}, {"2x", false}, {"+2", false}, {"-1", false}, {"", false}}) {
+    const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(listener, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof(addr);
+    ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+    ASSERT_EQ(::listen(listener, 1), 0);
+    ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+    const timeval accept_timeout{5, 0};  // never hang the suite on a lost connect
+    ::setsockopt(listener, SOL_SOCKET, SO_RCVTIMEO, &accept_timeout, sizeof(accept_timeout));
+    std::thread canned([listener, value = value] {
+      const int fd = ::accept(listener, nullptr, nullptr);
+      if (fd < 0) return;
+      char buf[4096];
+      (void)::recv(fd, buf, sizeof(buf), 0);
+      const std::string reply =
+          "HTTP/1.1 200 OK\r\nContent-Length: " + value + "\r\nConnection: close\r\n\r\nok";
+      (void)::send(fd, reply.data(), reply.size(), MSG_NOSIGNAL);
+      ::close(fd);
+    });
+    web::HttpClient client("127.0.0.1", ntohs(addr.sin_port));
+    const auto response = client.request("GET", "/ping");
+    canned.join();
+    ::close(listener);
+    EXPECT_EQ(response.has_value(), accepted) << "'" << value << "'";
+    if (response) {
+      EXPECT_EQ(response->body, "ok");
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
