@@ -26,9 +26,9 @@
 //      per-request latency with the design pinned to the scalar kernel engine
 //      (the pre-kernel-engine serving baseline) vs the AVX2 fused-batch
 //      engine. Gated: SIMD p50 must be >= 2x better where AVX2 exists.
-//   4. Deploy latency, registry miss vs. hit. A miss runs the entire
-//      generator pipeline (validate, codegen, tcl, HLS estimate); a hit
-//      returns the resident instance.
+//   4. Deploy latency, registry miss vs. hit. A miss builds the network and
+//      analyzes it (validate, HLS estimate, fit warnings; no C++ or tcl is
+//      emitted); a hit returns the resident instance.
 //   5. (--overload) Overload behavior. 16 flood threads push the HTTP predict
 //      handler against a queue capped at 64: sheds must answer 429 with
 //      Retry-After immediately (max reject latency is gated — the accept path
@@ -769,8 +769,8 @@ ShardedResult measure_sharded(bool quick) {
     out.deploy_ok = false;
   }
 
-  // Two fleets behind identical router plumbing; deploys regenerate the
-  // design in each worker, so give them generator-pipeline headroom.
+  // Two fleets behind identical router plumbing; a deploy builds and
+  // analyzes the design in each worker, so give it headroom.
   serve::shard::RouterConfig baseline_config;
   baseline_config.replication = 1;
   baseline_config.worker.client.read_timeout_ms = 60000;
@@ -1286,7 +1286,7 @@ int main(int argc, char** argv) {
 
   const DeployLatency deploy = measure_deploy(kDeployRounds);
   const double deploy_speedup = deploy.miss_us / deploy.hit_us;
-  std::printf("deploy latency      miss: %9.1f us  (full generator pipeline)\n",
+  std::printf("deploy latency      miss: %9.1f us  (build + analyze)\n",
               deploy.miss_us);
   std::printf("deploy latency      hit:  %9.1f us  (%.0fx faster)\n", deploy.hit_us,
               deploy_speedup);

@@ -190,8 +190,9 @@ int run_router(const util::CliArgs& args) {
   serve::shard::RouterConfig config;
   config.replication = static_cast<std::size_t>(args.get_int("replication", 2));
   config.journal_path = journal_path;
-  // Deploys regenerate the design on a cache miss; give them more room than
-  // the predict path's defaults.
+  // A deploy that misses the cache builds, analyzes and (when quantized)
+  // probe-validates the design; give it more room than the predict path's
+  // defaults.
   config.worker.client.read_timeout_ms = 30000;
   std::unique_ptr<serve::shard::Router> router_ptr;
   try {

@@ -28,23 +28,6 @@ std::string float_literal(float value) {
 
 namespace {
 
-/// Verifies that the trained network has exactly the architecture the
-/// descriptor describes (the weight file belongs to this design).
-void check_structure(const NetworkDescriptor& descriptor, const nn::Network& net) {
-  const nn::Network expected = descriptor.build_network();
-  bool mismatch = expected.layer_count() != net.layer_count() ||
-                  expected.input_shape() != net.input_shape();
-  for (std::size_t i = 0; !mismatch && i < expected.layer_count(); ++i) {
-    mismatch = expected.layer(i).kind() != net.layer(i).kind() ||
-               expected.shape_after(i) != net.shape_after(i);
-  }
-  if (mismatch) {
-    throw DescriptorError(format(
-        "generate_cpp: network does not match descriptor '%s' (layer structure or "
-        "shapes differ); re-train or fix the descriptor", descriptor.name.c_str()));
-  }
-}
-
 void emit_float_array(std::string& out, const std::string& name, const nn::Tensor& tensor) {
   out += format("static const float %s[%zu] = {\n", name.c_str(), tensor.size());
   std::string line = "  ";
@@ -347,10 +330,27 @@ void emit_fixed_helpers(std::string& out, const FixedPointFormat& fmt) {
 
 }  // namespace
 
+void check_emittable(const NetworkDescriptor& descriptor, const nn::Network& net) {
+  // The trained network must have exactly the architecture the descriptor
+  // describes (the weight file belongs to this design).
+  const nn::Network expected = descriptor.build_network();
+  bool mismatch = expected.layer_count() != net.layer_count() ||
+                  expected.input_shape() != net.input_shape();
+  for (std::size_t i = 0; !mismatch && i < expected.layer_count(); ++i) {
+    mismatch = expected.layer(i).kind() != net.layer(i).kind() ||
+               expected.shape_after(i) != net.shape_after(i);
+  }
+  if (mismatch) {
+    throw DescriptorError(format(
+        "generate_cpp: network does not match descriptor '%s' (layer structure or "
+        "shapes differ); re-train or fix the descriptor", descriptor.name.c_str()));
+  }
+  if (descriptor.precision.is_fixed) descriptor.precision.fixed.validate();
+}
+
 std::string generate_cpp(const NetworkDescriptor& descriptor, const nn::Network& net,
                          const CodegenOptions& options) {
-  check_structure(descriptor, net);
-  if (descriptor.precision.is_fixed) descriptor.precision.fixed.validate();
+  check_emittable(descriptor, net);
 
   const std::size_t in_elems = net.input_shape().elements();
   const std::size_t classes = net.output_shape().elements();

@@ -36,8 +36,15 @@ struct CodegenOptions {
   std::string core_function = "cnn_core";
 };
 
-/// Emit the network source. `net` must structurally match `descriptor`
-/// (same layers in the same order); throws DescriptorError otherwise.
+/// The checks generate_cpp runs before it emits anything: `net` must
+/// structurally match `descriptor` (same layers in the same order, same
+/// shapes; DescriptorError otherwise) and a fixed-point precision must be a
+/// valid format (std::invalid_argument otherwise). Framework::analyze runs
+/// them too, so a design is rejected the same way whether or not it is
+/// emitted.
+void check_emittable(const NetworkDescriptor& descriptor, const nn::Network& net);
+
+/// Emit the network source. Runs check_emittable first.
 std::string generate_cpp(const NetworkDescriptor& descriptor, const nn::Network& net,
                          const CodegenOptions& options = {});
 

@@ -1,5 +1,8 @@
 #include "core/descriptor.hpp"
 
+#include <cmath>
+#include <limits>
+
 #include "hls/device.hpp"
 #include "util/strings.hpp"
 
@@ -28,6 +31,23 @@ std::size_t require_positive(const json::Value& obj, const std::string& key,
                                  key.c_str(), value));
   }
   return static_cast<std::size_t>(value);
+}
+
+/// A fixed-point precision's bit count. A missing or non-numeric field keeps
+/// the default; a non-integer or one outside int's range is rejected by name.
+int precision_bits(const json::Value& precision, const std::string& key, int fallback) {
+  const json::Value* v = precision.find(key);
+  if (v == nullptr || !v->is_number()) return fallback;
+  const double value = v->as_double();
+  if (std::nearbyint(value) != value) {
+    throw DescriptorError(format("descriptor: precision field '%s' must be an integer, got %g",
+                                 key.c_str(), value));
+  }
+  if (value < std::numeric_limits<int>::min() || value > std::numeric_limits<int>::max()) {
+    throw DescriptorError(format("descriptor: precision field '%s' is out of range, got %g",
+                                 key.c_str(), value));
+  }
+  return static_cast<int>(value);
 }
 
 std::optional<nn::ActKind> parse_activation(const json::Value& obj,
@@ -136,11 +156,10 @@ NetworkDescriptor NetworkDescriptor::from_json(const json::Value& doc) {
       if (precision->get_string("type", "") != "fixed") {
         throw DescriptorError("descriptor: precision object requires \"type\": \"fixed\"");
       }
-      const long total = precision->get_int("total_bits", 16);
-      const long frac = precision->get_int("frac_bits", 8);
+      const int total = precision_bits(*precision, "total_bits", 16);
+      const int frac = precision_bits(*precision, "frac_bits", 8);
       try {
-        d.precision = nn::NumericFormat::fixed_point(static_cast<int>(total),
-                                                     static_cast<int>(frac));
+        d.precision = nn::NumericFormat::fixed_point(total, frac);
       } catch (const std::invalid_argument& e) {
         throw DescriptorError(format("descriptor: %s", e.what()));
       }

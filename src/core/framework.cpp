@@ -19,33 +19,42 @@ void GeneratedDesign::write_to(const std::string& directory) const {
   util::write_file(directory + "/descriptor.json", descriptor.to_json().dump(/*pretty=*/true));
 }
 
-GeneratedDesign Framework::generate(const NetworkDescriptor& descriptor,
-                                    const nn::Network& trained) {
+DesignAnalysis Framework::analyze(const NetworkDescriptor& descriptor,
+                                 const nn::Network& trained) {
   descriptor.validate();
+  check_emittable(descriptor, trained);
 
-  GeneratedDesign design;
-  design.descriptor = descriptor;
-  design.cpp_file_name = util::sanitize_identifier(descriptor.name) + ".cpp";
-  design.cpp_source = generate_cpp(descriptor, trained);
-  design.tcl_files = generate_tcl_files(descriptor, trained);
+  DesignAnalysis analysis;
+  analysis.descriptor = descriptor;
 
   hls::FpgaDevice device = *hls::find_device(descriptor.board);
   if (descriptor.clock_mhz > 0.0) device.clock_mhz = descriptor.clock_mhz;
   const hls::DirectiveSet directives =
       descriptor.optimize ? hls::DirectiveSet::optimized() : hls::DirectiveSet::naive();
-  design.hls_report = hls::estimate(trained, directives, device, descriptor.precision,
-                                    descriptor.streamed_weights);
+  analysis.hls_report = hls::estimate(trained, directives, device, descriptor.precision,
+                                      descriptor.streamed_weights);
 
-  if (!design.hls_report.fits()) {
-    design.warnings.push_back(format(
+  if (!analysis.hls_report.fits()) {
+    analysis.warnings.push_back(format(
         "design '%s' exceeds the %s budget on: %s -- synthesis would fail placement",
         descriptor.name.c_str(), descriptor.board.c_str(),
-        util::join(design.hls_report.overflowing_resources(), ", ").c_str()));
+        util::join(analysis.hls_report.overflowing_resources(), ", ").c_str()));
   }
-  const double dsp_util = design.hls_report.util.dsp;
-  if (design.hls_report.fits() && dsp_util > 0.9) {
-    design.warnings.push_back("DSP utilization above 90%: little headroom for a larger network");
+  const double dsp_util = analysis.hls_report.util.dsp;
+  if (analysis.hls_report.fits() && dsp_util > 0.9) {
+    analysis.warnings.push_back("DSP utilization above 90%: little headroom for a larger network");
   }
+  return analysis;
+}
+
+GeneratedDesign Framework::generate(const NetworkDescriptor& descriptor,
+                                    const nn::Network& trained) {
+  // Braced initializers evaluate in order: analyze() rejects bad inputs
+  // before anything is emitted.
+  GeneratedDesign design{analyze(descriptor, trained),
+                         util::sanitize_identifier(descriptor.name) + ".cpp",
+                         generate_cpp(descriptor, trained),
+                         generate_tcl_files(descriptor, trained)};
 
   LOG_INFO("framework") << format("generated '%s' for %s: %llu cycles/image, fits=%d",
                                   descriptor.name.c_str(), descriptor.board.c_str(),

@@ -7,6 +7,11 @@
 //         substitute for running Vivado — the HLS simulator's latency and
 //         utilization report, with warnings when the design does not fit
 //         the selected board.
+//
+// Generation is two steps. `analyze` runs every check on the inputs, the
+// HLS estimate and the fit warnings, and emits nothing; `generate` is
+// `analyze` followed by the two emitters. Callers that need only the report
+// (the serving registry) call `analyze`.
 #pragma once
 
 #include <map>
@@ -21,13 +26,19 @@
 
 namespace cnn2fpga::core {
 
-struct GeneratedDesign {
+/// What is known of a design before anything is emitted: the descriptor, the
+/// HLS simulator's latency/utilization report and the fit warnings.
+struct DesignAnalysis {
   NetworkDescriptor descriptor;
+  hls::HlsReport hls_report;
+  std::vector<std::string> warnings;
+};
+
+/// An analyzed design plus its emitted artifacts.
+struct GeneratedDesign : DesignAnalysis {
   std::string cpp_file_name;   ///< "<name>.cpp"
   std::string cpp_source;
   std::map<std::string, std::string> tcl_files;
-  hls::HlsReport hls_report;
-  std::vector<std::string> warnings;
 
   /// Write every artifact (C++ + tcl + report.txt) into a directory.
   void write_to(const std::string& directory) const;
@@ -35,7 +46,14 @@ struct GeneratedDesign {
 
 class Framework {
  public:
-  /// Generate from a descriptor and an already-trained network. The network
+  /// Validate the descriptor, check that `trained` structurally matches it
+  /// and that its numeric format can be emitted, then run the HLS estimate
+  /// and derive the fit warnings. Throws exactly what generate() would throw
+  /// for the same inputs.
+  static DesignAnalysis analyze(const NetworkDescriptor& descriptor,
+                                const nn::Network& trained);
+
+  /// analyze(), then emit the C++ source and the tcl scripts. The network
   /// must structurally match the descriptor.
   static GeneratedDesign generate(const NetworkDescriptor& descriptor,
                                   const nn::Network& trained);
@@ -52,8 +70,9 @@ class Framework {
                                                       std::uint64_t seed);
 
   /// Content hash of (canonical descriptor JSON, weight blob): the serving
-  /// registry's cache key. generate() is a pure function of these two inputs,
-  /// so equal keys imply identical artifacts and an identical HLS report.
+  /// registry's cache key. analyze() and generate() are pure functions of
+  /// these two inputs, so equal keys imply an identical HLS report, warnings
+  /// and artifacts.
   static std::string cache_key(const NetworkDescriptor& descriptor,
                                const std::vector<std::uint8_t>& weight_file);
 };

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 #include "util/strings.hpp"
 
@@ -54,6 +55,12 @@ long Value::as_int() const {
   const double d = as_double();
   const double rounded = std::nearbyint(d);
   if (rounded != d) throw JsonError(format("expected integer, got %g", d));
+  // [-2^63, 2^63): both bounds are exact doubles, and every double in the
+  // range converts to long without overflow.
+  static_assert(std::numeric_limits<long>::digits == 63, "long must be 64-bit");
+  if (!(d >= -0x1p63 && d < 0x1p63)) {
+    throw JsonError(format("integer %g is outside the 64-bit range", d));
+  }
   return static_cast<long>(rounded);
 }
 

@@ -58,7 +58,8 @@ class Value {
   /// Typed accessors; throw JsonError on type mismatch.
   bool as_bool() const;
   double as_double() const;
-  /// as_int additionally rejects non-integral numbers.
+  /// as_int additionally rejects non-integral numbers and any number
+  /// outside [-2^63, 2^63).
   long as_int() const;
   const std::string& as_string() const;
   const Array& as_array() const;

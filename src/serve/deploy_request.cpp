@@ -1,0 +1,63 @@
+#include "serve/deploy_request.hpp"
+
+#include "serve/registry.hpp"
+#include "util/base64.hpp"
+#include "web/envelope.hpp"
+
+namespace cnn2fpga::serve {
+
+using web::api_error;
+
+std::optional<DeployRequest> parse_deploy_request(const std::string& body,
+                                                  web::HttpResponse* error) {
+  const auto reject = [error](web::HttpResponse response) -> std::optional<DeployRequest> {
+    if (error) *error = std::move(response);
+    return std::nullopt;
+  };
+
+  json::Value doc;
+  try {
+    doc = json::parse(body);
+  } catch (const json::JsonError& e) {
+    return reject(api_error(400, "bad_json", "request body is not valid JSON", e.what()));
+  }
+
+  // A string "precision" selects the serving arithmetic; the descriptor
+  // parser keeps its own "precision" key for codegen ("float32" or a fixed
+  // object), so the serve-level string is consumed here and the descriptor
+  // sees the spelling it understands. Fixed objects pass through untouched.
+  DeployRequest request;
+  if (const json::Value* requested = doc.find("precision");
+      requested != nullptr && requested->is_string()) {
+    if (!nn::parse_serve_precision(requested->as_string(), request.precision)) {
+      return reject(api_error(400, "bad_request",
+                              "deploy: precision must be one of float32, int16, int8"));
+    }
+    doc.as_object()["precision"] = "float32";
+  }
+
+  try {
+    request.descriptor = core::NetworkDescriptor::from_json(doc);
+  } catch (const core::DescriptorError& e) {
+    return reject(api_error(400, "bad_descriptor", e.what()));
+  }
+
+  try {
+    if (const json::Value* encoded = doc.find("weights_base64"); encoded != nullptr) {
+      auto bytes = util::base64_decode(encoded->as_string());
+      if (!bytes) {
+        return reject(api_error(400, "bad_request", "weights_base64 is not valid base64"));
+      }
+      request.weights = std::move(*bytes);
+    } else {
+      const std::uint64_t seed = static_cast<std::uint64_t>(doc.get_int("seed", 1));
+      request.weights = seeded_weights(request.descriptor, seed);
+    }
+  } catch (const json::JsonError& e) {
+    // weights_base64 that is not a string, a seed that is not an integer.
+    return reject(api_error(400, "bad_request", e.what()));
+  }
+  return request;
+}
+
+}  // namespace cnn2fpga::serve

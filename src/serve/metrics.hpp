@@ -113,7 +113,7 @@ class Histogram {
 struct ServeMetrics {
   // Deploy path.
   Counter deploys;            ///< total deploy requests that reached the registry
-  Counter deploy_cache_hits;  ///< deploys satisfied without regeneration
+  Counter deploy_cache_hits;  ///< deploys answered by a resident design
   Counter deploy_evictions;   ///< designs dropped by the LRU bound
 
   // Predict path.

@@ -62,7 +62,7 @@ QuantReport validate_quantized(DeployedDesign& design) {
 
 double DeployedDesign::invocation_seconds(std::size_t images) const {
   if (images == 0) return 0.0;
-  const hls::HlsReport& report = design.hls_report;
+  const hls::HlsReport& report = analysis.hls_report;
   if (images == 1) {
     // One blocking round trip: ioctl into the DMA driver, cache flush and
     // invalidate, interrupt wake-up (axi::kBlockingDriverSeconds).
@@ -85,6 +85,14 @@ std::string design_key(const core::NetworkDescriptor& descriptor,
     key += nn::serve_precision_name(precision);
   }
   return key;
+}
+
+std::vector<std::uint8_t> seeded_weights(const core::NetworkDescriptor& descriptor,
+                                         std::uint64_t seed) {
+  nn::Network net = descriptor.build_network();
+  util::Rng rng(seed);
+  net.init_weights(rng);
+  return nn::serialize_weights(net);
 }
 
 DesignRegistry::DesignRegistry(std::size_t capacity, ServeMetrics* metrics,
@@ -111,8 +119,8 @@ DeployOutcome DesignRegistry::deploy(const core::NetworkDescriptor& descriptor,
     ++stats_.misses;
   }
 
-  // Fault site: exercised before the expensive generation so an injected
-  // deploy failure costs nothing and leaves no half-built state behind.
+  // Fault site: exercised before the analysis so an injected deploy failure
+  // costs nothing and leaves no half-built state behind.
   if (faults_ != nullptr) {
     faults_->inject_latency("registry.deploy");
     if (faults_->should_fail_alloc("registry.deploy")) throw std::bad_alloc();
@@ -121,14 +129,14 @@ DeployOutcome DesignRegistry::deploy(const core::NetworkDescriptor& descriptor,
     }
   }
 
-  // Generate outside the lock: the pipeline (codegen + HLS estimate) is the
-  // expensive part, and concurrent deploys of *different* designs should not
-  // serialize on it. A racing deploy of the same key is resolved below.
+  // Build and analyze outside the lock: concurrent deploys of *different*
+  // designs should not serialize on it. A racing deploy of the same key is
+  // resolved below.
   nn::Network net = descriptor.build_network();
   nn::deserialize_weights(net, weights);
-  core::GeneratedDesign generated = core::Framework::generate(descriptor, net);
+  core::DesignAnalysis analysis = core::Framework::analyze(descriptor, net);
   auto fresh = std::make_shared<DeployedDesign>(
-      key, std::move(generated), std::move(net), std::move(weights), precision,
+      key, std::move(analysis), std::move(net), std::move(weights), precision,
       breaker_config_, metrics_ != nullptr ? &metrics_->breaker_opens : nullptr);
   if (precision != nn::ServePrecision::kFloat32) {
     // Anchor the quantized instance to the fixed-point accuracy model before
@@ -169,10 +177,7 @@ DeployOutcome DesignRegistry::deploy(const core::NetworkDescriptor& descriptor,
 DeployOutcome DesignRegistry::deploy_random(const core::NetworkDescriptor& descriptor,
                                             std::uint64_t seed,
                                             nn::ServePrecision precision) {
-  nn::Network net = descriptor.build_network();
-  util::Rng rng(seed);
-  net.init_weights(rng);
-  return deploy(descriptor, nn::serialize_weights(net), precision);
+  return deploy(descriptor, seeded_weights(descriptor, seed), precision);
 }
 
 std::shared_ptr<DeployedDesign> DesignRegistry::find(const std::string& id) const {

@@ -1,13 +1,14 @@
 // Content-addressed registry of deployed designs.
 //
-// Deploying a design means running the whole cnn2fpga pipeline — descriptor
-// validation, C++/tcl generation, the HLS latency/utilization estimate — and
-// materializing a ready-to-run reference network. All of that is a pure
-// function of (descriptor JSON, weight blob), so the registry keys deployed
-// designs by Framework::cache_key over exactly those inputs: a repeat deploy
-// of the same network is a cache hit that skips regeneration entirely and
-// returns the already-warm instance. Capacity is LRU-bounded; evicted designs
-// stay alive (shared_ptr) until their last in-flight batch completes.
+// Deploying a design means analyzing it (Framework::analyze: descriptor and
+// network checks, the HLS latency/utilization estimate, fit warnings) and
+// materializing a ready-to-run reference network. Serving reads only the
+// analysis, so a deploy emits no C++ or tcl. All of that is a pure function
+// of (descriptor JSON, weight blob), so the registry keys deployed designs by
+// Framework::cache_key over exactly those inputs: a repeat deploy of the same
+// network is a cache hit that skips the analysis entirely and returns the
+// already-warm instance. Capacity is LRU-bounded; evicted designs stay alive
+// (shared_ptr) until their last in-flight batch completes.
 #pragma once
 
 #include <array>
@@ -73,12 +74,12 @@ struct QuantReport {
 /// physical IP core, and AcceleratorBackend enforces a single in-flight
 /// invocation (see backend/accel_backend.hpp).
 struct DeployedDesign {
-  DeployedDesign(std::string id_in, core::GeneratedDesign design_in, nn::Network net_in,
+  DeployedDesign(std::string id_in, core::DesignAnalysis analysis_in, nn::Network net_in,
                  std::vector<std::uint8_t> weights_in,
                  nn::ServePrecision precision_in = nn::ServePrecision::kFloat32,
                  BreakerConfig breaker_config = {}, Counter* breaker_opens = nullptr)
       : id(std::move(id_in)),
-        design(std::move(design_in)),
+        analysis(std::move(analysis_in)),
         net(std::move(net_in)),
         weights(std::move(weights_in)),
         precision(precision_in),
@@ -93,7 +94,7 @@ struct DeployedDesign {
   }
 
   const std::string id;                      ///< content hash (cache key)
-  const core::GeneratedDesign design;        ///< artifacts + HLS report
+  const core::DesignAnalysis analysis;       ///< descriptor, HLS report, warnings
   const nn::Network net;                     ///< weights loaded, ready to run
   const std::vector<std::uint8_t> weights;   ///< canonical CNN2FPGAW1 blob
   const nn::ServePrecision precision;        ///< serving arithmetic of every batch
@@ -118,9 +119,9 @@ struct DeployedDesign {
     return backends[backend_index(backend)];
   }
 
-  const core::NetworkDescriptor& descriptor() const { return design.descriptor; }
+  const core::NetworkDescriptor& descriptor() const { return analysis.descriptor; }
   /// Estimated per-image latency of the generated hardware (HLS report).
-  double hls_latency_seconds() const { return design.hls_report.latency_seconds(); }
+  double hls_latency_seconds() const { return analysis.hls_report.latency_seconds(); }
 
   /// Modeled wall time of one invocation of the deployed accelerator serving
   /// `images` at once, using the axi::BlockDesign transaction model: a single
@@ -144,6 +145,12 @@ struct DeployedDesign {
 /// shard router places designs by this same key.
 std::string design_key(const core::NetworkDescriptor& descriptor,
                        const std::vector<std::uint8_t>& weights, nn::ServePrecision precision);
+
+/// The CNN2FPGAW1 blob a seed stands for: the descriptor's network with
+/// init_weights(Rng(seed)) (paper Test 4's random weights). Deploying the
+/// seed and deploying this blob explicitly are the same design.
+std::vector<std::uint8_t> seeded_weights(const core::NetworkDescriptor& descriptor,
+                                         std::uint64_t seed);
 
 struct DeployOutcome {
   std::shared_ptr<DeployedDesign> design;
@@ -181,7 +188,7 @@ class DesignRegistry {
                        nn::ServePrecision precision = nn::ServePrecision::kFloat32);
 
   /// Deploy with seed-derived random weights (paper Test 4 style). The seed
-  /// is expanded to a concrete weight blob first, so the same seed is
+  /// is expanded by seeded_weights() first, so the same seed is
   /// content-identical to — and cache-hits against — an explicit-weights
   /// deploy of those values.
   DeployOutcome deploy_random(const core::NetworkDescriptor& descriptor, std::uint64_t seed,

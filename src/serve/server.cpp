@@ -6,6 +6,7 @@
 
 #include "serve/backend/accel_backend.hpp"
 #include "serve/backend/cpu_backend.hpp"
+#include "serve/deploy_request.hpp"
 #include "util/base64.hpp"
 #include "util/strings.hpp"
 #include "web/envelope.hpp"
@@ -91,9 +92,9 @@ json::Object design_summary(const DeployedDesign& deployed) {
   }
   out["input"] = deployed.net.input_shape().to_string();
   out["classes"] = descriptor.num_classes();
-  out["latency_cycles"] = deployed.design.hls_report.latency_cycles;
+  out["latency_cycles"] = deployed.analysis.hls_report.latency_cycles;
   out["latency_seconds"] = deployed.hls_latency_seconds();
-  out["fits"] = deployed.design.hls_report.fits();
+  out["fits"] = deployed.analysis.hls_report.fits();
   out["served"] = deployed.served.load(std::memory_order_relaxed);
   out["breaker"] = std::string(deployed.breaker.state_name());
   json::Object backends;
@@ -212,44 +213,14 @@ void ServingRuntime::shutdown() {
 web::HttpResponse ServingRuntime::handle_deploy(const web::HttpRequest& request) {
   if (stopped_.load()) return api_error(503, "shutdown", "serving runtime is shut down");
 
-  json::Value doc;
-  try {
-    doc = json::parse(request.body);
-  } catch (const json::JsonError& e) {
-    return api_error(400, "bad_json", "request body is not valid JSON", e.what());
-  }
-
-  // A string "precision" selects the serving arithmetic; the descriptor
-  // parser keeps its own "precision" key for codegen ("float32" or a fixed
-  // object), so the serve-level string is consumed here and the descriptor
-  // sees the spelling it understands. Fixed objects pass through untouched.
-  nn::ServePrecision precision = nn::ServePrecision::kFloat32;
-  if (const json::Value* requested = doc.find("precision");
-      requested != nullptr && requested->is_string()) {
-    if (!nn::parse_serve_precision(requested->as_string(), precision)) {
-      return api_error(400, "bad_request",
-                       "deploy: precision must be one of float32, int16, int8");
-    }
-    doc.as_object()["precision"] = "float32";
-  }
-
-  core::NetworkDescriptor descriptor;
-  try {
-    descriptor = core::NetworkDescriptor::from_json(doc);
-  } catch (const core::DescriptorError& e) {
-    return api_error(400, "bad_descriptor", e.what());
-  }
+  web::HttpResponse rejected;
+  std::optional<DeployRequest> parsed = parse_deploy_request(request.body, &rejected);
+  if (!parsed) return rejected;
 
   DeployOutcome outcome;
   try {
-    if (const json::Value* weights = doc.find("weights_base64"); weights != nullptr) {
-      const auto bytes = util::base64_decode(weights->as_string());
-      if (!bytes) return api_error(400, "bad_request", "weights_base64 is not valid base64");
-      outcome = registry_.deploy(descriptor, *bytes, precision);
-    } else {
-      const std::uint64_t seed = static_cast<std::uint64_t>(doc.get_int("seed", 1));
-      outcome = registry_.deploy_random(descriptor, seed, precision);
-    }
+    outcome =
+        registry_.deploy(parsed->descriptor, std::move(parsed->weights), parsed->precision);
   } catch (const InjectedFault& e) {
     return api_error(500, "internal", e.what());
   } catch (const std::bad_alloc&) {
@@ -267,7 +238,7 @@ web::HttpResponse ServingRuntime::handle_deploy(const web::HttpRequest& request)
   json::Object body = design_summary(*outcome.design);
   body["cache_hit"] = outcome.cache_hit;
   json::Array warnings;
-  for (const std::string& warning : outcome.design->design.warnings) {
+  for (const std::string& warning : outcome.design->analysis.warnings) {
     warnings.push_back(warning);
   }
   body["warnings"] = std::move(warnings);

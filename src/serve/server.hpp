@@ -2,8 +2,9 @@
 // web API.
 //
 // The paper's framework stops when the artifacts are generated; this layer is
-// the deployment half: POST /api/v1/deploy runs the generator (or hits the
-// content-addressed cache) and keeps a ready-to-run instance resident, and
+// the deployment half: POST /api/v1/deploy analyzes the design (HLS estimate
+// and fit warnings, no C++ or tcl; or hits the content-addressed cache) and
+// keeps a ready-to-run instance resident, and
 // POST /api/v1/predict pushes images through the micro-batching pipeline against
 // a deployed design. Handlers follow the same transport-free convention as
 // web::handle_* so the test suite can exercise them without sockets.

@@ -3,14 +3,10 @@
 #include <algorithm>
 #include <chrono>
 
-#include "core/descriptor.hpp"
-#include "nn/quantize.hpp"
-#include "nn/serialize.hpp"
+#include "serve/deploy_request.hpp"
 #include "serve/metrics.hpp"
 #include "serve/registry.hpp"
-#include "util/base64.hpp"
 #include "util/logging.hpp"
-#include "util/rng.hpp"
 #include "util/strings.hpp"
 #include "web/envelope.hpp"
 
@@ -129,63 +125,9 @@ void fix_fleet_rates(json::Object& fleet) {
 
 std::optional<std::string> compute_design_key(const std::string& body,
                                               web::HttpResponse* error) {
-  json::Value doc;
-  try {
-    doc = json::parse(body);
-  } catch (const json::JsonError& e) {
-    if (error) *error = api_error(400, "bad_json", "request body is not valid JSON", e.what());
-    return std::nullopt;
-  }
-
-  // Mirror ServingRuntime::handle_deploy exactly: consume a serve-level
-  // string "precision", feed the descriptor parser the spelling it knows.
-  nn::ServePrecision precision = nn::ServePrecision::kFloat32;
-  if (const json::Value* requested = doc.find("precision");
-      requested != nullptr && requested->is_string()) {
-    if (!nn::parse_serve_precision(requested->as_string(), precision)) {
-      if (error) {
-        *error = api_error(400, "bad_request",
-                           "deploy: precision must be one of float32, int16, int8");
-      }
-      return std::nullopt;
-    }
-    doc.as_object()["precision"] = "float32";
-  }
-
-  core::NetworkDescriptor descriptor;
-  try {
-    descriptor = core::NetworkDescriptor::from_json(doc);
-  } catch (const core::DescriptorError& e) {
-    if (error) *error = api_error(400, "bad_descriptor", e.what());
-    return std::nullopt;
-  }
-
-  try {
-    std::vector<std::uint8_t> weights;
-    if (const json::Value* encoded = doc.find("weights_base64"); encoded != nullptr) {
-      const auto bytes = util::base64_decode(encoded->as_string());
-      if (!bytes) {
-        if (error) *error = api_error(400, "bad_request", "weights_base64 is not valid base64");
-        return std::nullopt;
-      }
-      weights = *bytes;
-    } else {
-      // deploy_random's expansion: the key must match what the worker's
-      // registry computes from the same (descriptor, seed).
-      const std::uint64_t seed = static_cast<std::uint64_t>(doc.get_int("seed", 1));
-      nn::Network net = descriptor.build_network();
-      util::Rng rng(seed);
-      net.init_weights(rng);
-      weights = nn::serialize_weights(net);
-    }
-    return design_key(descriptor, weights, precision);
-  } catch (const json::JsonError& e) {
-    if (error) *error = api_error(400, "bad_request", e.what());
-    return std::nullopt;
-  } catch (const std::exception& e) {
-    if (error) *error = api_error(400, "bad_request", e.what());
-    return std::nullopt;
-  }
+  const std::optional<DeployRequest> request = parse_deploy_request(body, error);
+  if (!request) return std::nullopt;
+  return design_key(request->descriptor, request->weights, request->precision);
 }
 
 Router::Router(RouterConfig config)

@@ -75,9 +75,11 @@ struct RouterConfig {
   JournalConfig journal;
 };
 
-/// Registry-identical content key for a deploy request body, or std::nullopt
-/// with `*error` filled with the same 400 the worker would have answered.
-/// Exposed for tests and the bench harness (offline placement planning).
+/// Registry-identical content key for a deploy request body: serve::design_key
+/// over what parse_deploy_request (the worker's own deploy parser) returns,
+/// or std::nullopt with `*error` filled with the 400 the worker would have
+/// answered. Exposed for tests and the bench harness (offline placement
+/// planning).
 std::optional<std::string> compute_design_key(const std::string& body,
                                               web::HttpResponse* error);
 

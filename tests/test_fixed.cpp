@@ -291,6 +291,28 @@ TEST(FixedDescriptor, RejectsBadPrecision) {
                core::DescriptorError);
 }
 
+TEST(FixedDescriptor, RejectsBitCountsThatAreNotIntsByName) {
+  const auto message_for = [](const char* total, const char* frac) -> std::string {
+    try {
+      core::NetworkDescriptor::from_json_text(util::format(R"({
+        "precision": {"type": "fixed", "total_bits": %s, "frac_bits": %s},
+        "input": {"channels": 1, "height": 8, "width": 8},
+        "layers": [{"type": "linear", "neurons": 4}]})", total, frac));
+    } catch (const core::DescriptorError& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  EXPECT_EQ(message_for("16.5", "8"),
+            "descriptor: precision field 'total_bits' must be an integer, got 16.5");
+  EXPECT_EQ(message_for("16", "1e300"),
+            "descriptor: precision field 'frac_bits' is out of range, got 1e+300");
+  // 2^32 + 16 once wrapped to a valid 16.
+  EXPECT_EQ(message_for("4294967312", "8"),
+            "descriptor: precision field 'total_bits' is out of range, got 4.29497e+09");
+  EXPECT_EQ(message_for("16", "8"), "accepted");
+}
+
 // --------------------------------------------------------------- HLS effects
 
 TEST(FixedHls, QuantizationCutsDspAndBram) {

@@ -141,6 +141,19 @@ TEST(JsonValue, TypedAccessErrors) {
   EXPECT_NO_THROW(json::Value(2.0).as_int());
 }
 
+TEST(JsonValue, AsIntAcceptsExactlyTheLongRange) {
+  // Every integer-valued double in [-2^63, 2^63) converts; nothing outside.
+  EXPECT_EQ(json::Value(-0x1p63).as_int(), std::numeric_limits<long>::min());
+  const double largest_below = std::nextafter(0x1p63, 0.0);
+  EXPECT_EQ(json::Value(largest_below).as_int(), static_cast<long>(largest_below));
+  EXPECT_THROW(json::Value(0x1p63).as_int(), json::JsonError);
+  EXPECT_THROW(json::Value(1e300).as_int(), json::JsonError);
+  EXPECT_THROW(json::Value(-1e300).as_int(), json::JsonError);
+  // INT64_MAX as JSON text parses to the double 2^63.
+  EXPECT_THROW(json::parse("9223372036854775807").as_int(), json::JsonError);
+  EXPECT_THROW(json::parse(R"({"seed": 1e19})").get_int("seed", 1), json::JsonError);
+}
+
 TEST(JsonValue, TypedLookupsWithDefaults) {
   const auto v = json::parse(R"({"i": 3, "d": 1.5, "b": true, "s": "x"})");
   EXPECT_EQ(v.get_int("i", 0), 3);

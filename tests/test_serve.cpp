@@ -14,6 +14,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "core/framework.hpp"
 #include "json/json.hpp"
 #include "nn/fixed_inference.hpp"
 #include "serve/server.hpp"
@@ -878,6 +879,68 @@ TEST(ServeApi, DeployRejectsUnsupportedSchemaVersion) {
   const auto response = runtime.handle_deploy(request);
   EXPECT_EQ(response.status, 400);
   EXPECT_EQ(error_code(response), "bad_descriptor");
+}
+
+TEST(ServeApi, DeployRejectsOutOfRangeNumbersAsClientErrors) {
+  ServingRuntime runtime;
+  web::HttpRequest request;
+  // A seed outside 64 bits was cast with undefined behaviour.
+  json::Value doc = json::parse(deploy_body("huge_seed"));
+  doc.as_object()["seed"] = 1e300;
+  request.body = doc.dump();
+  web::HttpResponse response = runtime.handle_deploy(request);
+  EXPECT_EQ(response.status, 400);
+  EXPECT_EQ(error_code(response), "bad_request");
+
+  // A fractional fixed-point width is a bad descriptor, not a server fault.
+  doc = json::parse(deploy_body("half_bit"));
+  doc.as_object()["precision"] =
+      json::parse(R"({"type": "fixed", "total_bits": 16.5, "frac_bits": 8})");
+  request.body = doc.dump();
+  response = runtime.handle_deploy(request);
+  EXPECT_EQ(response.status, 400);
+  EXPECT_EQ(error_code(response), "bad_descriptor");
+  EXPECT_NE(response.body.find("total_bits"), std::string::npos) << response.body;
+}
+
+TEST(ServeApi, DeployReportsWhatTheGeneratorReports) {
+  // Deploy only analyzes a design; its HLS summary and warnings must still be
+  // exactly what Framework::generate reports for the same descriptor and
+  // weights, for a design that fits and for one that overflows the Zybo.
+  const std::string over_budget = R"({"name": "monster", "board": "zybo",
+      "optimize": true, "seed": 1, "input": {"channels": 3, "height": 32, "width": 32},
+      "layers": [
+        {"type": "conv", "feature_maps_out": 8, "kernel": 5,
+         "pool": {"type": "max", "kernel": 2, "step": 2}},
+        {"type": "linear", "neurons": 160},
+        {"type": "linear", "neurons": 10}]})";
+  ServingRuntime runtime;
+  for (const std::string& body : {deploy_body("fits", 3), over_budget}) {
+    web::HttpRequest request;
+    request.body = body;
+    const web::HttpResponse response = runtime.handle_deploy(request);
+    ASSERT_EQ(response.status, 200) << response.body;
+    const json::Value served = json::parse(response.body);
+
+    const json::Value doc = json::parse(body);
+    const auto seed = static_cast<std::uint64_t>(doc.at("seed").as_int());
+    const core::GeneratedDesign generated = core::Framework::generate_with_random_weights(
+        core::NetworkDescriptor::from_json(doc), seed);
+    EXPECT_EQ(static_cast<std::uint64_t>(served.at("latency_cycles").as_int()),
+              generated.hls_report.latency_cycles);
+    EXPECT_EQ(served.at("latency_seconds").as_double(), generated.hls_report.latency_seconds());
+    EXPECT_EQ(served.at("fits").as_bool(), generated.hls_report.fits());
+    std::vector<std::string> warnings;
+    for (const json::Value& warning : served.at("warnings").as_array()) {
+      warnings.push_back(warning.as_string());
+    }
+    EXPECT_EQ(warnings, generated.warnings);
+  }
+  // The corpus covers both sides of the fit check.
+  const auto listed = json::parse(runtime.handle_designs(web::HttpRequest{}).body);
+  ASSERT_EQ(listed.at("designs").as_array().size(), 2u);
+  EXPECT_FALSE(listed.at("designs").as_array()[0].at("fits").as_bool());
+  EXPECT_TRUE(listed.at("designs").as_array()[1].at("fits").as_bool());
 }
 
 TEST(ServeApi, DeployRejectsMismatchedWeights) {

@@ -33,6 +33,7 @@
 #include "serve/shard/ring.hpp"
 #include "serve/shard/router.hpp"
 #include "serve/shard/supervisor.hpp"
+#include "util/base64.hpp"
 #include "util/fileio.hpp"
 #include "util/strings.hpp"
 #include "web/http_client.hpp"
@@ -633,6 +634,57 @@ TEST(Router, ComputeDesignKeyMatchesRegistry) {
 
   EXPECT_FALSE(shard::compute_design_key("{not json", &error).has_value());
   EXPECT_EQ(error.status, 400);
+}
+
+TEST(Router, DesignKeyAndWorkerDeployAgreeOnEveryBody) {
+  // The router's key and the worker's deploy come from one body parser: each
+  // body gets the same design id, or byte for byte the same 400, from both.
+  const auto with = [](const std::string& body, const std::string& key, json::Value value) {
+    json::Value doc = json::parse(body);
+    doc.as_object()[key] = std::move(value);
+    return doc.dump();
+  };
+  const std::string base = deploy_body("agree", 13);
+  const core::NetworkDescriptor descriptor = core::NetworkDescriptor::from_json_text(base);
+  const std::vector<std::string> accepted = {
+      base,
+      with(base, "weights_base64", util::base64_encode(seeded_weights(descriptor, 21))),
+      with(base, "precision", "int8"),
+  };
+  const std::vector<std::string> rejected = {
+      "{not json",
+      with(base, "precision", "int4"),
+      with(base, "schema_version", 2),
+      with(base, "weights_base64", 42),
+      with(base, "weights_base64", "not base64!"),
+      with(base, "seed", 1.5),
+      // Seeds outside 64 bits once cast with undefined behaviour to one id.
+      with(base, "seed", 1e300),
+      with(base, "seed", 1e19),
+      with(base, "seed", -1e19),
+      with(base, "seed", json::parse("9223372036854775807")),
+      with(base, "input", json::parse(R"({"channels": 1e300, "height": 8, "width": 8})")),
+      with(base, "precision",
+           json::parse(R"({"type": "fixed", "total_bits": 16.5, "frac_bits": 8})")),
+  };
+
+  ServingRuntime runtime(InProcWorker::make_config());
+  for (const std::string& body : accepted) {
+    web::HttpResponse error;
+    const auto key = shard::compute_design_key(body, &error);
+    ASSERT_TRUE(key.has_value()) << body << "\n" << error.body;
+    const web::HttpResponse deployed = runtime.handle_deploy(post(body));
+    ASSERT_EQ(deployed.status, 200) << body << "\n" << deployed.body;
+    EXPECT_EQ(*key, json::parse(deployed.body).at("design_id").as_string()) << body;
+  }
+  for (const std::string& body : rejected) {
+    web::HttpResponse error;
+    EXPECT_FALSE(shard::compute_design_key(body, &error).has_value()) << body;
+    const web::HttpResponse refused = runtime.handle_deploy(post(body));
+    EXPECT_EQ(refused.status, 400) << body << "\n" << refused.body;
+    EXPECT_EQ(error.status, refused.status) << body;
+    EXPECT_EQ(error.body, refused.body) << body;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <tuple>
+#include <typeinfo>
 
 #include "core/framework.hpp"
 #include "util/fileio.hpp"
@@ -137,6 +138,153 @@ TEST_P(GenerationConfigSweep, EveryConfigurationGeneratesConsistently) {
 INSTANTIATE_TEST_SUITE_P(Grid, GenerationConfigSweep,
                          ::testing::Combine(::testing::Bool(), ::testing::Bool(),
                                             ::testing::Bool()));
+
+// ------------------------------------------------- analysis vs generation
+
+namespace {
+
+/// "<dynamic type>: <what()>" of the exception `run` throws, or "" if none.
+template <typename Fn>
+std::string thrown_by(Fn&& run) {
+  try {
+    run();
+  } catch (const std::exception& e) {
+    return std::string(typeid(e).name()) + ": " + e.what();
+  }
+  return "";
+}
+
+/// Framework::analyze must throw exactly what generate throws, and otherwise
+/// report what generate reports: the emitters are no check of their own.
+/// Returns analyze's exception ("" when it succeeded).
+std::string expect_analyze_matches_generate(const core::NetworkDescriptor& d,
+                                            const nn::Network& net) {
+  core::DesignAnalysis analysis;
+  core::GeneratedDesign design;
+  const std::string analyze_error =
+      thrown_by([&] { analysis = core::Framework::analyze(d, net); });
+  const std::string generate_error =
+      thrown_by([&] { design = core::Framework::generate(d, net); });
+  EXPECT_EQ(analyze_error, generate_error) << d.name;
+  if (analyze_error.empty() && generate_error.empty()) {
+    const hls::HlsReport& a = analysis.hls_report;
+    const hls::HlsReport& g = design.hls_report;
+    EXPECT_EQ(a.to_string(), g.to_string()) << d.name;
+    EXPECT_EQ(a.latency_cycles, g.latency_cycles) << d.name;
+    EXPECT_EQ(a.interval_cycles, g.interval_cycles) << d.name;
+    EXPECT_EQ(a.weight_load_cycles, g.weight_load_cycles) << d.name;
+    EXPECT_EQ(a.latency_seconds(), g.latency_seconds()) << d.name;
+    EXPECT_EQ(a.fits(), g.fits()) << d.name;
+    EXPECT_EQ(analysis.warnings, design.warnings) << d.name;
+    EXPECT_EQ(analysis.descriptor.to_json().dump(), design.descriptor.to_json().dump());
+  }
+  return analyze_error;
+}
+
+nn::Network seeded_network(const core::NetworkDescriptor& d, std::uint64_t seed) {
+  nn::Network net = d.build_network();
+  util::Rng rng(seed);
+  net.init_weights(rng);
+  return net;
+}
+
+/// The paper's four case studies (Sec. V): USPS Tests 1-3 and CIFAR-10 Test 4.
+const char* const kCaseStudies[] = {
+    R"({"name": "usps_test1", "input": {"channels": 1, "height": 16, "width": 16},
+        "layers": [{"type": "conv", "feature_maps_out": 6, "kernel": 5,
+                    "pool": {"type": "max", "kernel": 2}},
+                   {"type": "linear", "neurons": 10}]})",
+    R"({"name": "usps_test2", "optimize": true,
+        "input": {"channels": 1, "height": 16, "width": 16},
+        "layers": [{"type": "conv", "feature_maps_out": 6, "kernel": 5,
+                    "pool": {"type": "max", "kernel": 2}},
+                   {"type": "linear", "neurons": 10}]})",
+    R"({"name": "usps_test3", "optimize": true,
+        "input": {"channels": 1, "height": 16, "width": 16},
+        "layers": [{"type": "conv", "feature_maps_out": 6, "kernel": 5,
+                    "pool": {"type": "max", "kernel": 2}},
+                   {"type": "conv", "feature_maps_out": 16, "kernel": 5},
+                   {"type": "linear", "neurons": 10}]})",
+    R"({"name": "cifar10_test4", "optimize": true,
+        "input": {"channels": 3, "height": 32, "width": 32},
+        "layers": [{"type": "conv", "feature_maps_out": 12, "kernel": 5,
+                    "pool": {"type": "max", "kernel": 2}},
+                   {"type": "conv", "feature_maps_out": 36, "kernel": 5,
+                    "pool": {"type": "max", "kernel": 2}},
+                   {"type": "linear", "neurons": 36, "tanh": true},
+                   {"type": "linear", "neurons": 10}]})",
+};
+
+}  // namespace
+
+TEST_P(GenerationConfigSweep, AnalyzeReportsWhatGenerateReports) {
+  const auto [optimize, streamed, fixed] = GetParam();
+  const core::NetworkDescriptor d = sweep_descriptor(optimize, streamed, fixed);
+  EXPECT_EQ(expect_analyze_matches_generate(d, seeded_network(d, 5)), "");
+}
+
+TEST(AnalyzeVsGenerate, PaperCaseStudies) {
+  for (const char* text : kCaseStudies) {
+    const core::NetworkDescriptor d = core::NetworkDescriptor::from_json_text(text);
+    EXPECT_EQ(expect_analyze_matches_generate(d, seeded_network(d, 1)), "") << d.name;
+  }
+}
+
+TEST(AnalyzeVsGenerate, RejectionsAndWarningsComeBeforeEmission) {
+  const auto test1 = core::NetworkDescriptor::from_json_text(kCaseStudies[0]);
+  const auto test3 = core::NetworkDescriptor::from_json_text(kCaseStudies[2]);
+
+  // A trained network whose structure is not the descriptor's.
+  EXPECT_NE(expect_analyze_matches_generate(test1, seeded_network(test3, 1))
+                .find("network does not match descriptor"),
+            std::string::npos);
+
+  // An invalid fixed format set on a hand-built descriptor (from_json would
+  // refuse it, validate() does not look at it).
+  core::NetworkDescriptor bad_fixed = test1;
+  bad_fixed.precision.is_fixed = true;
+  bad_fixed.precision.fixed = FixedPointFormat{40, 8};
+  EXPECT_NE(expect_analyze_matches_generate(bad_fixed, seeded_network(test1, 1))
+                .find("total_bits 40"),
+            std::string::npos);
+
+  // A descriptor mutated after parsing into an invalid one.
+  core::NetworkDescriptor no_board = test1;
+  no_board.board = "de10";
+  EXPECT_NE(expect_analyze_matches_generate(no_board, seeded_network(test1, 1)).find("de10"),
+            std::string::npos);
+
+  // The over-budget Zybo design of test_failure_injection is flagged with
+  // warnings, not rejected.
+  const auto over_budget = core::NetworkDescriptor::from_json_text(
+      R"({"name": "monster", "board": "zybo", "optimize": true,
+          "input": {"channels": 3, "height": 32, "width": 32},
+          "layers": [{"type": "conv", "feature_maps_out": 8, "kernel": 5,
+                      "pool": {"type": "max", "kernel": 2}},
+                     {"type": "linear", "neurons": 160},
+                     {"type": "linear", "neurons": 10}]})");
+  const nn::Network net = seeded_network(over_budget, 1);
+  EXPECT_EQ(expect_analyze_matches_generate(over_budget, net), "");
+  const core::DesignAnalysis analysis = core::Framework::analyze(over_budget, net);
+  EXPECT_FALSE(analysis.hls_report.fits());
+  EXPECT_FALSE(analysis.warnings.empty());
+
+  // A design that fits the Zybo with under 10% of its DSPs to spare.
+  const auto dsp_bound = core::NetworkDescriptor::from_json_text(
+      R"({"name": "dsp_bound", "board": "zybo", "optimize": true,
+          "input": {"channels": 1, "height": 16, "width": 16},
+          "layers": [{"type": "conv", "feature_maps_out": 4, "kernel": 3},
+                     {"type": "conv", "feature_maps_out": 4, "kernel": 3},
+                     {"type": "linear", "neurons": 8},
+                     {"type": "linear", "neurons": 8}]})");
+  const nn::Network dsp_net = seeded_network(dsp_bound, 1);
+  EXPECT_EQ(expect_analyze_matches_generate(dsp_bound, dsp_net), "");
+  const core::DesignAnalysis tight = core::Framework::analyze(dsp_bound, dsp_net);
+  EXPECT_TRUE(tight.hls_report.fits());
+  EXPECT_EQ(tight.warnings,
+            std::vector<std::string>{
+                "DSP utilization above 90%: little headroom for a larger network"});
+}
 
 // --------------------------------------------------------- codegen golden
 
