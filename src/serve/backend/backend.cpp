@@ -29,6 +29,12 @@ void InferenceBackend::dispatch(std::function<void()> task) {
   }
 }
 
+Executor::Slot InferenceBackend::begin_inline() {
+  Executor::Slot slot = try_claim_slot();
+  if (slot) inflight_.fetch_add(1, std::memory_order_relaxed);
+  return slot;
+}
+
 void run_reference_batch(DeployedDesign& design,
                          std::span<const tensor::Tensor* const> inputs,
                          std::span<tensor::Tensor> outputs) {

@@ -16,11 +16,12 @@
 //
 // The interface carries everything the cost-model placer needs: a per-batch
 // execution-time estimate, the backend's concurrency (slots), and live
-// queue-depth/inflight signals maintained by dispatch(). run_batch() is the
-// compute itself — called from whatever execution resource do_submit chose —
-// and fails as a unit: one exception fails every image in the batch (inputs
-// are shape-validated at predict(), so an execution failure is environmental,
-// not per-request).
+// queue-depth/inflight signals maintained by dispatch() and begin_inline().
+// run_batch() is the compute itself — called from whatever execution
+// resource do_submit chose, or from the submitting thread when it claimed an
+// idle slot — and fails as a unit: one exception fails every image in the
+// batch (inputs are shape-validated at predict(), so an execution failure is
+// environmental, not per-request).
 #pragma once
 
 #include <atomic>
@@ -29,6 +30,7 @@
 #include <span>
 
 #include "serve/backend/ids.hpp"
+#include "serve/executor.hpp"
 #include "serve/registry.hpp"
 #include "tensor/tensor.hpp"
 
@@ -80,9 +82,19 @@ class InferenceBackend {
   /// after the backend's resource has shut down.
   void dispatch(std::function<void()> task);
 
+  /// Claim an idle slot of this backend's execution resource so the calling
+  /// thread can run one batch itself. The batch counts in inflight(), as a
+  /// dispatched one does while it executes, until end_inline(); the slot
+  /// goes back to the resource when the returned Slot is destroyed. Empty
+  /// when no slot is idle, and always for a backend whose batches must run
+  /// on its own resource (the accelerator's driver thread). Never blocks.
+  Executor::Slot begin_inline();
+  /// The batch of a successful begin_inline() has finished executing.
+  void end_inline() { inflight_.fetch_sub(1, std::memory_order_relaxed); }
+
   /// Batches handed to dispatch() that have not started executing.
   std::size_t queued() const { return queued_.load(std::memory_order_relaxed); }
-  /// Batches currently executing.
+  /// Batches currently executing, dispatched or inline.
   std::size_t inflight() const { return inflight_.load(std::memory_order_relaxed); }
   /// Work competing for this backend's slots (queued + executing). CpuBackend
   /// widens this to the shared executor's whole backlog: foreign tasks on the
@@ -98,6 +110,12 @@ class InferenceBackend {
   /// Enqueue on the backend's execution resource (shared pool / driver
   /// thread).
   virtual void do_submit(std::function<void()> task) = 0;
+
+  /// Claim an idle slot of the execution resource for a batch the caller
+  /// runs on its own thread; empty when none is idle. The default never
+  /// claims: only CpuBackend, whose slots are the shared worker pool's,
+  /// runs batches inline.
+  virtual Executor::Slot try_claim_slot() { return {}; }
 
  private:
   std::atomic<std::size_t> queued_{0};

@@ -4,7 +4,10 @@
 // of the paper's Tables I/II comparison) behind the backend interface.
 // Batches execute on the serving runtime's shared worker pool; the backend
 // does not own that pool, so its shutdown() is a no-op and the runtime keeps
-// owning the executor lifecycle.
+// owning the executor lifecycle. It is the one backend that runs batches
+// inline: begin_inline() takes an idle slot of that pool, so a batch the
+// submitting thread computes itself counts against the same worker_threads
+// bound as one a worker runs.
 //
 // Cost signal: the first measurement of a design's real per-image execution
 // time seeds an EWMA stored on the design (BackendServeState); until then the
@@ -43,6 +46,7 @@ class CpuBackend final : public InferenceBackend {
 
  protected:
   void do_submit(std::function<void()> task) override { executor_.submit(std::move(task)); }
+  Executor::Slot try_claim_slot() override { return executor_.try_claim(); }
 
  private:
   Executor& executor_;

@@ -51,6 +51,29 @@ Batcher::~Batcher() { shutdown(); }
 
 std::future<Prediction> Batcher::predict(std::shared_ptr<DeployedDesign> design,
                                          tensor::Tensor input, Clock::time_point deadline) {
+  return admit(std::move(design), std::move(input), deadline, nullptr);
+}
+
+Prediction Batcher::predict_wait(std::shared_ptr<DeployedDesign> design, tensor::Tensor input,
+                                 Clock::time_point deadline) {
+  std::future<Prediction> future;
+  {
+    InlineBatch run;
+    future = admit(std::move(design), std::move(input), deadline, &run);
+    // The request flushed alone into an idle CPU slot that this thread now
+    // holds: compute it here, outside the mutex, exactly as a pool worker
+    // would. Leaving the scope frees the slot.
+    if (run.slot) {
+      execute_batch(std::move(run.design), std::move(run.batch), *run.backend);
+      run.backend->end_inline();
+    }
+  }
+  return future.get();
+}
+
+std::future<Prediction> Batcher::admit(std::shared_ptr<DeployedDesign> design,
+                                       tensor::Tensor input, Clock::time_point deadline,
+                                       InlineBatch* run) {
   if (!design) throw std::invalid_argument("Batcher::predict: null design");
   if (input.shape() != design->net.input_shape()) {
     throw std::invalid_argument(format(
@@ -145,10 +168,11 @@ std::future<Prediction> Batcher::predict(std::shared_ptr<DeployedDesign> design,
       lane.requests.size() >= config_.max_batch) {
     // Free engine or full batch: dispatch from the submitting thread. Only
     // requests arriving while every admissible backend is occupied wait to
-    // coalesce.
+    // coalesce. A lane of this request alone may run on the caller's thread.
+    InlineBatch* const alone = lane.requests.size() == 1 ? run : nullptr;
     Lane ready = std::move(lane);
     lanes_.erase(design->id);
-    flush_locked(std::move(ready));
+    flush_locked(std::move(ready), alone);
   } else {
     lane_cv_.notify_one();  // deadline thread re-arms for the new lane
   }
@@ -262,8 +286,9 @@ bool Batcher::capacity_available_locked(const std::string& design_id,
   return false;
 }
 
-InferenceBackend* Batcher::choose_backend_locked(DeployedDesign& design, std::size_t images,
-                                                 bool& spill, std::uint64_t& retry_after_ms) {
+std::shared_ptr<InferenceBackend> Batcher::choose_backend_locked(DeployedDesign& design,
+                                                                 std::size_t images, bool& spill,
+                                                                 std::uint64_t& retry_after_ms) {
   spill = false;
   retry_after_ms = 0;
   std::vector<BackendSnapshot> snapshots;
@@ -298,14 +323,14 @@ InferenceBackend* Batcher::choose_backend_locked(DeployedDesign& design, std::si
     for (const auto& backend : backends_) {
       if (backend->id() == ranked.id) {
         spill = ranked.id != placement.fastest;
-        return backend.get();
+        return backend;
       }
     }
   }
   return nullptr;
 }
 
-void Batcher::flush_locked(Lane lane) {
+void Batcher::flush_locked(Lane lane, InlineBatch* run) {
   if (lane.requests.empty()) return;
   const std::string design_id = lane.design->id;
 
@@ -330,7 +355,7 @@ void Batcher::flush_locked(Lane lane) {
   // breaker admission (half-open probe included) is consumed here.
   bool spill = false;
   std::uint64_t retry_after_ms = 0;
-  InferenceBackend* backend =
+  const std::shared_ptr<InferenceBackend> backend =
       choose_backend_locked(*lane.design, live.size(), spill, retry_after_ms);
   if (backend == nullptr) {
     // Every backend quarantined (or its probe taken) since admission: the
@@ -378,9 +403,24 @@ void Batcher::flush_locked(Lane lane) {
     metrics_->backend[backend_idx].dispatched.add();
     if (spill) metrics_->spilled.add();
   }
+  if (run != nullptr) {
+    // An idle slot of the chosen backend (only the CPU pool grants one) is
+    // claimed here, under the mutex, so the slot and the busy_/in_flight_
+    // accounting above are taken together.
+    if (Executor::Slot slot = backend->begin_inline()) {
+      if (metrics_) metrics_->backend[backend_idx].inline_batches.add();
+      run->slot = std::move(slot);
+      run->backend = backend.get();
+      run->design = std::move(lane.design);
+      run->batch = std::move(live);
+      return;
+    }
+  }
   auto design = std::move(lane.design);
   // The task owns the batch; requests are fulfilled even if the lane's design
-  // was evicted from the registry meanwhile (shared_ptr keeps it alive).
+  // was evicted from the registry meanwhile (shared_ptr keeps it alive). It
+  // also holds the backend: dispatch() updates the backend's gauges after the
+  // task returns, when the batcher may already be destroyed.
   auto batch = std::make_shared<std::vector<Request>>(std::move(live));
   try {
     backend->dispatch([this, design = std::move(design), batch, backend] {

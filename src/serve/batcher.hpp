@@ -9,7 +9,11 @@
 //   1. some backend can take a batch right now (the CPU engine has a free
 //      per-design inference slot, or the accelerator is idle): flush
 //      immediately, so an unloaded server adds zero batching latency and a
-//      loaded one keeps every engine busy;
+//      loaded one keeps every engine busy. When that flush holds only the
+//      request a predict_wait() caller just submitted, the placer picked the
+//      CPU and the shared pool has an idle slot, the caller claims the slot
+//      and computes the batch on its own thread: no hand-off to a worker and
+//      no future wake-up. Otherwise the batch goes to the backend's resource;
 //   2. `max_batch` requests are waiting: flush from the submitting thread;
 //   3. the oldest request has waited `max_wait_us`: deadline flush for
 //      partial batches stuck behind long-running batches.
@@ -137,6 +141,16 @@ class Batcher {
                                   tensor::Tensor input,
                                   Clock::time_point deadline = kNoDeadline);
 
+  /// predict() and wait for the result: returns the Prediction or throws
+  /// what predict() or its future would. Admission is predict()'s own. When
+  /// the request flushes at once as a batch of one, placed on the CPU
+  /// backend, and the worker pool has an idle slot, this thread claims that
+  /// slot and runs the batch itself (counted in backends.cpu.inline); the
+  /// batch goes through the same deadline drops, fault sites, breaker
+  /// verdicts and metrics as on a worker. Otherwise it waits on the future.
+  Prediction predict_wait(std::shared_ptr<DeployedDesign> design, tensor::Tensor input,
+                          Clock::time_point deadline = kNoDeadline);
+
   /// Flush every pending lane, wait for all in-flight batches, stop the
   /// deadline thread, shut the backends down. Idempotent.
   void shutdown();
@@ -170,6 +184,20 @@ class Batcher {
     Clock::time_point deadline;  ///< enqueue time of the oldest + max_wait
   };
 
+  /// A placed batch the submitting thread runs itself, in the idle slot
+  /// `slot` of `backend` (predict_wait()).
+  struct InlineBatch {
+    Executor::Slot slot;
+    InferenceBackend* backend = nullptr;
+    std::shared_ptr<DeployedDesign> design;
+    std::vector<Request> batch;
+  };
+
+  /// Admission shared by predict() and predict_wait(). With `run` set, a
+  /// flush of this request alone may hand its batch back through `run`
+  /// instead of dispatching it (see flush_locked()).
+  std::future<Prediction> admit(std::shared_ptr<DeployedDesign> design, tensor::Tensor input,
+                                Clock::time_point deadline, InlineBatch* run);
   void deadline_loop();
   /// Some backend can start a batch of `design_id` right now AND is worth
   /// flushing a lane of `lane_size` requests to: engines that amortize a
@@ -181,11 +209,15 @@ class Batcher {
   /// breaker probe. nullptr when every backend is excluded or quarantined
   /// (`retry_after_ms` then carries the soonest cooldown expiry). Caller
   /// holds mutex_.
-  InferenceBackend* choose_backend_locked(DeployedDesign& design, std::size_t images,
-                                          bool& spill, std::uint64_t& retry_after_ms);
+  std::shared_ptr<InferenceBackend> choose_backend_locked(DeployedDesign& design,
+                                                          std::size_t images, bool& spill,
+                                                          std::uint64_t& retry_after_ms);
   /// Place a full lane and dispatch it to the chosen backend (expired
-  /// requests are dropped first). Caller holds mutex_.
-  void flush_locked(Lane lane);
+  /// requests are dropped first). With `run` set, the batch is instead
+  /// moved into `run` when the chosen backend grants an idle inline slot;
+  /// the caller then runs execute_batch after releasing the mutex. Caller
+  /// holds mutex_.
+  void flush_locked(Lane lane, InlineBatch* run = nullptr);
   void execute_batch(std::shared_ptr<DeployedDesign> design, std::vector<Request> batch,
                      InferenceBackend& backend);
   /// Account `count` admitted requests of `design_id` leaving the waiting

@@ -113,6 +113,7 @@ json::Value ServeMetrics::to_json() const {
   for (std::size_t i = 0; i < kBackendCount; ++i) {
     json::Object one;
     one["dispatched"] = backend[i].dispatched.value();
+    one["inline"] = backend[i].inline_batches.value();
     one["batches"] = backend[i].batches.value();
     one["images"] = backend[i].images.value();
     one["errors"] = backend[i].errors.value();

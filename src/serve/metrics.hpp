@@ -139,6 +139,8 @@ struct ServeMetrics {
   /// `images` count completed executions, `errors` failed ones.
   struct BackendMetrics {
     Counter dispatched;       ///< batches the placer sent to this backend
+    Counter inline_batches;   ///< of those, batches run on the submitting
+                              ///< thread in an idle slot (JSON "inline")
     Counter batches;          ///< batches that executed successfully
     Counter images;           ///< images served by this backend
     Counter errors;           ///< batches that failed on this backend

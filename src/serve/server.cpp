@@ -6,6 +6,7 @@
 
 #include "serve/backend/accel_backend.hpp"
 #include "serve/backend/cpu_backend.hpp"
+#include "serve/deadline.hpp"
 #include "serve/deploy_request.hpp"
 #include "util/base64.hpp"
 #include "util/strings.hpp"
@@ -266,39 +267,31 @@ web::HttpResponse ServingRuntime::handle_predict(const web::HttpRequest& request
   if (id == nullptr || !id->is_string()) {
     return api_error(400, "bad_request", "predict: design_id is required (deploy first)");
   }
+
+  // Deadline: the client's X-Deadline-Ms budget, else the server default.
+  // The header is read, and a bad one refused, before the design is looked
+  // up: that is where the router (serve/deadline.hpp) refuses it too.
+  std::uint64_t deadline_ms = config_.default_deadline_ms;
+  if (const auto header = request.headers.find("x-deadline-ms");
+      header != request.headers.end()) {
+    const std::optional<std::uint64_t> budget = parse_deadline_ms(header->second);
+    if (!budget) return deadline_header_error(header->second);
+    deadline_ms = *budget;
+  }
+  const auto deadline =
+      deadline_ms == 0 ? Batcher::kNoDeadline : deadline_after(arrival, deadline_ms);
+
   std::shared_ptr<DeployedDesign> design = registry_.find(id->as_string());
   if (!design) {
     return api_error(404, "unknown_design",
                      format("design %s is not deployed", id->as_string().c_str()));
   }
 
-  // Deadline: the client's X-Deadline-Ms budget, else the server default.
-  std::uint64_t deadline_ms = config_.default_deadline_ms;
-  if (const auto header = request.headers.find("x-deadline-ms");
-      header != request.headers.end()) {
-    try {
-      // Digits only: stoull would accept "-5" by wrapping it to a huge value.
-      if (header->second.empty() ||
-          header->second.find_first_not_of("0123456789") != std::string::npos) {
-        throw std::invalid_argument("");
-      }
-      const unsigned long long parsed = std::stoull(header->second);
-      if (parsed == 0) throw std::invalid_argument("");
-      deadline_ms = parsed;
-    } catch (const std::exception&) {
-      return api_error(400, "bad_request",
-                       format("X-Deadline-Ms must be a positive integer, got '%s'",
-                              header->second.c_str()));
-    }
-  }
-  const auto deadline = deadline_ms == 0
-                            ? Batcher::kNoDeadline
-                            : arrival + std::chrono::milliseconds(deadline_ms);
-
   Prediction prediction;
   try {
     tensor::Tensor image = decode_image(doc, design->net.input_shape());
-    prediction = batcher_.predict(design, std::move(image), deadline).get();
+    // An uncontended request runs its batch on this handler thread.
+    prediction = batcher_.predict_wait(design, std::move(image), deadline);
   } catch (const ShapeMismatchError& e) {
     metrics_.predict_errors.add();
     return api_error(400, "shape_mismatch", e.what());

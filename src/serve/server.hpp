@@ -28,7 +28,14 @@
 // deadline_exceeded when the request's deadline (X-Deadline-Ms header or
 // `default_deadline_ms`) passes before execution, 503 design_unavailable
 // (+ Retry-After) while a design's circuit breaker is open, and 503 shutdown
-// once the runtime is draining.
+// once the runtime is draining. The header is read by serve/deadline.hpp, as
+// the shard router reads it; a budget past the clock's range is no deadline.
+//
+// handle_predict waits through Batcher::predict_wait: when the request's
+// batch is a lone CPU batch and a worker slot is idle, the HTTP handler
+// thread computes it in that slot itself. Handler threads therefore do
+// inference work when the server is uncontended, within the same
+// worker_threads bound as the pool.
 #pragma once
 
 #include <cstddef>

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 
+#include "serve/deadline.hpp"
 #include "serve/deploy_request.hpp"
 #include "serve/metrics.hpp"
 #include "serve/registry.hpp"
@@ -524,14 +525,16 @@ web::HttpResponse Router::handle_predict(const web::HttpRequest& request) {
   const auto arrival = std::chrono::steady_clock::now();
   if (const auto deadline = request.headers.find("x-deadline-ms");
       deadline != request.headers.end()) {
-    char* end = nullptr;
-    const long long parsed = std::strtoll(deadline->second.c_str(), &end, 10);
-    if (end != deadline->second.c_str() && parsed > 0) {
-      deadline_budget_ms = parsed;
-    } else {
-      // Unparseable (or explicit 0 = unlimited): forward verbatim, the
-      // worker owns the interpretation exactly as before.
+    // Read exactly as a worker reads it (serve/deadline.hpp): a malformed
+    // value gets the worker's own 400 from here.
+    const std::optional<std::uint64_t> budget = parse_deadline_ms(deadline->second);
+    if (!budget) return deadline_header_error(deadline->second);
+    if (deadline_after(arrival, *budget) == DeadlineClock::time_point::max()) {
+      // Past the clock's range, so no deadline. Forwarded verbatim, it is
+      // past every later arrival's range too, and the worker agrees.
       forward["X-Deadline-Ms"] = deadline->second;
+    } else {
+      deadline_budget_ms = static_cast<long long>(*budget);
     }
   }
 

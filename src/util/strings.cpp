@@ -1,8 +1,10 @@
 #include "util/strings.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
+#include <limits>
 
 namespace cnn2fpga::util {
 
@@ -58,6 +60,17 @@ std::string to_lower(std::string_view text) {
   out.reserve(text.size());
   for (char c : text) out.push_back(static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
   return out;
+}
+
+std::optional<std::uint64_t> parse_digits(std::string_view text) {
+  if (text.empty() || text.find_first_not_of("0123456789") != std::string_view::npos) {
+    return std::nullopt;
+  }
+  std::uint64_t value = 0;
+  const std::from_chars_result parsed =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (parsed.ec == std::errc::result_out_of_range) return std::numeric_limits<std::uint64_t>::max();
+  return value;
 }
 
 std::string join(const std::vector<std::string>& parts, std::string_view sep) {

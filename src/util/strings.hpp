@@ -1,6 +1,8 @@
 // String formatting and manipulation helpers shared across the framework.
 #pragma once
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -22,6 +24,12 @@ bool ends_with(std::string_view text, std::string_view suffix);
 
 /// ASCII lowercase copy.
 std::string to_lower(std::string_view text);
+
+/// An unsigned decimal as HTTP header fields spell one: one or more ASCII
+/// digits and nothing else (no sign, whitespace or suffix). A value past the
+/// range of uint64 reads as its maximum. nullopt when `text` is not a digit
+/// string.
+std::optional<std::uint64_t> parse_digits(std::string_view text);
 
 /// Join the elements with a separator.
 std::string join(const std::vector<std::string>& parts, std::string_view sep);

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <charconv>
 #include <cstring>
 #include <limits>
 #include <stdexcept>
@@ -110,15 +109,22 @@ ReadOutcome read_request(int fd, const ServerConfig& config, bool first, std::st
     content_length = *parsed;
   }
 
-  // The body is sized once; what the header reads already brought is copied
-  // in, and the rest is received straight into it.
+  // What the header reads already brought is copied in, and the rest is
+  // received straight into the body. A body up to kInPlaceBody is sized once.
+  // A larger one grows as its bytes arrive, doubling, so a client that
+  // announces a large Content-Length and stalls holds about what it sent,
+  // not what it announced.
+  constexpr std::size_t kInPlaceBody = 64 * 1024;
   const std::size_t body_start = header_end + 4;
   const std::size_t buffered = std::min(data.size() - body_start, content_length);
-  request.body.resize(content_length);
+  request.body.resize(std::min(content_length, std::max(buffered, kInPlaceBody)));
   std::memcpy(request.body.data(), data.data() + body_start, buffered);
   carry.assign(data, body_start + buffered);
   for (std::size_t have = buffered; have < content_length;) {
-    const ssize_t n = ::recv(fd, request.body.data() + have, content_length - have, 0);
+    if (have == request.body.size()) {
+      request.body.resize(have + std::min(have, content_length - have));
+    }
+    const ssize_t n = ::recv(fd, request.body.data() + have, request.body.size() - have, 0);
     if (n < 0) {
       return error_outcome(errno == EAGAIN || errno == EWOULDBLOCK ? 408 : 400);
     }
@@ -331,14 +337,10 @@ HttpResponse HttpServer::dispatch(const HttpRequest& request) const {
 }
 
 std::optional<std::size_t> parse_content_length(std::string_view value) {
-  if (value.empty() || value.find_first_not_of("0123456789") != std::string_view::npos) {
-    return std::nullopt;
-  }
-  std::size_t length = 0;
-  const std::from_chars_result parsed =
-      std::from_chars(value.data(), value.data() + value.size(), length);
-  if (parsed.ec == std::errc::result_out_of_range) return std::numeric_limits<std::size_t>::max();
-  return length;
+  const std::optional<std::uint64_t> length = util::parse_digits(value);
+  if (!length) return std::nullopt;
+  return static_cast<std::size_t>(
+      std::min<std::uint64_t>(*length, std::numeric_limits<std::size_t>::max()));
 }
 
 std::optional<HttpResponse> http_request(const std::string& host, int port,

@@ -10,7 +10,8 @@
 // line, headers, Content-Length bodies.
 //
 // Robustness: malformed request lines answer 400 instead of silently closing
-// the connection, bodies over `max_body_bytes` answer 413, a client that
+// the connection, bodies over `max_body_bytes` answer 413, a body past 64 KiB
+// is allocated as its bytes arrive rather than when announced, a client that
 // stalls mid-request is cut off by a per-connection read timeout (408), and a
 // slow reader that accepts a response slower than the kernel send buffer
 // drains is cut off by a per-connection send timeout — so neither direction

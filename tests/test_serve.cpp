@@ -1,11 +1,14 @@
 // Tests for the inference-serving runtime: registry LRU + hit/miss
-// accounting, micro-batching flush behavior, deterministic predictions under
-// concurrent clients, metrics consistency, and the hardened HTTP transport.
+// accounting, micro-batching flush behavior, predicts computed on the
+// handler thread, deterministic predictions under concurrent clients,
+// metrics consistency, and the hardened HTTP transport.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <fstream>
 #include <future>
 #include <thread>
 #include <vector>
@@ -1155,6 +1158,165 @@ TEST(ServeApi, ShutdownVersusPredictHammer) {
   EXPECT_EQ(bad.load(), 0u);
 }
 
+// ------------------------------------------ predicts on the handler thread
+
+namespace {
+
+/// A runtime that computes on the CPU pool alone, so no batch is ever placed
+/// on the fabric and every inline-path decision is deterministic.
+ServingConfig cpu_only_config() {
+  ServingConfig config;
+  config.backends.accelerator = false;
+  return config;
+}
+
+web::HttpRequest predict_request(const std::string& design_id, const tensor::Tensor& image) {
+  std::vector<std::uint8_t> raw(image.size() * sizeof(float));
+  std::memcpy(raw.data(), image.data(), raw.size());
+  json::Object body;
+  body["design_id"] = design_id;
+  body["image_base64"] = util::base64_encode(raw);
+  web::HttpRequest request;
+  request.body = json::Value(std::move(body)).dump();
+  return request;
+}
+
+/// Batches the CPU backend ran on the thread that submitted them.
+std::uint64_t inline_batches(ServingRuntime& runtime) {
+  return runtime.metrics().backend[backend_index(BackendId::kCpu)].inline_batches.value();
+}
+
+/// The response's logits, as the floats the server computed.
+std::vector<float> response_logits(const web::HttpResponse& response) {
+  const json::Value doc = json::parse(response.body);
+  std::vector<float> logits;
+  for (const json::Value& logit : doc.at("logits").as_array()) {
+    logits.push_back(static_cast<float>(logit.as_double()));
+  }
+  return logits;
+}
+
+}  // namespace
+
+TEST(ServeApi, UncontendedPredictsRunOnTheHandlerThread) {
+  ServingRuntime runtime(cpu_only_config());
+  web::HttpRequest deploy;
+  deploy.body = deploy_body("inline_seq");
+  const std::string design_id =
+      json::parse(runtime.handle_deploy(deploy).body).at("design_id").as_string();
+  const auto design = runtime.registry().find(design_id);
+  ASSERT_NE(design, nullptr);
+  nn::ExecutionContext ctx(design->net);
+
+  constexpr std::uint64_t kRequests = 8;
+  for (std::uint64_t i = 0; i < kRequests; ++i) {
+    const tensor::Tensor image = test_image(100 + i, design->net.input_shape());
+    const tensor::Tensor& expected = design->net.infer(image, ctx);
+    const auto served = runtime.handle_predict(predict_request(design_id, image));
+    ASSERT_EQ(served.status, 200) << served.body;
+    EXPECT_EQ(json::parse(served.body).at("batch_size").as_int(), 1);
+    const std::vector<float> logits = response_logits(served);
+    ASSERT_EQ(logits.size(), expected.size());
+    for (std::size_t j = 0; j < logits.size(); ++j) {
+      EXPECT_EQ(logits[j], expected[j]) << "request " << i << " logit " << j;  // bitwise
+    }
+    // The slot went back to the pool before the handler answered.
+    EXPECT_EQ(runtime.executor().backlog(), 0u);
+    EXPECT_EQ(runtime.backend(BackendId::kCpu)->inflight(), 0u);
+  }
+  EXPECT_EQ(inline_batches(runtime), kRequests);
+  const auto metrics = json::parse(runtime.handle_metrics(web::HttpRequest{}).body);
+  EXPECT_EQ(metrics.at("backends").at("cpu").at("inline").as_int(), 8);
+  EXPECT_EQ(metrics.at("backends").at("cpu").at("dispatched").as_int(), 8);
+  EXPECT_EQ(metrics.at("predict").at("total").as_int(), 8);
+  runtime.shutdown();
+}
+
+TEST(ServeApi, PredictWaitsOnThePoolWhenNoSlotIsIdle) {
+  ServingRuntime runtime(cpu_only_config());
+  auto [design_id, predict] = deploy_and_predict_request(runtime, "inline_parked");
+  const auto idle = runtime.handle_predict(predict);
+  ASSERT_EQ(idle.status, 200) << idle.body;
+  ASSERT_EQ(inline_batches(runtime), 1u);
+
+  // Every worker busy: the handler finds no idle slot, so its batch queues on
+  // the pool and the handler waits on the future.
+  auto gate = park_workers(runtime.executor());
+  std::promise<web::HttpResponse> answer;
+  std::thread client([&runtime, &answer, &predict] {
+    answer.set_value(runtime.handle_predict(predict));
+  });
+  const InferenceBackend& cpu = *runtime.backend(BackendId::kCpu);
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (cpu.queued() == 0 && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(cpu.queued(), 1u);
+  EXPECT_EQ(inline_batches(runtime), 1u);
+  gate->set_value();
+  client.join();
+
+  const auto pooled = answer.get_future().get();
+  ASSERT_EQ(pooled.status, 200) << pooled.body;
+  EXPECT_EQ(inline_batches(runtime), 1u);
+  EXPECT_EQ(runtime.metrics().backend[backend_index(BackendId::kCpu)].dispatched.value(), 2u);
+  EXPECT_EQ(response_logits(pooled), response_logits(idle));
+  runtime.shutdown();
+}
+
+TEST(ServeApi, InlineAndPoolBatchesShareTheWorkerBound) {
+  // Two worker slots, eight designs, every batch held 20 ms inside its slot.
+  // Eight concurrent predicts then need at least four rounds of two. Were
+  // handler-thread batches not counted against the pool's width, more than
+  // two would overlap and the whole set would finish sooner.
+  ServingConfig config = cpu_only_config();
+  config.worker_threads = 2;
+  ServingRuntime runtime(config);
+  std::vector<web::HttpRequest> predicts;
+  for (int d = 0; d < 8; ++d) {
+    predicts.push_back(deploy_and_predict_request(runtime, util::format("bound_%d", d)).second);
+  }
+  runtime.faults().arm("executor.batch", {FaultKind::kLatency, /*rate=*/1.0, /*count=*/0,
+                                          /*latency_us=*/20'000});
+
+  std::atomic<int> ok{0};
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<std::thread> clients;
+  for (const web::HttpRequest& predict : predicts) {
+    clients.emplace_back([&runtime, &ok, &predict] {
+      if (runtime.handle_predict(predict).status == 200) ok.fetch_add(1);
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+
+  EXPECT_EQ(ok.load(), 8);
+  EXPECT_GE(elapsed, std::chrono::milliseconds(80));
+  EXPECT_EQ(runtime.metrics().batches.value(), 8u);
+  runtime.shutdown();
+}
+
+TEST(ServeApi, InlineBatchFailuresTripTheBreaker) {
+  ServingRuntime runtime(cpu_only_config());
+  auto [design_id, predict] = deploy_and_predict_request(runtime, "inline_breaker");
+
+  // The default breaker opens after 5 consecutive failed batches.
+  runtime.faults().arm("executor.batch", {FaultKind::kError, /*rate=*/1.0, /*count=*/5});
+  for (int i = 0; i < 5; ++i) {
+    const auto failed = runtime.handle_predict(predict);
+    EXPECT_EQ(failed.status, 500) << failed.body;
+    EXPECT_EQ(error_code(failed), "internal");
+  }
+  EXPECT_EQ(inline_batches(runtime), 5u);  // each failed on the handler thread
+
+  const auto rejected = runtime.handle_predict(predict);
+  EXPECT_EQ(rejected.status, 503) << rejected.body;
+  EXPECT_EQ(error_code(rejected), "design_unavailable");
+  ASSERT_EQ(rejected.headers.count("Retry-After"), 1u);
+  EXPECT_GE(std::stoi(rejected.headers.at("Retry-After")), 1);
+  runtime.shutdown();
+}
+
 // ------------------------------------------------- full HTTP server serving
 
 TEST(ServeHttp, EndToEndConcurrentClients) {
@@ -1417,6 +1579,59 @@ TEST(HttpHardening, ContentLengthMustBeDigitsOnly) {
   EXPECT_NE(valid.find("\r\n\r\n{}"), std::string::npos) << valid;
   EXPECT_EQ(handled.load(), 1);
   server.stop();
+}
+
+namespace {
+
+/// Resident set size of this process (VmRSS) in bytes; 0 when unreadable.
+std::size_t resident_bytes() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmRSS:", 0) == 0) return std::stoull(line.substr(6)) * 1024;
+  }
+  return 0;
+}
+
+}  // namespace
+
+TEST(HttpHardening, StalledBodiesAreNotAllocatedUpFront) {
+  web::ServerConfig config;
+  config.read_timeout_ms = 2000;
+  web::HttpServer server(config);
+  web::install_api(server);
+  const int port = server.start(0);
+  const std::size_t before = resident_bytes();
+  ASSERT_GT(before, 0u);
+
+  // Three clients each announce a body just under the 16 MiB default cap,
+  // send one byte of it and stall. Their handlers must hold what arrived,
+  // not what was announced.
+  std::vector<int> fds;
+  for (int c = 0; c < 3; ++c) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    fds.push_back(fd);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(static_cast<std::uint16_t>(port));
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+    const std::string head =
+        "POST /api/v1/generate HTTP/1.1\r\nContent-Length: 16000000\r\n\r\nx";
+    ASSERT_EQ(::send(fd, head.data(), head.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(head.size()));
+  }
+  // The handlers read the headers at once; watch the peak while they wait.
+  std::size_t peak = before;
+  const auto until = std::chrono::steady_clock::now() + std::chrono::milliseconds(300);
+  while (std::chrono::steady_clock::now() < until) {
+    peak = std::max(peak, resident_bytes());
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  for (const int fd : fds) ::close(fd);
+  server.stop();
+  EXPECT_LT(peak - before, std::size_t{8} << 20) << "RSS " << before << " -> " << peak;
 }
 
 TEST(HttpHardening, ParallelHandlersServeConcurrently) {

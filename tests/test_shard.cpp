@@ -1084,6 +1084,48 @@ TEST(Router, DeadlineExhaustedMidFailoverAnswers504Locally) {
   EXPECT_EQ(fleet.router->handle_predict(rushed).status, 200);
 }
 
+TEST(Router, DeadlineHeaderReadsTheSameRoutedAndLocal) {
+  // One header table through a single runtime and through a router in front
+  // of a worker: every value gets the same status, code and message. A
+  // budget past the clock's range is no deadline on both sides.
+  Fleet fleet(1, 1);
+  const std::string body = deploy_body("deadline_table");
+  const auto deployed = fleet.router->handle_deploy(post(body));
+  ASSERT_EQ(deployed.status, 200) << deployed.body;
+  const std::string design_id = json::parse(deployed.body).at("design_id").as_string();
+  ServingRuntime local(InProcWorker::make_config());
+  ASSERT_EQ(local.handle_deploy(post(body)).status, 200);
+
+  const std::pair<const char*, int> table[] = {
+      {"10", 200},   {"12x", 400},           {"-5", 400},
+      {"0", 400},    {"", 400},              {"nope", 400},
+      {"9223372036854", 200},                {"10000000000000", 200},
+      {"18446744073709551615", 200},         {"99999999999999999999", 200}};
+  for (const auto& [value, status] : table) {
+    web::HttpRequest request = post(predict_body(design_id));
+    request.headers["x-deadline-ms"] = value;
+    const auto direct = local.handle_predict(request);
+    const auto routed = fleet.router->handle_predict(request);
+    EXPECT_EQ(direct.status, status) << "'" << value << "': " << direct.body;
+    EXPECT_EQ(routed.status, direct.status) << "'" << value << "': " << routed.body;
+    if (direct.status == 200 || routed.status == 200) continue;
+    const json::Value direct_error = json::parse(direct.body).at("error");
+    const json::Value routed_error = json::parse(routed.body).at("error");
+    EXPECT_EQ(routed_error.at("code").as_string(), direct_error.at("code").as_string()) << value;
+    EXPECT_EQ(routed_error.at("message").as_string(), direct_error.at("message").as_string())
+        << value;
+  }
+  // A bad value is refused before the design is looked up, on both sides.
+  web::HttpRequest unknown = post(predict_body("0123456789abcdef"));
+  unknown.headers["x-deadline-ms"] = "12x";
+  const auto direct = local.handle_predict(unknown);
+  const auto routed = fleet.router->handle_predict(unknown);
+  EXPECT_EQ(direct.status, 400) << direct.body;
+  EXPECT_EQ(routed.status, 400) << routed.body;
+  EXPECT_EQ(routed.body, direct.body);
+  EXPECT_EQ(fleet.router->deadline_rejects(), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Port reservation across restarts
 // ---------------------------------------------------------------------------
