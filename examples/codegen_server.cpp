@@ -51,17 +51,19 @@
 //                          injector (site shard.worker simulates a worker
 //                          transport failure); workers still read the env.
 //
-// Heterogeneous backends (see DESIGN.md "Heterogeneous backends and the
-// placer"):
-//   --backends LIST        comma-separated engines to enable: "cpu,accel"
-//                          (default), "cpu", or "accel"
-//   --placer POLICY        batch placement: "cost" (default; completion-cost
-//                          model, spills overflow to the idle engine), "cpu",
-//                          or "accel"
+// The engine (see DESIGN.md "One engine per serving runtime"):
+//   --placer ENGINE        the engine every batch runs on: "cpu" (default;
+//                          the host SIMD engine) or "accel" (the simulated
+//                          FPGA fabric)
+//
+// Each mode exits 1 on a flag it does not read.
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <semaphore>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -74,24 +76,33 @@ namespace {
 std::binary_semaphore g_shutdown{0};
 void handle_signal(int) { g_shutdown.release(); }
 
-bool parse_backends(const std::string& backends, serve::BackendsConfig* config) {
-  if (backends.empty()) return true;
-  config->cpu = false;
-  config->accelerator = false;
-  for (std::size_t start = 0; start < backends.size();) {
-    std::size_t comma = backends.find(',', start);
-    if (comma == std::string::npos) comma = backends.size();
-    const std::string name = backends.substr(start, comma - start);
-    if (name == "cpu") {
-      config->cpu = true;
-    } else if (name == "accel" || name == "accelerator") {
-      config->accelerator = true;
-    } else {
-      std::fprintf(stderr, "--backends rejected: unknown engine '%s' (want cpu, accel)\n",
-                   name.c_str());
+/// The flags build_serving_config reads, in every mode.
+constexpr const char* kServingFlags[] = {"max-batch",        "max-wait-us",
+                                         "max-queue-depth",  "deadline-ms",
+                                         "breaker-failures", "breaker-cooldown-ms",
+                                         "placer"};
+/// What else each mode reads. A worker takes the launch protocol of
+/// serve/shard/process.hpp and its thread count; the router passes its own
+/// values of --worker-threads and kServingFlags on to every worker it
+/// launches.
+constexpr const char* kSingleFlags[] = {"port", "workers", "demo", "faults"};
+constexpr const char* kWorkerFlags[] = {"worker", "port", "control-fd", "worker-threads"};
+constexpr const char* kRouterFlags[] = {"router",         "port",        "workers",
+                                        "worker-threads", "replication", "journal",
+                                        "restart-budget", "faults"};
+
+bool listed(std::span<const char* const> flags, const std::string& name) {
+  return std::find(flags.begin(), flags.end(), name) != flags.end();
+}
+
+/// A flag the mode does not read is refused: a misspelled or retired flag
+/// would otherwise start a server that silently ignores it.
+bool only_known_flags(const util::CliArgs& args, std::span<const char* const> mode_flags) {
+  for (const std::string& name : args.names()) {
+    if (!listed(kServingFlags, name) && !listed(mode_flags, name)) {
+      std::fprintf(stderr, "unknown flag --%s\n", name.c_str());
       return false;
     }
-    start = comma + 1;
   }
   return true;
 }
@@ -112,30 +123,23 @@ bool build_serving_config(const util::CliArgs& args, std::size_t default_threads
       static_cast<std::size_t>(args.get_int("breaker-failures", 5));
   config->breaker.cooldown_ms =
       static_cast<std::uint64_t>(args.get_int("breaker-cooldown-ms", 1000));
-  if (!parse_backends(args.get_string("backends", "cpu,accel"), &config->backends)) {
+  const std::string engine = args.get_string("placer", "cpu");
+  const std::optional<serve::BackendId> parsed = serve::parse_backend_name(engine);
+  if (!parsed) {
+    std::fprintf(stderr, "--placer rejected: want cpu or accel, got '%s'\n", engine.c_str());
     return false;
   }
-  try {
-    config->backends.placer = serve::parse_placer_policy(args.get_string("placer", "cost"));
-  } catch (const std::invalid_argument& error) {
-    std::fprintf(stderr, "--placer rejected: %s\n", error.what());
-    return false;
-  }
+  config->engine = *parsed;
   return true;
 }
-
-/// The flags build_serving_config reads in a worker; the router passes its
-/// own values of them on to every worker it launches.
-constexpr const char* kWorkerServingFlags[] = {
-    "worker-threads", "max-batch", "max-wait-us", "max-queue-depth", "deadline-ms",
-    "breaker-failures", "breaker-cooldown-ms", "backends", "placer"};
 
 /// --worker mode, the launch protocol of serve/shard/process.hpp (not a user
 /// setting): one full serving runtime on the port the router holds reserved
 /// (hence SO_REUSEPORT), alive until the router closes the control socket.
 int run_worker(const util::CliArgs& args) {
   serve::ServingConfig config;
-  if (!build_serving_config(
+  if (!only_known_flags(args, kWorkerFlags) ||
+      !build_serving_config(
           args, static_cast<std::size_t>(args.get_int("worker-threads", 2)), &config)) {
     return 1;
   }
@@ -157,6 +161,7 @@ int run_worker(const util::CliArgs& args) {
 }
 
 int run_router(const util::CliArgs& args) {
+  if (!only_known_flags(args, kRouterFlags)) return 1;
   const int worker_count = static_cast<int>(args.get_int("workers", 2));
   if (worker_count < 1) {
     std::fprintf(stderr, "--router needs --workers >= 1\n");
@@ -165,9 +170,9 @@ int run_router(const util::CliArgs& args) {
   const std::string journal_path = args.get_string("journal", "");
 
   std::vector<std::string> worker_args;
-  for (const char* flag : kWorkerServingFlags) {
-    if (const auto value = args.get(flag)) {
-      worker_args.push_back(util::format("--%s=%s", flag, value->c_str()));
+  for (const std::string& flag : args.names()) {
+    if (flag == "worker-threads" || listed(kServingFlags, flag)) {
+      worker_args.push_back(util::format("--%s=%s", flag.c_str(), args.get(flag)->c_str()));
     }
   }
   serve::shard::SupervisorConfig supervisor_config;
@@ -268,15 +273,13 @@ int main(int argc, char** argv) {
   web::HttpServer server;
   web::install_api(server);
   serve::ServingConfig serving_config;
-  if (!build_serving_config(
+  if (!only_known_flags(args, kSingleFlags) ||
+      !build_serving_config(
           args, static_cast<std::size_t>(args.get_int("workers", 4)), &serving_config)) {
     return 1;
   }
   serve::ServingRuntime runtime(serving_config);
-  std::printf("backends: cpu=%s accelerator=%s placer=%s\n",
-              serving_config.backends.cpu ? "on" : "off",
-              serving_config.backends.accelerator ? "on" : "off",
-              serve::placer_policy_name(serving_config.backends.placer));
+  std::printf("engine: %s\n", serve::backend_name(serving_config.engine));
   if (const std::string faults = args.get_string("faults", ""); !faults.empty()) {
     std::string error;
     if (!runtime.faults().configure(faults, &error)) {

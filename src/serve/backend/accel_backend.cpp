@@ -18,11 +18,6 @@ BackendCapabilities AcceleratorBackend::capabilities() const {
   return caps;
 }
 
-double AcceleratorBackend::estimate_batch_seconds(const DeployedDesign& design,
-                                                  std::size_t images) const {
-  return design.invocation_seconds(images);
-}
-
 void AcceleratorBackend::run_batch(DeployedDesign& design,
                                    std::span<const tensor::Tensor* const> inputs,
                                    std::span<tensor::Tensor> outputs) {
@@ -58,13 +53,6 @@ void AcceleratorBackend::run_batch(DeployedDesign& design,
     std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
   }
   active_invocations_.fetch_sub(1, std::memory_order_acq_rel);
-}
-
-void AcceleratorBackend::warm(DeployedDesign& design) const {
-  // The functional model shares the host engine's contexts; priming them here
-  // keeps the first spilled batch off the pack-build path.
-  design.contexts.warm();
-  design.backend_state(BackendId::kAccelerator).warmed.store(true, std::memory_order_relaxed);
 }
 
 void AcceleratorBackend::shutdown() { driver_.shutdown(); }

@@ -3,8 +3,8 @@
 // The generated IP is bit-exact with the reference network (the paper's
 // central claim), so the accelerator's *functional* result comes from the
 // same reentrant engine as the CPU path — both backends return identical
-// logits, and placement can never change a prediction. What differs is
-// timing, concurrency and the failure domain:
+// logits, and the choice of engine can never change a prediction. What
+// differs is timing and concurrency:
 //
 //   timing       every invocation costs DeployedDesign::invocation_seconds
 //                (HLS latency + axi driver overhead + initiation-interval
@@ -17,13 +17,9 @@
 //                concurrent dispatches queue, and run_batch() asserts the
 //                serial-invocation contract by throwing std::logic_error if
 //                two invocations ever overlap.
-//   failure      dispatch failures feed the design's accelerator-scoped
-//                breaker (BackendServeState), quarantining only accelerator
-//                placements of the design.
 //
-// Because the driver thread is dedicated — not borrowed from the shared CPU
-// worker pool — spilling a batch here genuinely adds drain capacity: the
-// fabric works through overflow while every CPU worker stays busy.
+// Only a runtime that serves on the fabric builds this backend, so only that
+// runtime runs the driver thread.
 #pragma once
 
 #include <atomic>
@@ -51,11 +47,6 @@ class AcceleratorBackend final : public InferenceBackend {
   BackendId id() const override { return BackendId::kAccelerator; }
   BackendCapabilities capabilities() const override;
 
-  /// The axi::BlockDesign transaction model, verbatim — no EWMA needed: the
-  /// model *is* the accelerator's execution time.
-  double estimate_batch_seconds(const DeployedDesign& design,
-                                std::size_t images) const override;
-
   /// Functional result via the reference engine, then the modeled invocation:
   /// virtual clock advances by invocation_seconds(images); with
   /// sleep_for_model the driver thread also sleeps for it. Throws
@@ -63,8 +54,6 @@ class AcceleratorBackend final : public InferenceBackend {
   /// single-IP-core contract of DeployedDesign::invocation_seconds).
   void run_batch(DeployedDesign& design, std::span<const tensor::Tensor* const> inputs,
                  std::span<tensor::Tensor> outputs) override;
-
-  void warm(DeployedDesign& design) const override;
 
   /// Joins the driver thread after draining queued invocations. Idempotent.
   void shutdown() override;

@@ -23,7 +23,7 @@ void InferenceBackend::dispatch(std::function<void()> task) {
     });
   } catch (...) {
     // The execution resource refused the task (shutdown / allocation): it was
-    // never queued from the placer's point of view.
+    // never queued.
     queued_.fetch_sub(1, std::memory_order_relaxed);
     throw;
   }

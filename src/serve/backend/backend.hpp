@@ -1,10 +1,10 @@
-// InferenceBackend: one execution engine behind the batcher.
+// InferenceBackend: the execution engine behind the batcher.
 //
-// The paper's evaluation (Tables I/II) is a two-backend comparison — the same
-// generated CNN on the Zynq's ARM core vs. the generated FPGA IP. The serving
-// runtime mirrors that: a batch flushed by the Batcher is *placed* (see
-// placer.hpp) onto one InferenceBackend and dispatched to that backend's
-// execution resources. Two implementations exist:
+// The paper's evaluation (Tables I/II) is a two-engine comparison — the same
+// generated CNN on the Zynq's ARM core vs. the generated FPGA IP — and picks,
+// per network, the faster one. A serving runtime mirrors that choice: it runs
+// every batch the Batcher flushes on one InferenceBackend, chosen at start-up.
+// Two implementations exist:
 //
 //   CpuBackend          the SIMD ExecutionContextPool / infer_batch path on
 //                       the shared worker pool (cpu_backend.hpp)
@@ -14,14 +14,13 @@
 //                       invocation (one physical IP core), executed on its
 //                       own driver thread (accel_backend.hpp)
 //
-// The interface carries everything the cost-model placer needs: a per-batch
-// execution-time estimate, the backend's concurrency (slots), and live
-// queue-depth/inflight signals maintained by dispatch() and begin_inline().
-// run_batch() is the compute itself — called from whatever execution
-// resource do_submit chose, or from the submitting thread when it claimed an
-// idle slot — and fails as a unit: one exception fails every image in the
-// batch (inputs are shape-validated at predict(), so an execution failure is
-// environmental, not per-request).
+// The interface carries the backend's concurrency (slots), its flush rule
+// and live queue-depth/inflight gauges maintained by dispatch() and
+// begin_inline(). run_batch() is the compute itself — called from whatever
+// execution resource do_submit chose, or from the submitting thread when it
+// claimed an idle slot — and fails as a unit: one exception fails every image
+// in the batch (inputs are shape-validated at predict(), so an execution
+// failure is environmental, not per-request).
 #pragma once
 
 #include <atomic>
@@ -57,29 +56,16 @@ class InferenceBackend {
   const char* name() const { return backend_name(id()); }
   virtual BackendCapabilities capabilities() const = 0;
 
-  /// Estimated wall seconds to execute one batch of `images` of `design` on
-  /// this backend, excluding queueing ahead of it. CpuBackend answers from
-  /// the design's measured per-image EWMA (model-derived prior before the
-  /// first measurement); AcceleratorBackend answers from the axi::BlockDesign
-  /// invocation model. Cheap: called under the batcher lock per flush.
-  virtual double estimate_batch_seconds(const DeployedDesign& design,
-                                        std::size_t images) const = 0;
-
   /// Execute `inputs` through `design`, writing one logits tensor per input.
   /// Called from this backend's execution resource (see dispatch()). Throws
-  /// on failure; the whole batch shares the verdict. Feeds the design's
-  /// per-backend serving state (served counters, measured-latency EWMA).
+  /// on failure; the whole batch shares the verdict.
   virtual void run_batch(DeployedDesign& design,
                          std::span<const tensor::Tensor* const> inputs,
                          std::span<tensor::Tensor> outputs) = 0;
 
-  /// Per-backend deploy-time warming (weight packs, timing model). Idempotent;
-  /// called by the runtime when a design is deployed.
-  virtual void warm(DeployedDesign& design) const = 0;
-
   /// Hand `task` to this backend's execution resource, maintaining the
-  /// queued/inflight gauges the placer reads. Throws (std::runtime_error)
-  /// after the backend's resource has shut down.
+  /// queued/inflight gauges that readyz and the metrics read. Throws
+  /// (std::runtime_error) after the backend's resource has shut down.
   void dispatch(std::function<void()> task);
 
   /// Claim an idle slot of this backend's execution resource so the calling
@@ -125,8 +111,8 @@ class InferenceBackend {
 /// Functional reference execution shared by both backends: the simulated
 /// fabric computes the same function as the host engine (the generated IP is
 /// bit-exact with the reference network — the paper's central claim), so both
-/// backends produce identical logits and differ only in timing, concurrency
-/// and failure domain. Float designs run the fused infer_batch path
+/// backends produce identical logits and differ only in timing and
+/// concurrency. Float designs run the fused infer_batch path
 /// (bit-identical to per-image infer by the kernel chunk-invariance
 /// contract); fixed designs run per-image forward_fixed through the same
 /// leased context.

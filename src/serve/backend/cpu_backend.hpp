@@ -8,12 +8,6 @@
 // inline: begin_inline() takes an idle slot of that pool, so a batch the
 // submitting thread computes itself counts against the same worker_threads
 // bound as one a worker runs.
-//
-// Cost signal: the first measurement of a design's real per-image execution
-// time seeds an EWMA stored on the design (BackendServeState); until then the
-// estimate assumes parity with the generated hardware's single-image latency
-// (invocation_seconds(1)) so a cold design's placement is decided by queue
-// pressure rather than a fictitious speed advantage for either engine.
 #pragma once
 
 #include "serve/backend/backend.hpp"
@@ -30,18 +24,13 @@ class CpuBackend final : public InferenceBackend {
   BackendId id() const override { return BackendId::kCpu; }
   BackendCapabilities capabilities() const override;
 
-  double estimate_batch_seconds(const DeployedDesign& design,
-                                std::size_t images) const override;
-
-  /// Times the reference execution and feeds the design's measured per-image
-  /// EWMA, so estimates track the engine this host actually has.
   void run_batch(DeployedDesign& design, std::span<const tensor::Tensor* const> inputs,
-                 std::span<tensor::Tensor> outputs) override;
-
-  void warm(DeployedDesign& design) const override;
+                 std::span<tensor::Tensor> outputs) override {
+    run_reference_batch(design, inputs, outputs);
+  }
 
   /// Widened to the shared executor's whole backlog: foreign tasks on the
-  /// pool delay our batches just the same, and the placer should see that.
+  /// pool delay our batches just the same, and readyz should see that.
   std::size_t pending() const override;
 
  protected:

@@ -1,16 +1,15 @@
 // Backend identities shared across the serving layer.
 //
-// The serving runtime executes batches on one of two engines: the SIMD CPU
-// engine (ExecutionContextPool / infer_batch) or the simulated FPGA fabric
-// (axi::BlockDesign timing behind the same functional network). Everything
-// that is keyed per backend — metrics counters, per-design breakers, placer
-// snapshots — indexes by BackendId, so this header must stay dependency-free
-// (metrics.hpp and registry.hpp both include it).
+// A serving runtime executes every batch on one of two engines, chosen at
+// start-up: the SIMD CPU engine (ExecutionContextPool / infer_batch) or the
+// simulated FPGA fabric (axi::BlockDesign timing behind the same functional
+// network). The per-engine metrics counters index by BackendId, so this
+// header must stay dependency-free (metrics.hpp includes it).
 #pragma once
 
-#include <atomic>
 #include <cstddef>
-#include <cstdint>
+#include <optional>
+#include <string_view>
 
 namespace cnn2fpga::serve {
 
@@ -33,33 +32,12 @@ inline const char* backend_name(BackendId id) {
   return "?";
 }
 
-/// Exponentially weighted moving average of a measured duration, safe for
-/// concurrent observers (one CAS loop per batch completion — far off the
-/// per-image hot path). value() is 0 until the first observation, which the
-/// CPU cost estimate treats as "no data yet" and substitutes a model-derived
-/// prior.
-class EwmaSeconds {
- public:
-  explicit EwmaSeconds(double alpha = 0.2) : alpha_(alpha) {}
-
-  void observe(double seconds) {
-    double seen = value_.load(std::memory_order_relaxed);
-    double next;
-    do {
-      next = seen == 0.0 ? seconds : seen + alpha_ * (seconds - seen);
-    } while (!value_.compare_exchange_weak(seen, next, std::memory_order_relaxed));
-    samples_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  /// Current average; 0.0 until the first observation.
-  double value() const { return value_.load(std::memory_order_relaxed); }
-  bool has_samples() const { return samples_.load(std::memory_order_relaxed) != 0; }
-  std::uint64_t samples() const { return samples_.load(std::memory_order_relaxed); }
-
- private:
-  const double alpha_;
-  std::atomic<double> value_{0.0};
-  std::atomic<std::uint64_t> samples_{0};
-};
+/// The engine an operator names: "cpu", or "accel" / "accelerator". Empty on
+/// anything else.
+inline std::optional<BackendId> parse_backend_name(std::string_view name) {
+  if (name == "cpu") return BackendId::kCpu;
+  if (name == "accel" || name == "accelerator") return BackendId::kAccelerator;
+  return std::nullopt;
+}
 
 }  // namespace cnn2fpga::serve

@@ -18,21 +18,19 @@ std::uint64_t elapsed_us(Batcher::Clock::time_point from, Batcher::Clock::time_p
       std::chrono::duration_cast<std::chrono::microseconds>(to - from).count());
 }
 
-std::vector<std::shared_ptr<InferenceBackend>> single_cpu_backend(Executor& executor) {
-  return {std::make_shared<CpuBackend>(executor)};
+std::shared_ptr<InferenceBackend> checked(std::shared_ptr<InferenceBackend> backend) {
+  if (!backend) throw std::invalid_argument("Batcher: no backend");
+  return backend;
 }
 }  // namespace
 
 Batcher::Batcher(Executor& executor, BatcherConfig config, ServeMetrics* metrics,
                  FaultInjector* faults)
-    : Batcher(single_cpu_backend(executor), PlacerPolicy::kCpuOnly,
-              std::max<std::size_t>(1, executor.thread_count()), config, metrics, faults) {}
+    : Batcher(std::make_shared<CpuBackend>(executor), config, metrics, faults) {}
 
-Batcher::Batcher(std::vector<std::shared_ptr<InferenceBackend>> backends,
-                 PlacerPolicy policy, std::size_t cpu_slots, BatcherConfig config,
+Batcher::Batcher(std::shared_ptr<InferenceBackend> backend, BatcherConfig config,
                  ServeMetrics* metrics, FaultInjector* faults)
-    : backends_(std::move(backends)),
-      placer_(policy),
+    : backend_(checked(std::move(backend))),
       config_{config.max_batch == 0 ? 1 : config.max_batch,
               config.max_wait_us,
               config.max_inflight_per_design,
@@ -40,12 +38,10 @@ Batcher::Batcher(std::vector<std::shared_ptr<InferenceBackend>> backends,
               config.max_queue_depth_per_design},
       inflight_limit_(config.max_inflight_per_design != 0
                           ? config.max_inflight_per_design
-                          : std::max<std::size_t>(1, cpu_slots)),
+                          : std::max<std::size_t>(1, backend_->capabilities().concurrency)),
       metrics_(metrics),
       faults_(faults),
-      deadline_thread_([this] { deadline_loop(); }) {
-  if (backends_.empty()) throw std::invalid_argument("Batcher: no backends");
-}
+      deadline_thread_([this] { deadline_loop(); }) {}
 
 Batcher::~Batcher() { shutdown(); }
 
@@ -64,8 +60,8 @@ Prediction Batcher::predict_wait(std::shared_ptr<DeployedDesign> design, tensor:
     // holds: compute it here, outside the mutex, exactly as a pool worker
     // would. Leaving the scope frees the slot.
     if (run.slot) {
-      execute_batch(std::move(run.design), std::move(run.batch), *run.backend);
-      run.backend->end_inline();
+      execute_batch(std::move(run.design), std::move(run.batch));
+      backend_->end_inline();
     }
   }
   return future.get();
@@ -120,35 +116,16 @@ std::future<Prediction> Batcher::admit(std::shared_ptr<DeployedDesign> design,
     }
   }
 
-  // Circuit breakers, checked after the shed paths. Admission only needs SOME
-  // backend whose breaker would take the batch; the winning backend's probe
-  // slot is claimed at placement (flush), so a shed request can never claim
-  // (and then strand) it. Only a fully quarantined design — every admissible
-  // backend's breaker closed to us — rejects here.
-  {
-    bool placeable = false;
-    std::uint64_t retry_after_ms = 0;
-    bool have_retry = false;
-    for (const auto& backend : backends_) {
-      if (!placer_.admits(backend->id())) continue;
-      Breaker& breaker = design->backend_state(backend->id()).breaker;
-      if (breaker.would_allow()) {
-        placeable = true;
-        break;
-      }
-      const std::uint64_t retry = breaker.retry_after_ms();
-      if (!have_retry || retry < retry_after_ms) {
-        retry_after_ms = retry;
-        have_retry = true;
-      }
-    }
-    if (!placeable) {
-      if (metrics_) metrics_->breaker_rejects.add();
-      throw DesignUnavailableError(
-          format("predict: design '%s' unavailable (circuit breaker %s on every backend)",
-                 design->descriptor().name.c_str(), design->breaker.state_name()),
-          retry_after_ms);
-    }
+  // Circuit breaker, checked after the shed paths. Admission only asks
+  // whether the breaker would take a batch; the flush claims it (the
+  // half-open probe included), so a shed request can never claim (and then
+  // strand) the probe.
+  if (!design->breaker.would_allow()) {
+    if (metrics_) metrics_->breaker_rejects.add();
+    throw DesignUnavailableError(
+        format("predict: design '%s' unavailable (circuit breaker %s)",
+               design->descriptor().name.c_str(), design->breaker.state_name()),
+        design->breaker.retry_after_ms());
   }
 
   ++waiting_;
@@ -164,11 +141,10 @@ std::future<Prediction> Batcher::admit(std::shared_ptr<DeployedDesign> design,
     lane.deadline = request.enqueued + std::chrono::microseconds(config_.max_wait_us);
   }
   lane.requests.push_back(std::move(request));
-  if (capacity_available_locked(design->id, lane.requests.size()) ||
-      lane.requests.size() >= config_.max_batch) {
-    // Free engine or full batch: dispatch from the submitting thread. Only
-    // requests arriving while every admissible backend is occupied wait to
-    // coalesce. A lane of this request alone may run on the caller's thread.
+  if (capacity_available_locked(design->id) || lane.requests.size() >= config_.max_batch) {
+    // Free slot or full batch: dispatch from the submitting thread. Only
+    // requests arriving while the engine is occupied wait to coalesce. A
+    // lane of this request alone may run on the caller's thread.
     InlineBatch* const alone = lane.requests.size() == 1 ? run : nullptr;
     Lane ready = std::move(lane);
     lanes_.erase(design->id);
@@ -196,14 +172,14 @@ void Batcher::shutdown() {
   {
     std::unique_lock<std::mutex> lock(mutex_);
     drained_cv_.wait(lock, [this] { return in_flight_ == 0; });
-    if (backends_shut_) return;
-    backends_shut_ = true;
+    if (backend_shut_) return;
+    backend_shut_ = true;
   }
-  // Backend shutdown happens after the drain (their resources executed the
+  // Backend shutdown happens after the drain (its resource executed the
   // in-flight batches) and outside the lock (joining a driver thread must
   // never hold the batcher mutex). The CpuBackend's shutdown is a no-op —
   // the shared executor belongs to the runtime.
-  for (const auto& backend : backends_) backend->shutdown();
+  backend_->shutdown();
 }
 
 std::size_t Batcher::pending() const {
@@ -264,70 +240,12 @@ void Batcher::deadline_loop() {
   }
 }
 
-bool Batcher::capacity_available_locked(const std::string& design_id,
-                                        std::size_t lane_size) const {
-  const auto busy_it = busy_.find(design_id);
-  for (const auto& backend : backends_) {
-    if (!placer_.admits(backend->id())) continue;
-    if (!backend->capabilities().eager_partial_flush && lane_size < config_.max_batch) {
-      continue;  // the fabric takes partial lanes only on the deadline flush
-    }
-    if (backend->id() == BackendId::kCpu) {
-      // The shared pool runs many designs; what the flush trigger bounds is
-      // this design's share of it (the pre-backend inflight_limit_ rule).
-      const std::size_t busy =
-          busy_it == busy_.end() ? 0 : (*busy_it).second[backend_index(backend->id())];
-      if (busy < inflight_limit_) return true;
-    } else if (backend->pending() < backend->capabilities().concurrency) {
-      // The accelerator is one global IP core: idle is idle for every design.
-      return true;
-    }
-  }
-  return false;
-}
-
-std::shared_ptr<InferenceBackend> Batcher::choose_backend_locked(DeployedDesign& design,
-                                                                 std::size_t images, bool& spill,
-                                                                 std::uint64_t& retry_after_ms) {
-  spill = false;
-  retry_after_ms = 0;
-  std::vector<BackendSnapshot> snapshots;
-  snapshots.reserve(backends_.size());
-  bool have_retry = false;
-  for (const auto& backend : backends_) {
-    if (!placer_.admits(backend->id())) continue;
-    Breaker& breaker = design.backend_state(backend->id()).breaker;
-    const bool admissible = breaker.would_allow();
-    if (!admissible) {
-      const std::uint64_t retry = breaker.retry_after_ms();
-      if (!have_retry || retry < retry_after_ms) {
-        retry_after_ms = retry;
-        have_retry = true;
-      }
-    }
-    BackendSnapshot snapshot;
-    snapshot.id = backend->id();
-    snapshot.estimate_seconds = backend->estimate_batch_seconds(design, images);
-    snapshot.pending = backend->pending();
-    snapshot.slots = backend->capabilities().concurrency;
-    snapshot.admissible = admissible;
-    snapshots.push_back(snapshot);
-  }
-
-  const Placement placement = placer_.place(snapshots);
-  for (const RankedBackend& ranked : placement.ranked) {
-    // Claim the probe / admission on the breaker we are about to use. A
-    // breaker that tripped between snapshot and claim (or whose half-open
-    // probe another batch took) falls through to the next-cheapest backend.
-    if (!design.backend_state(ranked.id).breaker.allow()) continue;
-    for (const auto& backend : backends_) {
-      if (backend->id() == ranked.id) {
-        spill = ranked.id != placement.fastest;
-        return backend;
-      }
-    }
-  }
-  return nullptr;
+bool Batcher::capacity_available_locked(const std::string& design_id) const {
+  if (!backend_->capabilities().eager_partial_flush) return false;
+  // The shared pool runs many designs; what the flush trigger bounds is
+  // this design's share of it.
+  const auto it = busy_.find(design_id);
+  return it == busy_.end() || it->second < inflight_limit_;
 }
 
 void Batcher::flush_locked(Lane lane, InlineBatch* run) {
@@ -349,44 +267,40 @@ void Batcher::flush_locked(Lane lane, InlineBatch* run) {
     }
   }
   if (dropped != 0) settle_waiting_locked(design_id, dropped);
-  if (live.empty()) return;  // nothing placed, no probe held
+  if (live.empty()) return;  // nothing dispatched, no probe held
 
-  // Placement: one cost-model decision per batch. The chosen backend's
-  // breaker admission (half-open probe included) is consumed here.
-  bool spill = false;
-  std::uint64_t retry_after_ms = 0;
-  const std::shared_ptr<InferenceBackend> backend =
-      choose_backend_locked(*lane.design, live.size(), spill, retry_after_ms);
-  if (backend == nullptr) {
-    // Every backend quarantined (or its probe taken) since admission: the
-    // design is unavailable for this batch.
+  // The batch claims the design's breaker (the half-open probe included). A
+  // breaker that opened since admission, or whose probe another batch took,
+  // fails the batch here.
+  Breaker& breaker = lane.design->breaker;
+  if (!breaker.allow()) {
     settle_waiting_locked(design_id, live.size());
     const auto error = std::make_exception_ptr(DesignUnavailableError(
-        format("predict: design '%s' unavailable (no backend admissible)",
-               lane.design->descriptor().name.c_str()),
-        retry_after_ms));
+        format("predict: design '%s' unavailable (circuit breaker %s)",
+               lane.design->descriptor().name.c_str(), breaker.state_name()),
+        breaker.retry_after_ms()));
     for (Request& request : live) {
       if (metrics_) metrics_->breaker_rejects.add();
       request.promise.set_exception(error);
     }
     return;
   }
-  const std::size_t backend_idx = backend_index(backend->id());
+  const std::size_t backend_idx = backend_index(backend_->id());
 
-  // Fault site backend.dispatch (error/alloc): the hand-off to the chosen
-  // backend's execution resource failed. That is a failure OF that backend —
-  // feed its breaker so repeated dispatch faults quarantine it — and the
-  // batch never starts, so the requests fail here.
+  // Fault site backend.dispatch (error/alloc): the hand-off to the backend's
+  // execution resource failed. Feed the breaker so repeated dispatch faults
+  // quarantine the design; the batch never starts, so the requests fail
+  // here.
   if (faults_ != nullptr) {
     std::exception_ptr fault;
     if (faults_->should_fail_alloc("backend.dispatch")) {
       fault = std::make_exception_ptr(std::bad_alloc());
     } else if (faults_->should_fail("backend.dispatch")) {
       fault = std::make_exception_ptr(InjectedFault(
-          format("injected dispatch failure on backend '%s'", backend->name())));
+          format("injected dispatch failure on backend '%s'", backend_->name())));
     }
     if (fault) {
-      lane.design->backend_state(backend->id()).breaker.record_failure();
+      breaker.record_failure();
       settle_waiting_locked(design_id, live.size());
       if (metrics_) metrics_->backend[backend_idx].errors.add();
       for (Request& request : live) {
@@ -398,19 +312,15 @@ void Batcher::flush_locked(Lane lane, InlineBatch* run) {
   }
 
   ++in_flight_;
-  ++busy_[design_id][backend_idx];
-  if (metrics_) {
-    metrics_->backend[backend_idx].dispatched.add();
-    if (spill) metrics_->spilled.add();
-  }
+  ++busy_[design_id];
+  if (metrics_) metrics_->backend[backend_idx].dispatched.add();
   if (run != nullptr) {
-    // An idle slot of the chosen backend (only the CPU pool grants one) is
-    // claimed here, under the mutex, so the slot and the busy_/in_flight_
-    // accounting above are taken together.
-    if (Executor::Slot slot = backend->begin_inline()) {
+    // An idle slot of the backend (only the CPU pool grants one) is claimed
+    // here, under the mutex, so the slot and the busy_/in_flight_ accounting
+    // above are taken together.
+    if (Executor::Slot slot = backend_->begin_inline()) {
       if (metrics_) metrics_->backend[backend_idx].inline_batches.add();
       run->slot = std::move(slot);
-      run->backend = backend.get();
       run->design = std::move(lane.design);
       run->batch = std::move(live);
       return;
@@ -423,17 +333,13 @@ void Batcher::flush_locked(Lane lane, InlineBatch* run) {
   // task returns, when the batcher may already be destroyed.
   auto batch = std::make_shared<std::vector<Request>>(std::move(live));
   try {
-    backend->dispatch([this, design = std::move(design), batch, backend] {
-      execute_batch(design, std::move(*batch), *backend);
+    backend_->dispatch([this, design = std::move(design), batch, backend = backend_] {
+      execute_batch(design, std::move(*batch));
     });
   } catch (...) {
     --in_flight_;
-    if (const auto it = busy_.find(design_id); it != busy_.end()) {
-      if (--it->second[backend_idx] == 0) {
-        bool any = false;
-        for (const std::size_t count : it->second) any = any || count != 0;
-        if (!any) busy_.erase(it);
-      }
+    if (const auto it = busy_.find(design_id); it != busy_.end() && --it->second == 0) {
+      busy_.erase(it);
     }
     settle_waiting_locked(design_id, batch->size());
     // The only expected dispatch failures are resource shutdown (report the
@@ -454,7 +360,7 @@ void Batcher::flush_locked(Lane lane, InlineBatch* run) {
 }
 
 void Batcher::execute_batch(std::shared_ptr<DeployedDesign> design,
-                            std::vector<Request> batch, InferenceBackend& backend) {
+                            std::vector<Request> batch) {
   {
     // The batch is executing now: it stops occupying admission-queue space.
     std::lock_guard<std::mutex> lock(mutex_);
@@ -482,8 +388,7 @@ void Batcher::execute_batch(std::shared_ptr<DeployedDesign> design,
     }
   }
 
-  BackendServeState& backend_state = design->backend_state(backend.id());
-  const std::size_t backend_idx = backend_index(backend.id());
+  const std::size_t backend_idx = backend_index(backend_->id());
   std::vector<Prediction> results(batch.size());
   std::vector<std::exception_ptr> errors(batch.size());
   Clock::time_point start = Clock::now();
@@ -499,8 +404,8 @@ void Batcher::execute_batch(std::shared_ptr<DeployedDesign> design,
       failures = live;
     } else {
       // Both backends compute through the same reentrant reference engine
-      // (run_reference_batch), so a batch's logits are identical wherever
-      // the placer sent it; the backends differ in timing and concurrency.
+      // (run_reference_batch), so a batch's logits are identical on either
+      // engine; the backends differ in timing and concurrency.
       std::vector<const tensor::Tensor*> inputs;
       std::vector<std::size_t> slot;
       inputs.reserve(live);
@@ -514,8 +419,8 @@ void Batcher::execute_batch(std::shared_ptr<DeployedDesign> design,
       std::vector<tensor::Tensor> outputs(inputs.size());
       start = Clock::now();
       try {
-        backend.run_batch(*design, std::span<const tensor::Tensor* const>(inputs),
-                          std::span<tensor::Tensor>(outputs));
+        backend_->run_batch(*design, std::span<const tensor::Tensor* const>(inputs),
+                            std::span<tensor::Tensor>(outputs));
         for (std::size_t j = 0; j < slot.size(); ++j) {
           Prediction& out = results[slot[j]];
           out.predicted = outputs[j].argmax();
@@ -533,18 +438,16 @@ void Batcher::execute_batch(std::shared_ptr<DeployedDesign> design,
     }
   }
 
-  // One health verdict per batch feeds the breaker of the backend that ran
-  // it — the failure domain is (design, backend), so a wedged accelerator
-  // path never quarantines the CPU engine. An all-expired batch says nothing
-  // about the design, so it only releases a pending half-open probe.
+  // One health verdict per batch feeds the design's breaker. An all-expired
+  // batch says nothing about the design, so it only releases a pending
+  // half-open probe.
   if (live == 0) {
-    backend_state.breaker.record_abandoned();
+    design->breaker.record_abandoned();
   } else if (failures != 0) {
-    backend_state.breaker.record_failure();
+    design->breaker.record_failure();
   } else {
-    backend_state.breaker.record_success();
-    backend_state.batches.fetch_add(1, std::memory_order_relaxed);
-    backend_state.images.fetch_add(live, std::memory_order_relaxed);
+    design->breaker.record_success();
+    design->batches.fetch_add(1, std::memory_order_relaxed);
   }
 
   {
@@ -552,20 +455,15 @@ void Batcher::execute_batch(std::shared_ptr<DeployedDesign> design,
     // promises: the next batch executes on another slot while this thread
     // does completion work, keeping the per-design pipeline full.
     std::lock_guard<std::mutex> lock(mutex_);
-    if (const auto it = busy_.find(design->id); it != busy_.end()) {
-      if (--it->second[backend_idx] == 0) {
-        bool any = false;
-        for (const std::size_t count : it->second) any = any || count != 0;
-        if (!any) busy_.erase(it);
-      }
+    if (const auto it = busy_.find(design->id); it != busy_.end() && --it->second == 0) {
+      busy_.erase(it);
     }
     if (const auto lane_it = lanes_.find(design->id); lane_it != lanes_.end()) {
-      // Same eagerness rule as enqueue: the engine that just freed only pulls
-      // the coalescing lane if it is worth a flush now (a partial lane waits
-      // for its max_wait deadline when only the fabric is idle).
-      const std::size_t lane_size = lane_it->second.requests.size();
-      if (capacity_available_locked(design->id, lane_size) ||
-          lane_size >= config_.max_batch) {
+      // Same rule as enqueue: the freed slot pulls the coalescing lane if it
+      // is worth a flush now (on the fabric a partial lane waits for its
+      // max_wait deadline).
+      if (capacity_available_locked(design->id) ||
+          lane_it->second.requests.size() >= config_.max_batch) {
         Lane next = std::move(lane_it->second);
         lanes_.erase(lane_it);
         flush_locked(std::move(next));
@@ -575,8 +473,8 @@ void Batcher::execute_batch(std::shared_ptr<DeployedDesign> design,
 
   // Modeled deployment cost of this invocation: one scatter-gather pass
   // through the accelerator for the executed images (expired requests never
-  // reach the FPGA). Reported per prediction regardless of where the batch
-  // ran, so clients always see what the deployment hardware would cost.
+  // reach the FPGA). Reported per prediction on either engine, so clients
+  // always see what the deployment hardware would cost.
   const double accel_seconds = design->invocation_seconds(live);
   const auto accel_invocation_us = static_cast<std::uint64_t>(accel_seconds * 1e6);
   const auto accel_share_us =
@@ -597,7 +495,7 @@ void Batcher::execute_batch(std::shared_ptr<DeployedDesign> design,
       metrics_->backend[backend_idx].exec_us.record(exec_us);
     }
     // Per-precision accounting: the design's deployed arithmetic is what the
-    // batch just executed in, wherever it was placed.
+    // batch just executed in.
     auto& precision_metrics =
         metrics_->precision[nn::serve_precision_index(design->precision)];
     precision_metrics.dispatched.add();
@@ -618,7 +516,7 @@ void Batcher::execute_batch(std::shared_ptr<DeployedDesign> design,
     results[i].exec_us = exec_us;
     results[i].accel_us = accel_share_us;
     results[i].batch_size = live;
-    results[i].backend = backend.id();
+    results[i].backend = backend_->id();
     results[i].precision = design->precision;
     if (metrics_) {
       metrics_->predictions.add();

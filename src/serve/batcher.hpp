@@ -1,33 +1,27 @@
-// Dynamic (continuous) micro-batching of predict requests, placed onto
-// heterogeneous backends.
+// Dynamic (continuous) micro-batching of predict requests onto the serving
+// runtime's engine.
 //
 // Requests for the same deployed design coalesce in a per-design lane. A lane
-// flushes — becoming one batch the cost-model Placer assigns to an
-// InferenceBackend (src/serve/backend/), whose execution resource runs every
-// image and fulfills the per-request futures — on the first of three
-// triggers:
-//   1. some backend can take a batch right now (the CPU engine has a free
-//      per-design inference slot, or the accelerator is idle): flush
-//      immediately, so an unloaded server adds zero batching latency and a
-//      loaded one keeps every engine busy. When that flush holds only the
-//      request a predict_wait() caller just submitted, the placer picked the
-//      CPU and the shared pool has an idle slot, the caller claims the slot
-//      and computes the batch on its own thread: no hand-off to a worker and
-//      no future wake-up. Otherwise the batch goes to the backend's resource;
+// flushes — becoming one batch that the runtime's InferenceBackend
+// (src/serve/backend/) executes on its resource, fulfilling the per-request
+// futures — on the first of three triggers:
+//   1. the engine can take a partial lane right now (the CPU engine, while
+//      the design has a free inference slot): flush immediately, so an
+//      unloaded server adds zero batching latency and a loaded one keeps
+//      every slot busy. When that flush holds only the request a
+//      predict_wait() caller just submitted and the shared pool has an idle
+//      slot, the caller claims the slot and computes the batch on its own
+//      thread: no hand-off to a worker and no future wake-up. Otherwise the
+//      batch goes to the engine's resource;
 //   2. `max_batch` requests are waiting: flush from the submitting thread;
 //   3. the oldest request has waited `max_wait_us`: deadline flush for
-//      partial batches stuck behind long-running batches.
-// While every backend is busy, concurrent requests accumulate and flush the
+//      partial batches stuck behind long-running batches. The fabric, whose
+//      DMA round trip amortizes over a full batch, takes partial lanes only
+//      this way.
+// While the engine is busy, concurrent requests accumulate and flush the
 // moment a batch completes — under saturation the batch size converges on
 // the number of concurrent clients (capped at max_batch) with no timer on
 // the hot path.
-//
-// Placement (see backend/placer.hpp): each flushed batch goes to the
-// admissible backend with the cheapest estimated completion cost — raw
-// execution estimate scaled by the work already queued there. Under CPU
-// saturation, overflow batches *spill* to the slower-but-idle accelerator
-// instead of queueing toward a 429; both backends compute identical results
-// (run_reference_batch), so placement never changes a prediction.
 //
 // Overload behavior (see DESIGN.md "Overload and failure behavior"):
 //   - Bounded admission. `max_queue_depth` caps requests that are admitted
@@ -39,19 +33,15 @@
 //     requests are dropped when their lane flushes and re-checked when the
 //     batch starts executing, failing the future with DeadlineExceededError
 //     so workers never run inference for a client that already gave up.
-//   - Circuit breaking, backend-scoped. predict() admits a request while ANY
-//     admissible backend's breaker would allow it; the chosen backend's
-//     breaker is consumed at placement, and batch outcomes feed only that
-//     backend's breaker — a failing accelerator path quarantines accelerator
-//     placements while the CPU keeps serving the design (and vice versa).
-//     Only when every backend is quarantined does predict() fail with
-//     DesignUnavailableError.
+//   - Circuit breaking, per design. predict() admits a request while the
+//     design's breaker would allow it; a flush claims the breaker (the
+//     half-open probe included), and each batch's outcome feeds it. While it
+//     is open, predict() fails with DesignUnavailableError.
 //   - Fault sites: `batcher.enqueue` (latency/alloc) in predict(),
-//     `backend.dispatch` (error/alloc at placement, latency at batch start),
+//     `backend.dispatch` (error/alloc at flush, latency at batch start),
 //     `executor.batch` (latency/error) at batch execution.
 #pragma once
 
-#include <array>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -63,7 +53,6 @@
 #include <vector>
 
 #include "serve/backend/backend.hpp"
-#include "serve/backend/placer.hpp"
 #include "serve/errors.hpp"
 #include "serve/executor.hpp"
 #include "serve/fault.hpp"
@@ -93,8 +82,8 @@ struct BatcherConfig {
   std::uint64_t max_wait_us = 1000; ///< deadline flush for partial batches
   /// Concurrent batches allowed per design on the CPU backend; 0 = the
   /// executor's worker count. 1 restores the fully serialized
-  /// pre-ExecutionContext behavior. (The accelerator's concurrency is always
-  /// 1: one physical IP core.)
+  /// pre-ExecutionContext behavior. (The accelerator runs one batch at a
+  /// time: one physical IP core.)
   std::size_t max_inflight_per_design = 0;
   /// Bounded admission: cap on requests admitted but not yet executing
   /// (waiting()). 0 = unbounded. At the cap predict() sheds with
@@ -111,19 +100,17 @@ class Batcher {
   /// Sentinel deadline: the request never expires.
   static constexpr Clock::time_point kNoDeadline = Clock::time_point::max();
 
-  /// Single-engine batcher: wraps `executor` in a CpuBackend with the
-  /// cpu-only placement policy — the pre-backend behavior, byte for byte.
+  /// Batcher on the host engine: wraps `executor` in a CpuBackend.
   /// `executor` must outlive the batcher. `metrics` and `faults` may be null.
   Batcher(Executor& executor, BatcherConfig config, ServeMetrics* metrics = nullptr,
           FaultInjector* faults = nullptr);
 
-  /// Heterogeneous batcher: flushed batches are placed onto `backends` by
-  /// `policy`. `backends` must be non-empty; the batcher shares ownership and
-  /// calls shutdown() on each backend after draining. `cpu_slots` resolves
-  /// BatcherConfig::max_inflight_per_design == 0 (pass the executor width).
-  Batcher(std::vector<std::shared_ptr<InferenceBackend>> backends, PlacerPolicy policy,
-          std::size_t cpu_slots, BatcherConfig config, ServeMetrics* metrics = nullptr,
-          FaultInjector* faults = nullptr);
+  /// Every flushed batch runs on `backend`, which must be non-null. The
+  /// batcher shares ownership and calls its shutdown() after draining.
+  /// BatcherConfig::max_inflight_per_design == 0 resolves to the backend's
+  /// concurrency.
+  Batcher(std::shared_ptr<InferenceBackend> backend, BatcherConfig config,
+          ServeMetrics* metrics = nullptr, FaultInjector* faults = nullptr);
   ~Batcher();
   Batcher(const Batcher&) = delete;
   Batcher& operator=(const Batcher&) = delete;
@@ -135,7 +122,7 @@ class Batcher {
   ///   std::invalid_argument      input-shape mismatch
   ///   OverloadedError            admission queue at max_queue_depth
   ///   DeadlineExceededError      `deadline` already passed
-  ///   DesignUnavailableError     every backend's circuit breaker is open
+  ///   DesignUnavailableError     the design's circuit breaker is open
   ///   ShutdownError              after shutdown()
   std::future<Prediction> predict(std::shared_ptr<DeployedDesign> design,
                                   tensor::Tensor input,
@@ -143,31 +130,29 @@ class Batcher {
 
   /// predict() and wait for the result: returns the Prediction or throws
   /// what predict() or its future would. Admission is predict()'s own. When
-  /// the request flushes at once as a batch of one, placed on the CPU
-  /// backend, and the worker pool has an idle slot, this thread claims that
-  /// slot and runs the batch itself (counted in backends.cpu.inline); the
+  /// the request flushes at once as a batch of one on the CPU backend and
+  /// the worker pool has an idle slot, this thread claims that slot and
+  /// runs the batch itself (counted in backends.cpu.inline); the
   /// batch goes through the same deadline drops, fault sites, breaker
   /// verdicts and metrics as on a worker. Otherwise it waits on the future.
   Prediction predict_wait(std::shared_ptr<DeployedDesign> design, tensor::Tensor input,
                           Clock::time_point deadline = kNoDeadline);
 
   /// Flush every pending lane, wait for all in-flight batches, stop the
-  /// deadline thread, shut the backends down. Idempotent.
+  /// deadline thread, shut the backend down. Idempotent.
   void shutdown();
 
   const BatcherConfig& config() const { return config_; }
   /// Effective concurrent-batch cap per design on the CPU backend.
   std::size_t inflight_limit() const { return inflight_limit_; }
-  const Placer& placer() const { return placer_; }
-  const std::vector<std::shared_ptr<InferenceBackend>>& backends() const {
-    return backends_;
-  }
+  /// The engine every batch runs on.
+  const InferenceBackend& backend() const { return *backend_; }
 
   /// Requests waiting in lanes (not yet flushed).
   std::size_t pending() const;
 
   /// Requests admitted but not yet executing (lanes + submitted batches the
-  /// backends have not started). This is what max_queue_depth bounds.
+  /// backend has not started). This is what max_queue_depth bounds.
   std::size_t waiting() const;
 
  private:
@@ -184,11 +169,10 @@ class Batcher {
     Clock::time_point deadline;  ///< enqueue time of the oldest + max_wait
   };
 
-  /// A placed batch the submitting thread runs itself, in the idle slot
-  /// `slot` of `backend` (predict_wait()).
+  /// A flushed batch the submitting thread runs itself, in the idle slot
+  /// `slot` of the backend's pool (predict_wait()).
   struct InlineBatch {
     Executor::Slot slot;
-    InferenceBackend* backend = nullptr;
     std::shared_ptr<DeployedDesign> design;
     std::vector<Request> batch;
   };
@@ -199,27 +183,18 @@ class Batcher {
   std::future<Prediction> admit(std::shared_ptr<DeployedDesign> design, tensor::Tensor input,
                                 Clock::time_point deadline, InlineBatch* run);
   void deadline_loop();
-  /// Some backend can start a batch of `design_id` right now AND is worth
-  /// flushing a lane of `lane_size` requests to: engines that amortize a
-  /// fixed per-invocation cost over the batch (eager_partial_flush == false)
-  /// only count once the lane is full — partial lanes reach them through the
-  /// max_wait deadline flush instead. Caller holds mutex_.
-  bool capacity_available_locked(const std::string& design_id, std::size_t lane_size) const;
-  /// Cost-rank the backends for a batch of `images` and claim the winner's
-  /// breaker probe. nullptr when every backend is excluded or quarantined
-  /// (`retry_after_ms` then carries the soonest cooldown expiry). Caller
-  /// holds mutex_.
-  std::shared_ptr<InferenceBackend> choose_backend_locked(DeployedDesign& design,
-                                                          std::size_t images, bool& spill,
-                                                          std::uint64_t& retry_after_ms);
-  /// Place a full lane and dispatch it to the chosen backend (expired
-  /// requests are dropped first). With `run` set, the batch is instead
-  /// moved into `run` when the chosen backend grants an idle inline slot;
+  /// The engine takes a partial lane of `design_id` right now: it flushes
+  /// partial lanes eagerly (eager_partial_flush; the fabric amortizes a
+  /// fixed per-invocation cost and waits for a full lane or the max_wait
+  /// deadline) and the design has a free inflight slot. Caller holds mutex_.
+  bool capacity_available_locked(const std::string& design_id) const;
+  /// Claim the design's breaker for a lane and dispatch it to the backend
+  /// (expired requests are dropped first). With `run` set, the batch is
+  /// instead moved into `run` when the backend grants an idle inline slot;
   /// the caller then runs execute_batch after releasing the mutex. Caller
   /// holds mutex_.
   void flush_locked(Lane lane, InlineBatch* run = nullptr);
-  void execute_batch(std::shared_ptr<DeployedDesign> design, std::vector<Request> batch,
-                     InferenceBackend& backend);
+  void execute_batch(std::shared_ptr<DeployedDesign> design, std::vector<Request> batch);
   /// Account `count` admitted requests of `design_id` leaving the waiting
   /// set (started executing, expired, or failed to submit). Caller holds
   /// mutex_.
@@ -228,8 +203,7 @@ class Batcher {
   /// with or without mutex_ held (touches only the request and metrics).
   void expire_request(Request& request);
 
-  const std::vector<std::shared_ptr<InferenceBackend>> backends_;
-  const Placer placer_;
+  const std::shared_ptr<InferenceBackend> backend_;
   const BatcherConfig config_;
   const std::size_t inflight_limit_;
   ServeMetrics* metrics_;
@@ -239,13 +213,12 @@ class Batcher {
   std::condition_variable lane_cv_;     ///< wakes the deadline thread
   std::condition_variable drained_cv_;  ///< signals in-flight batches done
   std::map<std::string, Lane> lanes_;   ///< keyed by design id
-  /// In-flight batches per design, per backend (indexed by backend_index()).
-  std::map<std::string, std::array<std::size_t, kBackendCount>> busy_;
+  std::map<std::string, std::size_t> busy_;  ///< in-flight batches per design
   std::size_t in_flight_ = 0;           ///< batches submitted, not yet finished
   std::size_t waiting_ = 0;             ///< admitted, not yet executing
   std::map<std::string, std::size_t> waiting_by_design_;
   bool stopping_ = false;
-  bool backends_shut_ = false;
+  bool backend_shut_ = false;
   std::thread deadline_thread_;
 };
 

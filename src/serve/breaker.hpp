@@ -56,8 +56,8 @@ class Breaker {
 
   /// Would allow() succeed right now? Non-mutating: neither transitions the
   /// state nor claims the half-open probe slot. The batcher admits a request
-  /// when any backend's breaker would allow it, and only consumes allow() on
-  /// the backend the placer actually chooses at flush time.
+  /// when the design's breaker would allow it, and only consumes allow() when
+  /// the request's batch flushes.
   bool would_allow() const;
 
   /// A batch for this design executed successfully.

@@ -75,14 +75,6 @@ json::Value HistogramCounts::to_json() const {
   return json::Value(std::move(out));
 }
 
-double ServeMetrics::spill_rate() const {
-  std::uint64_t dispatched = 0;
-  for (std::size_t i = 0; i < kBackendCount; ++i) dispatched += backend[i].dispatched.value();
-  return dispatched == 0 ? 0.0
-                         : static_cast<double>(spilled.value()) /
-                               static_cast<double>(dispatched);
-}
-
 double ServeMetrics::cache_hit_rate() const {
   const std::uint64_t total = deploys.value();
   return total == 0 ? 0.0
@@ -120,8 +112,6 @@ json::Value ServeMetrics::to_json() const {
     one["exec_us"] = backend[i].exec_us.to_json();
     backends[backend_name(static_cast<BackendId>(i))] = std::move(one);
   }
-  backends["spilled"] = spilled.value();
-  backends["spill_rate"] = spill_rate();
   out["backends"] = std::move(backends);
 
   json::Object precisions;

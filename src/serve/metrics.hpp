@@ -134,11 +134,12 @@ struct ServeMetrics {
   Histogram exec_us;          ///< batch execution time (host functional model)
   Histogram accel_us;         ///< modeled accelerator invocation time per batch
 
-  /// Per-backend placement and execution counters (indexed by
-  /// backend_index()). `dispatched` counts placement decisions; `batches`/
-  /// `images` count completed executions, `errors` failed ones.
+  /// Per-backend dispatch and execution counters (indexed by
+  /// backend_index()); a runtime feeds only its engine's. `dispatched` counts
+  /// flushed batches handed to the engine; `batches`/`images` count completed
+  /// executions, `errors` failed ones.
   struct BackendMetrics {
-    Counter dispatched;       ///< batches the placer sent to this backend
+    Counter dispatched;       ///< batches handed to this backend
     Counter inline_batches;   ///< of those, batches run on the submitting
                               ///< thread in an idle slot (JSON "inline")
     Counter batches;          ///< batches that executed successfully
@@ -159,13 +160,6 @@ struct ServeMetrics {
     Histogram exec_us;        ///< batch execution time at this precision
   };
   PrecisionMetrics precision[nn::kServePrecisionCount];
-  /// Batches placed off the raw-fastest admissible backend because queue
-  /// pressure made the slower-but-idle one finish sooner — the traffic that
-  /// would have queued (or been shed with 429) on a single engine.
-  Counter spilled;
-
-  /// spilled / total dispatched batches (0 when nothing dispatched yet).
-  double spill_rate() const;
 
   double cache_hit_rate() const;
 

@@ -11,7 +11,6 @@
 // (shared_ptr) until their last in-flight batch completes.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <list>
@@ -23,29 +22,11 @@
 
 #include "core/framework.hpp"
 #include "nn/execution.hpp"
-#include "serve/backend/ids.hpp"
 #include "serve/breaker.hpp"
 #include "serve/fault.hpp"
 #include "serve/metrics.hpp"
 
 namespace cnn2fpga::serve {
-
-/// Per-backend serving state of one deployed design. The failure domain is
-/// scoped to (design, backend): a wedged accelerator dispatch path opens only
-/// the accelerator breaker, so the CPU engine keeps serving the design (and
-/// vice versa) — the placer routes around the quarantined backend instead of
-/// rejecting the whole design.
-struct BackendServeState {
-  BackendServeState(BreakerConfig config, Counter* opens) : breaker(config, opens) {}
-
-  Breaker breaker;                          ///< failure quarantine, this backend only
-  std::atomic<std::uint64_t> batches{0};    ///< batches executed on this backend
-  std::atomic<std::uint64_t> images{0};     ///< images served on this backend
-  std::atomic<bool> warmed{false};          ///< backend deploy-time warm-up done
-  /// Measured per-image execution seconds (CpuBackend feeds this from actual
-  /// batch wall time; the accelerator's timing comes from the model instead).
-  EwmaSeconds measured_seconds_per_image;
-};
 
 /// Deploy-time validation report of a quantized design against the
 /// fixed-point accuracy model (nn::forward_fixed over seeded probe inputs).
@@ -84,10 +65,7 @@ struct DeployedDesign {
         weights(std::move(weights_in)),
         precision(precision_in),
         contexts(net, nn::kernels::active(), precision_in),
-        backends{{BackendServeState{breaker_config, breaker_opens},
-                  BackendServeState{breaker_config, breaker_opens}}},
-        breaker(backends[backend_index(BackendId::kCpu)].breaker) {
-    static_assert(kBackendCount == 2, "backends{} initializer expects two backends");
+        breaker(breaker_config, breaker_opens) {
     // Deploy-time warm-up: build the pool's shared weight-pack cache now so
     // no request-path context ever packs a panel (no-op on scalar hosts).
     contexts.warm();
@@ -103,21 +81,9 @@ struct DeployedDesign {
   QuantReport quant;
 
   nn::ExecutionContextPool contexts;         ///< reusable inference contexts
-  /// Per-backend breakers, counters and latency observations, indexed by
-  /// backend_index().
-  std::array<BackendServeState, kBackendCount> backends;
-  /// The CPU backend's breaker, aliased under the pre-backend name: single-
-  /// engine callers keep reading `design->breaker` and observe the engine
-  /// that serves them.
-  Breaker& breaker;
+  Breaker breaker;                           ///< failure quarantine of this design
+  std::atomic<std::uint64_t> batches{0};     ///< batches executed successfully
   std::atomic<std::uint64_t> served{0};      ///< images predicted on this design
-
-  BackendServeState& backend_state(BackendId backend) {
-    return backends[backend_index(backend)];
-  }
-  const BackendServeState& backend_state(BackendId backend) const {
-    return backends[backend_index(backend)];
-  }
 
   const core::NetworkDescriptor& descriptor() const { return analysis.descriptor; }
   /// Estimated per-image latency of the generated hardware (HLS report).

@@ -97,29 +97,14 @@ json::Object design_summary(const DeployedDesign& deployed) {
   out["latency_seconds"] = deployed.hls_latency_seconds();
   out["fits"] = deployed.analysis.hls_report.fits();
   out["served"] = deployed.served.load(std::memory_order_relaxed);
+  out["batches"] = deployed.batches.load(std::memory_order_relaxed);
+  // What one image costs the generated hardware, whichever engine serves.
+  out["modeled_us_per_image"] = deployed.invocation_seconds(1) * 1e6;
   out["breaker"] = std::string(deployed.breaker.state_name());
-  json::Object backends;
-  for (std::size_t i = 0; i < kBackendCount; ++i) {
-    const BackendId id = static_cast<BackendId>(i);
-    const BackendServeState& state = deployed.backend_state(id);
-    json::Object one;
-    one["breaker"] = std::string(state.breaker.state_name());
-    one["batches"] = state.batches.load(std::memory_order_relaxed);
-    one["images"] = state.images.load(std::memory_order_relaxed);
-    one["warmed"] = state.warmed.load(std::memory_order_relaxed);
-    if (id == BackendId::kCpu) {
-      one["measured_us_per_image"] = state.measured_seconds_per_image.value() * 1e6;
-    } else {
-      one["modeled_us_per_image"] = deployed.invocation_seconds(1) * 1e6;
-    }
-    backends[backend_name(id)] = std::move(one);
-  }
-  out["backends"] = std::move(backends);
   return out;
 }
 
-/// Per-design breaker block keyed by design id, with the CPU breaker in the
-/// pre-backend compat fields and every backend's breaker nested below.
+/// Per-design breaker block keyed by design id.
 json::Object breaker_summary(const DeployedDesign& deployed, bool include_retry) {
   json::Object one;
   one["state"] = std::string(deployed.breaker.state_name());
@@ -129,42 +114,31 @@ json::Object breaker_summary(const DeployedDesign& deployed, bool include_retry)
   } else {
     one["opens"] = deployed.breaker.opens();
   }
-  json::Object per_backend;
-  for (std::size_t i = 0; i < kBackendCount; ++i) {
-    const BackendId id = static_cast<BackendId>(i);
-    const Breaker& breaker = deployed.backend_state(id).breaker;
-    json::Object state;
-    state["state"] = std::string(breaker.state_name());
-    state["consecutive_failures"] = breaker.consecutive_failures();
-    state["opens"] = breaker.opens();
-    state["retry_after_ms"] = breaker.retry_after_ms();
-    per_backend[backend_name(id)] = std::move(state);
-  }
-  one["backends"] = std::move(per_backend);
   return one;
 }
 
-std::vector<std::shared_ptr<InferenceBackend>> make_backends(const BackendsConfig& config,
-                                                             Executor& executor) {
-  std::vector<std::shared_ptr<InferenceBackend>> backends;
-  // CPU first: equal placement costs tie-break toward the host engine.
-  if (config.cpu || !config.accelerator) {  // at least one engine, always
-    backends.push_back(std::make_shared<CpuBackend>(executor));
-  }
-  if (config.accelerator) {
-    AcceleratorBackend::Options options;
-    options.sleep_for_model = config.accel_sleep_for_model;
-    backends.push_back(std::make_shared<AcceleratorBackend>(options));
-  }
-  return backends;
+/// The engine block of readyz and the metrics: which engine serves, how many
+/// batches it runs at once, and the work waiting for it.
+json::Object engine_summary(const InferenceBackend& engine) {
+  const std::size_t slots = engine.capabilities().concurrency;
+  const std::size_t pending = engine.pending();
+  json::Object out;
+  out["name"] = std::string(engine.name());
+  out["slots"] = slots;
+  out["queued"] = engine.queued();
+  out["inflight"] = engine.inflight();
+  out["pending"] = pending;
+  out["saturated"] = pending > slots;  // work queued beyond its capacity
+  return out;
 }
 
-/// A lone engine needs no cost model — pin the policy so the placer's
-/// admission pre-checks agree with what can actually execute.
-PlacerPolicy effective_policy(const BackendsConfig& config) {
-  if (!config.accelerator) return PlacerPolicy::kCpuOnly;
-  if (!config.cpu) return PlacerPolicy::kAcceleratorOnly;
-  return config.placer;
+std::shared_ptr<InferenceBackend> make_backend(const ServingConfig& config,
+                                               Executor& executor) {
+  if (config.engine == BackendId::kAccelerator) {
+    return std::make_shared<AcceleratorBackend>(
+        AcceleratorBackend::Options{.sleep_for_model = config.accel_sleep_for_model});
+  }
+  return std::make_shared<CpuBackend>(executor);
 }
 
 /// Seconds a shed client should back off: the p95 queue latency rounded up,
@@ -188,19 +162,10 @@ ServingRuntime::ServingRuntime(ServingConfig config)
     : config_(config),
       registry_(config.registry_capacity, &metrics_, config.breaker, &faults_),
       executor_(config.worker_threads),
-      backends_(make_backends(config.backends, executor_)),
-      batcher_(backends_, effective_policy(config.backends), executor_.thread_count(),
-               config.batcher, &metrics_, &faults_) {
+      batcher_(make_backend(config, executor_), config.batcher, &metrics_, &faults_) {
   // CNN2FPGA_FAULTS / CNN2FPGA_FAULT_SEED arm injection before any request
   // can arrive (the HTTP server is installed on a constructed runtime).
   faults_.configure_from_env();
-}
-
-InferenceBackend* ServingRuntime::backend(BackendId id) const {
-  for (const auto& candidate : backends_) {
-    if (candidate->id() == id) return candidate.get();
-  }
-  return nullptr;
 }
 
 ServingRuntime::~ServingRuntime() { shutdown(); }
@@ -231,10 +196,6 @@ web::HttpResponse ServingRuntime::handle_deploy(const web::HttpRequest& request)
   } catch (const std::exception& e) {
     return api_error(500, "internal", e.what());
   }
-
-  // Per-backend deploy-time warming (idempotent on cache hits): weight packs
-  // and the timing model are primed before the first request arrives.
-  for (const auto& backend : backends_) backend->warm(*outcome.design);
 
   json::Object body = design_summary(*outcome.design);
   body["cache_hit"] = outcome.cache_hit;
@@ -372,19 +333,7 @@ web::HttpResponse ServingRuntime::handle_metrics(const web::HttpRequest&) {
   pool["pending"] = batcher_.pending();
   pool["waiting"] = batcher_.waiting();
   body["pool"] = std::move(pool);
-  json::Object placer;
-  placer["policy"] = std::string(placer_policy_name(batcher_.placer().policy()));
-  json::Object live;
-  for (const auto& backend : backends_) {
-    json::Object one;
-    one["slots"] = backend->capabilities().concurrency;
-    one["queued"] = backend->queued();
-    one["inflight"] = backend->inflight();
-    one["pending"] = backend->pending();
-    live[backend->name()] = std::move(one);
-  }
-  placer["live"] = std::move(live);
-  body["placer"] = std::move(placer);
+  body["engine"] = engine_summary(batcher_.backend());
   json::Object breakers;
   for (const auto& deployed : registry_.list()) {
     breakers[deployed->id] = breaker_summary(*deployed, /*include_retry=*/false);
@@ -410,21 +359,10 @@ web::HttpResponse ServingRuntime::handle_readyz(const web::HttpRequest&) {
   body["shed_rate"] = admitted + shed == 0
                           ? 0.0
                           : static_cast<double>(shed) / static_cast<double>(admitted + shed);
-  // Per-backend saturation: which engine is actually full. The top-level
-  // "status" above stays the admission-queue aggregate for compatibility; a
-  // load balancer that wants the split reads this block instead.
-  json::Object backends;
-  for (const auto& backend : backends_) {
-    const std::size_t slots = backend->capabilities().concurrency;
-    const std::size_t pending = backend->pending();
-    json::Object one;
-    one["slots"] = slots;
-    one["pending"] = pending;
-    one["saturated"] = pending > slots;  // work queued beyond its capacity
-    backends[backend->name()] = std::move(one);
-  }
-  body["backends"] = std::move(backends);
-  body["spill_rate"] = metrics_.spill_rate();
+  // The engine's own saturation. The top-level "status" above stays the
+  // admission-queue aggregate; a load balancer that wants the engine's view
+  // reads this block instead.
+  body["engine"] = engine_summary(batcher_.backend());
   json::Object breakers;
   for (const auto& deployed : registry_.list()) {
     breakers[deployed->id] = breaker_summary(*deployed, /*include_retry=*/true);

@@ -31,6 +31,10 @@
 // once the runtime is draining. The header is read by serve/deadline.hpp, as
 // the shard router reads it; a budget past the clock's range is no deadline.
 //
+// The runtime serves on one engine, chosen at start-up (ServingConfig::
+// engine): the host CPU by default, or the simulated fabric. It builds only
+// that backend.
+//
 // handle_predict waits through Batcher::predict_wait: when the request's
 // batch is a lone CPU batch and a worker slot is idle, the HTTP handler
 // thread computes it in that slot itself. Handler threads therefore do
@@ -40,11 +44,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <vector>
 
-#include "serve/backend/backend.hpp"
-#include "serve/backend/placer.hpp"
+#include "serve/backend/ids.hpp"
 #include "serve/batcher.hpp"
 #include "serve/breaker.hpp"
 #include "serve/executor.hpp"
@@ -55,25 +56,18 @@
 
 namespace cnn2fpga::serve {
 
-/// Which execution engines the runtime serves on, and how batches are placed
-/// between them. The default is heterogeneous: CPU plus the simulated fabric
-/// behind the cost-model placer, so overflow spills instead of shedding.
-struct BackendsConfig {
-  bool cpu = true;            ///< host SIMD engine on the shared worker pool
-  bool accelerator = true;    ///< simulated FPGA fabric on its own driver thread
-  PlacerPolicy placer = PlacerPolicy::kCost;
-  /// Wall-clock the modeled accelerator latency (the fabric really is busy
-  /// for invocation_seconds). Disable in tests that only want the virtual
-  /// clock.
-  bool accel_sleep_for_model = true;
-};
-
 struct ServingConfig {
   std::size_t registry_capacity = 16;  ///< LRU bound on resident designs
   std::size_t worker_threads = 4;      ///< executor pool size
   BatcherConfig batcher;
-  BreakerConfig breaker;               ///< applied per (design, backend)
-  BackendsConfig backends;
+  BreakerConfig breaker;               ///< applied per design
+  /// The engine every batch runs on: the host SIMD engine on the shared
+  /// worker pool, or the simulated FPGA fabric on its own driver thread.
+  BackendId engine = BackendId::kCpu;
+  /// Wall-clock the modeled accelerator latency (the fabric really is busy
+  /// for invocation_seconds). Disable in tests that only want the virtual
+  /// clock.
+  bool accel_sleep_for_model = true;
   /// Server-side deadline for predict requests without an X-Deadline-Ms
   /// header. 0 = no default (requests wait as long as the client does).
   std::uint64_t default_deadline_ms = 0;
@@ -96,11 +90,6 @@ class ServingRuntime {
   ServeMetrics& metrics() { return metrics_; }
   FaultInjector& faults() { return faults_; }
   const ServingConfig& config() const { return config_; }
-  const std::vector<std::shared_ptr<InferenceBackend>>& backends() const {
-    return backends_;
-  }
-  /// nullptr when the backend is not enabled.
-  InferenceBackend* backend(BackendId id) const;
 
   /// Transport-free handler entry points (exercised directly by tests).
   web::HttpResponse handle_deploy(const web::HttpRequest& request);
@@ -114,10 +103,7 @@ class ServingRuntime {
   ServeMetrics metrics_;
   FaultInjector faults_;  ///< must precede registry_/batcher_ (they hold it)
   DesignRegistry registry_;
-  Executor executor_;
-  /// Built from config_.backends; must precede batcher_ (it places onto
-  /// them) and follow executor_ (CpuBackend wraps it).
-  std::vector<std::shared_ptr<InferenceBackend>> backends_;
+  Executor executor_;  ///< must precede batcher_ (its CpuBackend wraps it)
   Batcher batcher_;
   std::atomic<bool> stopped_{false};
 };

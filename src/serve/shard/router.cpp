@@ -111,15 +111,6 @@ void fix_fleet_rates(json::Object& fleet) {
     const double total = num_field(deploy, "total");
     deploy["cache_hit_rate"] = total > 0 ? num_field(deploy, "cache_hits") / total : 0.0;
   }
-  if (const auto it = fleet.find("backends"); it != fleet.end() && it->second.is_object()) {
-    json::Object& backends = it->second.as_object();
-    double dispatched = 0;
-    for (const auto& [name, value] : backends) {
-      if (value.is_object()) dispatched += num_field(value.as_object(), "dispatched");
-    }
-    backends["spill_rate"] =
-        dispatched > 0 ? num_field(backends, "spilled") / dispatched : 0.0;
-  }
 }
 
 }  // namespace

@@ -38,6 +38,13 @@ std::optional<std::string> CliArgs::get(const std::string& name) const {
   return it->second;
 }
 
+std::vector<std::string> CliArgs::names() const {
+  std::vector<std::string> out;
+  out.reserve(options_.size());
+  for (const auto& [name, value] : options_) out.push_back(name);
+  return out;
+}
+
 std::string CliArgs::get_string(const std::string& name, const std::string& fallback) const {
   const auto value = get(name);
   return value ? *value : fallback;

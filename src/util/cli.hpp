@@ -31,6 +31,9 @@ class CliArgs {
   /// Arguments that were not options (no leading `--`).
   const std::vector<std::string>& positional() const { return positional_; }
 
+  /// Names of every option given, sorted.
+  std::vector<std::string> names() const;
+
  private:
   std::string program_;
   std::map<std::string, std::string> options_;

@@ -31,6 +31,7 @@ const char* status_code_slug(int status) {
     case 413: return "payload_too_large";
     case 429: return "overloaded";
     case 500: return "internal";
+    case 501: return "not_implemented";
     case 503: return "unavailable";
     case 504: return "deadline_exceeded";
     default: return "error";

@@ -33,6 +33,7 @@ const char* status_text(int status) {
     case 413: return "Content Too Large";
     case 429: return "Too Many Requests";
     case 500: return "Internal Server Error";
+    case 501: return "Not Implemented";
     case 503: return "Service Unavailable";
     case 504: return "Gateway Timeout";
     default: return "Unknown";
@@ -50,7 +51,10 @@ struct ReadOutcome {
 ReadOutcome error_outcome(int status) { return {std::nullopt, status}; }
 
 /// Read one request: the header block, then exactly Content-Length body
-/// bytes. `carry` holds bytes the connection delivered past the previous
+/// bytes. A body framed any other way is refused, and the connection closes:
+/// any Transfer-Encoding answers 501 (RFC 9112 §6.1), a repeated
+/// Content-Length 400 (RFC 9110 §8.6). Guessing the framing would read the
+/// body's bytes as the next request. `carry` holds bytes the connection delivered past the previous
 /// request (a pipelined client, RFC 9112 §9.3.2, may send the next request in
 /// the same segment); the request starts there, and on return `carry` holds
 /// whatever arrived past this one.
@@ -97,8 +101,11 @@ ReadOutcome read_request(int fd, const ServerConfig& config, bool first, std::st
     const std::string line(util::trim(lines[i]));
     const std::size_t colon = line.find(':');
     if (colon == std::string::npos) continue;
-    request.headers[util::to_lower(line.substr(0, colon))] =
-        std::string(util::trim(line.substr(colon + 1)));
+    const std::string name = util::to_lower(line.substr(0, colon));
+    if (name == "transfer-encoding") return error_outcome(501);
+    const auto [header, fresh] = request.headers.try_emplace(name);
+    if (!fresh && name == "content-length") return error_outcome(400);
+    header->second = util::trim(line.substr(colon + 1));
   }
 
   std::size_t content_length = 0;

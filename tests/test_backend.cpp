@@ -1,7 +1,6 @@
-// Tests for the heterogeneous backend subsystem: the cost-model placer as a
-// pure function over synthetic snapshots, EWMA latency tracking, dispatch
-// queue gauges, cross-backend bit-exactness, and the accelerator's
-// serial-invocation contract (one physical IP core) with its virtual clock.
+// Tests for the two serving engines: engine names, dispatch queue gauges,
+// cross-backend bit-exactness, and the accelerator's serial-invocation
+// contract (one physical IP core) with its virtual clock.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,7 +11,6 @@
 
 #include "serve/backend/accel_backend.hpp"
 #include "serve/backend/cpu_backend.hpp"
-#include "serve/backend/placer.hpp"
 #include "serve/executor.hpp"
 #include "serve/registry.hpp"
 #include "util/rng.hpp"
@@ -55,130 +53,18 @@ std::shared_ptr<DeployedDesign> deploy(DesignRegistry& registry, const std::stri
 
 }  // namespace
 
-// -------------------------------------------------------------------- placer
-
-TEST(Placer, CompletionCostScalesWithQueuePressure) {
-  // estimate * (1 + pending/slots): each backlog-per-slot adds one
-  // service-time of waiting ahead of the batch.
-  EXPECT_DOUBLE_EQ(Placer::completion_cost(2.0, 0, 4), 2.0);
-  EXPECT_DOUBLE_EQ(Placer::completion_cost(2.0, 4, 4), 4.0);
-  EXPECT_DOUBLE_EQ(Placer::completion_cost(1.0, 3, 1), 4.0);
-  // slots clamps to >= 1 instead of dividing by zero.
-  EXPECT_DOUBLE_EQ(Placer::completion_cost(1.0, 2, 0), 3.0);
-}
-
-TEST(Placer, ScenarioTableCostModel) {
-  struct Scenario {
-    const char* why;
-    double cpu_estimate;
-    std::size_t cpu_pending;
-    std::size_t cpu_slots;
-    double accel_estimate;
-    std::size_t accel_pending;
-    BackendId expect_winner;
-    bool expect_spill;
-  };
-  // The accelerator always has 1 slot: one physical IP core.
-  const Scenario table[] = {
-      {"both idle, CPU faster: fastest backend wins, no spill",
-       0.001, 0, 4, 0.004, 0, BackendId::kCpu, false},
-      {"both idle, accelerator faster (pipelined batch): it wins, no spill",
-       0.004, 0, 4, 0.001, 0, BackendId::kAccelerator, false},
-      {"CPU queue past the speed ratio: overflow spills to the idle fabric",
-       0.001, 16, 4, 0.004, 0, BackendId::kAccelerator, true},
-      {"CPU busy but under the ratio: still cheaper to wait for the CPU",
-       0.001, 4, 4, 0.004, 0, BackendId::kCpu, false},
-      {"fabric backed up: batches come home to the CPU",
-       0.004, 0, 4, 0.001, 8, BackendId::kCpu, true},
-      {"equal completion cost ties break toward snapshot order (CPU first)",
-       0.002, 0, 1, 0.002, 0, BackendId::kCpu, false},
-  };
-  const Placer placer(PlacerPolicy::kCost);
-  for (const Scenario& s : table) {
-    const BackendSnapshot snapshots[] = {
-        {BackendId::kCpu, s.cpu_estimate, s.cpu_pending, s.cpu_slots, true},
-        {BackendId::kAccelerator, s.accel_estimate, s.accel_pending, 1, true},
-    };
-    const Placement placement = placer.place(snapshots);
-    ASSERT_EQ(placement.ranked.size(), 2u) << s.why;
-    EXPECT_EQ(placement.ranked.front().id, s.expect_winner) << s.why;
-    // A spill is exactly "the chosen backend is not the raw-fastest one".
-    EXPECT_EQ(placement.ranked.front().id != placement.fastest, s.expect_spill) << s.why;
-  }
-}
-
-TEST(Placer, PolicyPinsTheBackend) {
-  const BackendSnapshot snapshots[] = {
-      {BackendId::kCpu, 0.010, 0, 4, true},  // the slower engine here
-      {BackendId::kAccelerator, 0.001, 0, 1, true},
-  };
-  const Placer cpu_only(PlacerPolicy::kCpuOnly);
-  EXPECT_TRUE(cpu_only.admits(BackendId::kCpu));
-  EXPECT_FALSE(cpu_only.admits(BackendId::kAccelerator));
-  Placement placement = cpu_only.place(snapshots);
-  ASSERT_EQ(placement.ranked.size(), 1u);
-  EXPECT_EQ(placement.ranked.front().id, BackendId::kCpu);
-  // "fastest" ranges over admissible backends only: a pinned policy can
-  // never report its own placement as a spill.
-  EXPECT_EQ(placement.fastest, BackendId::kCpu);
-
-  const Placer accel_only(PlacerPolicy::kAcceleratorOnly);
-  EXPECT_FALSE(accel_only.admits(BackendId::kCpu));
-  placement = accel_only.place(snapshots);
-  ASSERT_EQ(placement.ranked.size(), 1u);
-  EXPECT_EQ(placement.ranked.front().id, BackendId::kAccelerator);
-}
-
-TEST(Placer, InadmissibleSnapshotsAreSkipped) {
-  const Placer placer(PlacerPolicy::kCost);
-  const BackendSnapshot one_open[] = {
-      {BackendId::kCpu, 0.001, 0, 4, false},  // breaker open
-      {BackendId::kAccelerator, 0.004, 0, 1, true},
-  };
-  const Placement placement = placer.place(one_open);
-  ASSERT_EQ(placement.ranked.size(), 1u);
-  EXPECT_EQ(placement.ranked.front().id, BackendId::kAccelerator);
-
-  const BackendSnapshot all_open[] = {
-      {BackendId::kCpu, 0.001, 0, 4, false},
-      {BackendId::kAccelerator, 0.004, 0, 1, false},
-  };
-  EXPECT_TRUE(placer.place(all_open).ranked.empty());
-}
-
-TEST(Placer, PolicyNamesRoundTripAndRejectGarbage) {
-  for (const PlacerPolicy policy :
-       {PlacerPolicy::kCost, PlacerPolicy::kCpuOnly, PlacerPolicy::kAcceleratorOnly}) {
-    EXPECT_EQ(parse_placer_policy(placer_policy_name(policy)), policy);
-  }
-  EXPECT_EQ(parse_placer_policy("accel"), PlacerPolicy::kAcceleratorOnly);
-  EXPECT_THROW(parse_placer_policy("gpu"), std::invalid_argument);
-  EXPECT_THROW(parse_placer_policy(""), std::invalid_argument);
-}
-
-// ---------------------------------------------------------------------- ewma
-
-TEST(Ewma, ZeroUntilFirstSampleThenSeeds) {
-  EwmaSeconds ewma(0.5);
-  EXPECT_FALSE(ewma.has_samples());
-  EXPECT_DOUBLE_EQ(ewma.value(), 0.0);
-  ewma.observe(0.010);
-  EXPECT_TRUE(ewma.has_samples());
-  // The first sample seeds the average outright instead of blending with 0.
-  EXPECT_DOUBLE_EQ(ewma.value(), 0.010);
-  ewma.observe(0.020);
-  EXPECT_DOUBLE_EQ(ewma.value(), 0.015);  // 0.010 + 0.5 * (0.020 - 0.010)
-  EXPECT_EQ(ewma.samples(), 2u);
-}
-
-TEST(Ewma, ConvergesTowardTheObservedLevel) {
-  EwmaSeconds ewma;  // default alpha 0.2
-  ewma.observe(0.100);
-  for (int i = 0; i < 256; ++i) ewma.observe(0.004);
-  EXPECT_NEAR(ewma.value(), 0.004, 1e-9);
-}
-
 // ------------------------------------------------------------------ backends
+
+TEST(Backends, EngineNamesRoundTripAndRejectGarbage) {
+  for (const BackendId id : {BackendId::kCpu, BackendId::kAccelerator}) {
+    EXPECT_EQ(parse_backend_name(backend_name(id)), id);
+  }
+  EXPECT_EQ(parse_backend_name("accel"), BackendId::kAccelerator);
+  // The retired completion-cost placer is not an engine.
+  EXPECT_EQ(parse_backend_name("cost"), std::nullopt);
+  EXPECT_EQ(parse_backend_name("gpu"), std::nullopt);
+  EXPECT_EQ(parse_backend_name(""), std::nullopt);
+}
 
 TEST(Backends, CapabilitiesDescribeTheEngines) {
   Executor executor(3);
@@ -195,7 +81,7 @@ TEST(Backends, CapabilitiesDescribeTheEngines) {
 
 TEST(Backends, CpuAndAcceleratorProduceIdenticalLogits) {
   // The generated IP is bit-exact with the reference network (the paper's
-  // central claim), so placement must never change a prediction: both
+  // central claim), so the engine must never change a prediction: both
   // backends return identical logits for identical inputs.
   DesignRegistry registry(4);
   const auto design = deploy(registry, "bx_bitexact");
@@ -218,41 +104,6 @@ TEST(Backends, CpuAndAcceleratorProduceIdenticalLogits) {
       EXPECT_EQ(via_cpu[i].data()[j], via_accel[i].data()[j])
           << "image " << i << " logit " << j;
     }
-  }
-}
-
-TEST(Backends, CpuEstimateUsesParityPriorUntilMeasured) {
-  DesignRegistry registry(4);
-  const auto design = deploy(registry, "bx_prior");
-  Executor executor(2);
-  CpuBackend cpu(executor);
-
-  // Cold design: no measurement yet, so the estimate assumes parity with the
-  // generated hardware's single-image latency — placement is then decided by
-  // queue pressure, not a fictitious speed advantage.
-  const double prior = design->invocation_seconds(1);
-  EXPECT_DOUBLE_EQ(cpu.estimate_batch_seconds(*design, 3), prior * 3);
-
-  std::vector<tensor::Tensor> images;
-  for (int i = 0; i < 2; ++i) images.push_back(test_image(i, design->net.input_shape()));
-  std::vector<const tensor::Tensor*> inputs{&images[0], &images[1]};
-  std::vector<tensor::Tensor> outputs(2);
-  cpu.run_batch(*design, inputs, outputs);
-
-  // One measured batch replaces the prior with the EWMA of real wall time.
-  const BackendServeState& state = design->backend_state(BackendId::kCpu);
-  ASSERT_TRUE(state.measured_seconds_per_image.has_samples());
-  EXPECT_DOUBLE_EQ(cpu.estimate_batch_seconds(*design, 3),
-                   state.measured_seconds_per_image.value() * 3);
-}
-
-TEST(Backends, AcceleratorEstimateIsTheInvocationModel) {
-  DesignRegistry registry(4);
-  const auto design = deploy(registry, "bx_model");
-  AcceleratorBackend accel({.sleep_for_model = false});
-  for (const std::size_t images : {std::size_t{1}, std::size_t{4}, std::size_t{32}}) {
-    EXPECT_DOUBLE_EQ(accel.estimate_batch_seconds(*design, images),
-                     design->invocation_seconds(images));
   }
 }
 

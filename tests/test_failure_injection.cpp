@@ -277,10 +277,6 @@ TEST(FailureInjection, BreakerTripsQuarantinesAndRecoversViaProbe) {
   config.batcher.max_wait_us = 500;
   config.breaker.failure_threshold = 3;
   config.breaker.cooldown_ms = 100;
-  // Single engine: with the accelerator enabled the failing batches would
-  // fail over to the other backend's breaker instead of quarantining the
-  // design outright (covered by BackendDispatchFaultTripsBackendScopedBreaker).
-  config.backends.accelerator = false;
   serve::ServingRuntime runtime(config);
 
   const auto victim =
@@ -324,9 +320,6 @@ TEST(FailureInjection, ShedsUnderInjectedLatencyThenRecovers) {
   config.batcher.max_wait_us = 60'000'000;
   config.batcher.max_inflight_per_design = 1;
   config.batcher.max_queue_depth = 2;
-  // Single engine: the scenario needs the queue to build behind one busy
-  // slot; with the accelerator enabled the placer would drain it by spilling.
-  config.backends.accelerator = false;
   serve::ServingRuntime runtime(config);
   const auto design =
       runtime.registry().deploy_random(serve_descriptor("fi_slow"), 1).design;
@@ -368,10 +361,10 @@ TEST(FailureInjection, BackendDispatchFaultTripsBackendScopedBreaker) {
   config.batcher.max_wait_us = 500;
   config.breaker.failure_threshold = 3;
   config.breaker.cooldown_ms = 100;
-  // Pin placement to the fabric so every dispatch fault lands on — and every
-  // recovery probe exercises — the accelerator's failure domain.
-  config.backends.placer = serve::PlacerPolicy::kAcceleratorOnly;
-  config.backends.accel_sleep_for_model = false;
+  // Serve on the fabric, so every dispatch fault is a failed hand-off to the
+  // accelerator's driver thread.
+  config.engine = serve::BackendId::kAccelerator;
+  config.accel_sleep_for_model = false;
   serve::ServingRuntime runtime(config);
   const auto design =
       runtime.registry().deploy_random(serve_descriptor("fi_backend"), 1).design;
@@ -384,27 +377,22 @@ TEST(FailureInjection, BackendDispatchFaultTripsBackendScopedBreaker) {
     EXPECT_THROW(runtime.batcher().predict(design, serve_image(i, shape)).get(),
                  serve::InjectedFault);
   }
-  // The failure domain is (design, backend): only the accelerator's breaker
-  // opened. The CPU engine's breaker — which is what the design's legacy
-  // `breaker` alias reads — never saw a failure.
-  EXPECT_EQ(design->backend_state(serve::BackendId::kAccelerator).breaker.state(),
-            serve::BreakerState::kOpen);
-  EXPECT_EQ(design->breaker.state(), serve::BreakerState::kClosed);
+  // The design's breaker opened, and the accelerator counted the failures.
+  EXPECT_EQ(design->breaker.state(), serve::BreakerState::kOpen);
   EXPECT_EQ(runtime.metrics()
                 .backend[serve::backend_index(serve::BackendId::kAccelerator)]
                 .errors.value(),
             3u);
 
-  // Accelerator-only placement with the accelerator quarantined: unavailable.
+  // The quarantined design is unavailable.
   EXPECT_THROW(runtime.batcher().predict(design, serve_image(9, shape)).get(),
                serve::DesignUnavailableError);
 
   // After the cooldown the half-open probe dispatches (the fault budget is
-  // spent), succeeds, and closes the accelerator breaker again.
+  // spent), succeeds, and closes the breaker again.
   std::this_thread::sleep_for(std::chrono::milliseconds(120));
   EXPECT_NO_THROW(runtime.batcher().predict(design, serve_image(4, shape)).get());
-  EXPECT_EQ(design->backend_state(serve::BackendId::kAccelerator).breaker.state(),
-            serve::BreakerState::kClosed);
+  EXPECT_EQ(design->breaker.state(), serve::BreakerState::kClosed);
   runtime.shutdown();
 }
 

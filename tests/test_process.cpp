@@ -117,13 +117,23 @@ TEST(ProcessLauncher, WorkerInheritsNoOtherFdOfTheParent) {
 
 TEST(ProcessLauncher, WorkerThatExitsBeforeReadyFailsFast) {
   constexpr int kReadyTimeoutMs = 30000;
-  shard::ProcessLauncher launcher = worker_launcher({"--placer", "bogus"}, kReadyTimeoutMs);
-  const auto begin = std::chrono::steady_clock::now();
-  EXPECT_FALSE(launcher.start());
-  const auto waited = std::chrono::duration_cast<std::chrono::milliseconds>(
-      std::chrono::steady_clock::now() - begin);
-  // EOF on the control socket, not the timeout, ended the wait.
-  EXPECT_LT(waited.count(), kReadyTimeoutMs / 6);
-  EXPECT_EQ(launcher.pid(), -1);
-  EXPECT_FALSE(launcher.alive());
+  // Each worker refuses its flags at start-up and exits: an unknown engine,
+  // the retired cost placer and --backends flag, and a misspelled flag.
+  const std::vector<std::vector<std::string>> refused = {
+      {"--placer", "bogus"},
+      {"--placer", "cost"},
+      {"--backends", "cpu"},
+      {"--max-queue-dept", "1"},
+  };
+  for (const std::vector<std::string>& args : refused) {
+    shard::ProcessLauncher launcher = worker_launcher(args, kReadyTimeoutMs);
+    const auto begin = std::chrono::steady_clock::now();
+    EXPECT_FALSE(launcher.start()) << args[0];
+    const auto waited = std::chrono::duration_cast<std::chrono::milliseconds>(
+        std::chrono::steady_clock::now() - begin);
+    // EOF on the control socket, not the timeout, ended the wait.
+    EXPECT_LT(waited.count(), kReadyTimeoutMs / 6) << args[0];
+    EXPECT_EQ(launcher.pid(), -1) << args[0];
+    EXPECT_FALSE(launcher.alive()) << args[0];
+  }
 }

@@ -1001,10 +1001,6 @@ TEST(ServeApi, OverloadAnswers429WithRetryAfter) {
   config.batcher.max_inflight_per_design = 1;
   config.batcher.max_batch = 64;
   config.batcher.max_wait_us = 60'000'000;
-  // Single engine: the scenario parks the CPU workers and expects the queue
-  // to back up into a 429. With the accelerator enabled the placer would
-  // drain the overflow by spilling instead of shedding.
-  config.backends.accelerator = false;
   ServingRuntime runtime(config);
   auto [design_id, predict] = deploy_and_predict_request(runtime, "api_429");
   const auto design = runtime.registry().find(design_id);
@@ -1021,44 +1017,6 @@ TEST(ServeApi, OverloadAnswers429WithRetryAfter) {
 
   // Recovered: the same request now answers 200.
   EXPECT_EQ(runtime.handle_predict(predict).status, 200);
-  runtime.shutdown();
-}
-
-TEST(ServeApi, CpuSaturationSpillsToAcceleratorInsteadOfShedding) {
-  // The heterogeneous default: with every CPU worker busy, overflow batches
-  // are placed on the simulated fabric (a real second drain path on its own
-  // driver thread) instead of queueing toward a 429.
-  ServingConfig config;
-  config.batcher.max_batch = 1;  // flush every request as its own batch
-  config.batcher.max_wait_us = 60'000'000;
-  config.backends.accel_sleep_for_model = false;  // virtual clock only
-  ServingRuntime runtime(config);
-  auto [design_id, predict] = deploy_and_predict_request(runtime, "api_spill");
-  const auto design = runtime.registry().find(design_id);
-
-  auto gate = park_workers(runtime.executor());
-  std::vector<std::future<Prediction>> futures;
-  for (int i = 0; i < 8; ++i) {
-    futures.push_back(
-        runtime.batcher().predict(design, test_image(i, design->net.input_shape())));
-  }
-  gate->set_value();
-  std::size_t on_accelerator = 0;
-  for (auto& future : futures) {
-    const Prediction prediction = future.get();  // nobody shed, nobody failed
-    if (prediction.backend == BackendId::kAccelerator) ++on_accelerator;
-  }
-  EXPECT_GT(on_accelerator, 0u);
-  EXPECT_EQ(runtime.metrics().shed.value(), 0u);
-  EXPECT_GT(runtime.metrics().spilled.value(), 0u);
-  EXPECT_GT(runtime.metrics().backend[backend_index(BackendId::kAccelerator)]
-                .dispatched.value(),
-            0u);
-
-  // The metrics route exposes the per-backend dispatch counts and spill rate.
-  const auto metrics = json::parse(runtime.handle_metrics(web::HttpRequest{}).body);
-  EXPECT_GT(metrics.at("backends").at("accelerator").at("dispatched").as_int(), 0);
-  EXPECT_GT(metrics.at("backends").at("spill_rate").as_double(), 0.0);
   runtime.shutdown();
 }
 
@@ -1098,10 +1056,6 @@ TEST(ServeApi, ReadyzReportsReadySaturatedAndDraining) {
   config.batcher.max_inflight_per_design = 1;
   config.batcher.max_batch = 64;
   config.batcher.max_wait_us = 60'000'000;
-  // Single engine: "saturated" requires the parked request to stay queued.
-  // With the accelerator enabled the placer would spill it and readyz would
-  // report ready again before the assertion runs.
-  config.backends.accelerator = false;
   ServingRuntime runtime(config);
   auto [design_id, predict] = deploy_and_predict_request(runtime, "api_ready");
   const auto design = runtime.registry().find(design_id);
@@ -1162,14 +1116,6 @@ TEST(ServeApi, ShutdownVersusPredictHammer) {
 
 namespace {
 
-/// A runtime that computes on the CPU pool alone, so no batch is ever placed
-/// on the fabric and every inline-path decision is deterministic.
-ServingConfig cpu_only_config() {
-  ServingConfig config;
-  config.backends.accelerator = false;
-  return config;
-}
-
 web::HttpRequest predict_request(const std::string& design_id, const tensor::Tensor& image) {
   std::vector<std::uint8_t> raw(image.size() * sizeof(float));
   std::memcpy(raw.data(), image.data(), raw.size());
@@ -1199,7 +1145,7 @@ std::vector<float> response_logits(const web::HttpResponse& response) {
 }  // namespace
 
 TEST(ServeApi, UncontendedPredictsRunOnTheHandlerThread) {
-  ServingRuntime runtime(cpu_only_config());
+  ServingRuntime runtime;
   web::HttpRequest deploy;
   deploy.body = deploy_body("inline_seq");
   const std::string design_id =
@@ -1222,7 +1168,7 @@ TEST(ServeApi, UncontendedPredictsRunOnTheHandlerThread) {
     }
     // The slot went back to the pool before the handler answered.
     EXPECT_EQ(runtime.executor().backlog(), 0u);
-    EXPECT_EQ(runtime.backend(BackendId::kCpu)->inflight(), 0u);
+    EXPECT_EQ(runtime.batcher().backend().inflight(), 0u);
   }
   EXPECT_EQ(inline_batches(runtime), kRequests);
   const auto metrics = json::parse(runtime.handle_metrics(web::HttpRequest{}).body);
@@ -1233,7 +1179,7 @@ TEST(ServeApi, UncontendedPredictsRunOnTheHandlerThread) {
 }
 
 TEST(ServeApi, PredictWaitsOnThePoolWhenNoSlotIsIdle) {
-  ServingRuntime runtime(cpu_only_config());
+  ServingRuntime runtime;
   auto [design_id, predict] = deploy_and_predict_request(runtime, "inline_parked");
   const auto idle = runtime.handle_predict(predict);
   ASSERT_EQ(idle.status, 200) << idle.body;
@@ -1246,7 +1192,7 @@ TEST(ServeApi, PredictWaitsOnThePoolWhenNoSlotIsIdle) {
   std::thread client([&runtime, &answer, &predict] {
     answer.set_value(runtime.handle_predict(predict));
   });
-  const InferenceBackend& cpu = *runtime.backend(BackendId::kCpu);
+  const InferenceBackend& cpu = runtime.batcher().backend();
   const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(30);
   while (cpu.queued() == 0 && std::chrono::steady_clock::now() < give_up) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -1269,7 +1215,7 @@ TEST(ServeApi, InlineAndPoolBatchesShareTheWorkerBound) {
   // Eight concurrent predicts then need at least four rounds of two. Were
   // handler-thread batches not counted against the pool's width, more than
   // two would overlap and the whole set would finish sooner.
-  ServingConfig config = cpu_only_config();
+  ServingConfig config;
   config.worker_threads = 2;
   ServingRuntime runtime(config);
   std::vector<web::HttpRequest> predicts;
@@ -1297,7 +1243,7 @@ TEST(ServeApi, InlineAndPoolBatchesShareTheWorkerBound) {
 }
 
 TEST(ServeApi, InlineBatchFailuresTripTheBreaker) {
-  ServingRuntime runtime(cpu_only_config());
+  ServingRuntime runtime;
   auto [design_id, predict] = deploy_and_predict_request(runtime, "inline_breaker");
 
   // The default breaker opens after 5 consecutive failed batches.
@@ -1315,6 +1261,45 @@ TEST(ServeApi, InlineBatchFailuresTripTheBreaker) {
   ASSERT_EQ(rejected.headers.count("Retry-After"), 1u);
   EXPECT_GE(std::stoi(rejected.headers.at("Retry-After")), 1);
   runtime.shutdown();
+}
+
+TEST(ServeApi, AcceleratorEngineAnswersWithTheCpuEnginesLogits) {
+  // A runtime runs every batch on its one engine. The fabric computes the
+  // reference function, so the same design answers the same image with the
+  // same logits, bit for bit, on either engine.
+  ServingRuntime cpu;
+  ServingConfig accel_config;
+  accel_config.engine = BackendId::kAccelerator;
+  accel_config.accel_sleep_for_model = false;  // virtual clock only
+  ServingRuntime accel(accel_config);
+  web::HttpRequest deploy;
+  deploy.body = deploy_body("engine_parity");
+  const std::string design_id =
+      json::parse(cpu.handle_deploy(deploy).body).at("design_id").as_string();
+  ASSERT_EQ(json::parse(accel.handle_deploy(deploy).body).at("design_id").as_string(),
+            design_id);
+  const nn::Shape shape = cpu.registry().find(design_id)->net.input_shape();
+
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    const web::HttpRequest predict = predict_request(design_id, test_image(200 + i, shape));
+    const auto on_cpu = cpu.handle_predict(predict);
+    const auto on_accel = accel.handle_predict(predict);
+    ASSERT_EQ(on_cpu.status, 200) << on_cpu.body;
+    ASSERT_EQ(on_accel.status, 200) << on_accel.body;
+    EXPECT_EQ(json::parse(on_cpu.body).at("backend").as_string(), "cpu");
+    EXPECT_EQ(json::parse(on_accel.body).at("backend").as_string(), "accelerator");
+    EXPECT_EQ(response_logits(on_accel), response_logits(on_cpu)) << "request " << i;
+  }
+
+  const auto metrics = json::parse(accel.handle_metrics(web::HttpRequest{}).body);
+  EXPECT_EQ(metrics.at("backends").at("cpu").at("dispatched").as_int(), 0);
+  EXPECT_EQ(metrics.at("backends").at("accelerator").at("dispatched").as_int(), 3);
+  EXPECT_EQ(metrics.at("engine").at("name").as_string(), "accelerator");
+  EXPECT_EQ(metrics.at("engine").at("slots").as_int(), 1);  // one physical IP core
+  const auto ready = json::parse(accel.handle_readyz(web::HttpRequest{}).body);
+  EXPECT_EQ(ready.at("engine").at("name").as_string(), "accelerator");
+  cpu.shutdown();
+  accel.shutdown();
 }
 
 // ------------------------------------------------- full HTTP server serving
@@ -1577,6 +1562,52 @@ TEST(HttpHardening, ContentLengthMustBeDigitsOnly) {
   const std::string valid = post("2");
   EXPECT_EQ(valid.rfind("HTTP/1.1 200 OK\r\n", 0), 0u) << valid;
   EXPECT_NE(valid.find("\r\n\r\n{}"), std::string::npos) << valid;
+  EXPECT_EQ(handled.load(), 1);
+  server.stop();
+}
+
+TEST(HttpHardening, BodyFramingMustBeUnambiguous) {
+  web::HttpServer server;
+  std::atomic<int> handled{0};
+  server.route("POST", "/count", [&handled](const web::HttpRequest& request) {
+    handled.fetch_add(1);
+    return web::HttpResponse{200, "text/plain", request.body, {}};
+  });
+  const int port = server.start(0);
+
+  // Each request asks to keep the connection open. Read by Content-Length
+  // alone, its body bytes would come back as a second request with a second
+  // response. Instead one refusal answers it and the connection closes
+  // before any handler runs.
+  const std::string head = "POST /count HTTP/1.1\r\nHost: test\r\nConnection: keep-alive\r\n";
+  struct Row {
+    const char* why;
+    std::string request;
+    const char* status_line;
+  };
+  const Row rows[] = {
+      {"chunked body", head + "Transfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n",
+       "HTTP/1.1 501 Not Implemented\r\n"},
+      {"Transfer-Encoding beside Content-Length",
+       head + "Transfer-Encoding: chunked\r\nContent-Length: 2\r\n\r\n{}",
+       "HTTP/1.1 501 Not Implemented\r\n"},
+      {"two Content-Lengths that disagree",
+       head + "Content-Length: 2\r\nContent-Length: 0\r\n\r\n{}"
+              "GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n",
+       "HTTP/1.1 400 Bad Request\r\n"},
+      {"two equal Content-Lengths", head + "Content-Length: 2\r\nContent-Length: 2\r\n\r\n{}",
+       "HTTP/1.1 400 Bad Request\r\n"},
+  };
+  for (const Row& row : rows) {
+    const std::string reply = raw_exchange(port, row.request);
+    EXPECT_EQ(reply.rfind(row.status_line, 0), 0u) << row.why << ": " << reply;
+    EXPECT_EQ(reply.find("HTTP/1.1 ", 1), std::string::npos) << row.why << ": " << reply;
+  }
+  EXPECT_EQ(handled.load(), 0);
+
+  const std::string valid = raw_exchange(
+      port, "POST /count HTTP/1.1\r\nHost: test\r\nContent-Length: 2\r\n\r\n{}");
+  EXPECT_EQ(valid.rfind("HTTP/1.1 200 OK\r\n", 0), 0u) << valid;
   EXPECT_EQ(handled.load(), 1);
   server.stop();
 }

@@ -318,7 +318,6 @@ struct InProcWorker {
   static ServingConfig make_config() {
     ServingConfig config;
     config.worker_threads = 2;
-    config.backends.accelerator = false;  // deterministic CPU-only execution
     return config;
   }
 

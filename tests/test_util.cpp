@@ -177,6 +177,7 @@ TEST(Cli, ParsesFlagsValuesAndPositionals) {
   EXPECT_TRUE(args.get_bool("verbose", false));
   ASSERT_EQ(args.positional().size(), 2u);
   EXPECT_EQ(args.positional()[0], "pos1");
+  EXPECT_EQ(args.names(), (std::vector<std::string>{"count", "name", "verbose"}));
 }
 
 TEST(Cli, Defaults) {
