@@ -2,7 +2,7 @@
 //
 // The serving runtime submits one task per micro-batch; the pool bounds the
 // number of concurrently executing batches to the hardware the host actually
-// has, independent of how many HTTP handler threads are blocked on futures.
+// has, independent of how many HTTP connection threads are blocked on futures.
 // Shutdown is graceful: every task already submitted runs to completion
 // before the workers join.
 //

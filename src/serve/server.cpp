@@ -251,7 +251,7 @@ web::HttpResponse ServingRuntime::handle_predict(const web::HttpRequest& request
   Prediction prediction;
   try {
     tensor::Tensor image = decode_image(doc, design->net.input_shape());
-    // An uncontended request runs its batch on this handler thread.
+    // An uncontended request runs its batch on its connection's thread.
     prediction = batcher_.predict_wait(design, std::move(image), deadline);
   } catch (const ShapeMismatchError& e) {
     metrics_.predict_errors.add();

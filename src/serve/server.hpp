@@ -36,10 +36,10 @@
 // that backend.
 //
 // handle_predict waits through Batcher::predict_wait: when the request's
-// batch is a lone CPU batch and a worker slot is idle, the HTTP handler
-// thread computes it in that slot itself. Handler threads therefore do
-// inference work when the server is uncontended, within the same
-// worker_threads bound as the pool.
+// batch is a lone CPU batch and a worker slot is idle, the thread serving
+// the request's HTTP connection computes it in that slot itself. Connection
+// threads therefore do inference work when the server is uncontended,
+// within the same worker_threads bound as the pool.
 #pragma once
 
 #include <cstddef>

@@ -7,8 +7,8 @@
 // consecutive transport failures (requests and probes both count) flip the
 // worker to `down` after a threshold; a `readyz` probe that answers maps the
 // worker's own status string (ready / saturated / draining) into the state
-// the router's ring maintenance acts on. All methods are thread-safe — many
-// router handler threads share one WorkerClient.
+// the router's ring maintenance acts on. All methods are thread-safe — the
+// router's connection threads share one WorkerClient.
 #pragma once
 
 #include <atomic>

@@ -7,9 +7,11 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <limits>
 #include <stdexcept>
+#include <system_error>
 
 #include "util/logging.hpp"
 #include "util/strings.hpp"
@@ -21,6 +23,12 @@ namespace cnn2fpga::web {
 using cnn2fpga::util::format;
 
 namespace {
+
+constexpr int kListenBacklog = 64;
+/// Open connections, one thread each. At the cap the acceptor stops calling
+/// accept() until a connection closes, so further clients wait in the
+/// listen backlog instead of each starting a thread.
+constexpr std::size_t kMaxConnections = 1024;
 
 const char* status_text(int status) {
   switch (status) {
@@ -59,7 +67,7 @@ ReadOutcome error_outcome(int status) { return {std::nullopt, status}; }
 /// the same segment); the request starts there, and on return `carry` holds
 /// whatever arrived past this one.
 /// The socket carries SO_RCVTIMEO, so a stalled client surfaces as
-/// EAGAIN/EWOULDBLOCK and is answered with 408 instead of pinning a handler.
+/// EAGAIN/EWOULDBLOCK and is answered with 408 instead of holding its thread.
 /// On a kept-alive connection (`first == false`) a timeout before the first
 /// byte of the next request is ordinary idle expiry, not a protocol error —
 /// the connection is closed without a response.
@@ -141,6 +149,14 @@ ReadOutcome read_request(int fd, const ServerConfig& config, bool first, std::st
   return {std::move(request), 0};
 }
 
+/// Bound a blocking recv (SO_RCVTIMEO) or send (SO_SNDTIMEO) on `fd`.
+void set_timeout(int fd, int option, int timeout_ms) {
+  timeval tv{};
+  tv.tv_sec = timeout_ms / 1000;
+  tv.tv_usec = (timeout_ms % 1000) * 1000;
+  ::setsockopt(fd, SOL_SOCKET, option, &tv, sizeof(tv));
+}
+
 void write_response(int fd, const HttpResponse& response, bool keep_alive = false) {
   std::string out = format("HTTP/1.1 %d %s\r\n", response.status, status_text(response.status));
   out += "Content-Type: " + response.content_type + "\r\n";
@@ -187,7 +203,7 @@ int HttpServer::start(int port) {
     ::close(fd);
     throw std::runtime_error(format("HttpServer: bind to port %d failed", port));
   }
-  if (::listen(fd, config_.backlog) != 0) {
+  if (::listen(fd, kListenBacklog) != 0) {
     ::close(fd);
     throw std::runtime_error("HttpServer: listen() failed");
   }
@@ -197,18 +213,9 @@ int HttpServer::start(int port) {
   port_ = ntohs(addr.sin_port);
   listen_fd_.store(fd);
 
-  {
-    std::lock_guard<std::mutex> lock(conn_mutex_);
-    draining_ = false;
-  }
   running_.store(true);
   acceptor_ = std::thread([this] { accept_loop(); });
-  const std::size_t pool = config_.handler_threads == 0 ? 1 : config_.handler_threads;
-  handlers_.reserve(pool);
-  for (std::size_t i = 0; i < pool; ++i) {
-    handlers_.emplace_back([this] { handler_loop(); });
-  }
-  LOG_INFO("http") << format("serving on 127.0.0.1:%d (%zu handler threads)", port_, pool);
+  LOG_INFO("http") << format("serving on 127.0.0.1:%d", port_);
   return port_;
 }
 
@@ -220,61 +227,59 @@ void HttpServer::stop() {
     ::shutdown(fd, SHUT_RDWR);
     ::close(fd);
   }
-  if (acceptor_.joinable()) acceptor_.join();
   {
     std::lock_guard<std::mutex> lock(conn_mutex_);
-    draining_ = true;  // handlers finish the queued connections, then exit
-    // Unblock handlers parked in an idle keep-alive wait: shutting the read
-    // side makes their recv return 0 (a quiet close). In-flight requests are
-    // untouched — only connections between requests are cut.
+    // Unblock connections parked in an idle keep-alive wait: shutting the
+    // read side makes their recv return 0 (a quiet close). In-flight
+    // requests are untouched — only connections between requests are cut.
     for (const int idle_fd : idle_fds_) ::shutdown(idle_fd, SHUT_RD);
   }
-  conn_cv_.notify_all();
-  for (std::thread& handler : handlers_) {
-    if (handler.joinable()) handler.join();
-  }
-  handlers_.clear();
+  conn_cv_.notify_all();  // an acceptor held at the cap sees running_ false
+  if (acceptor_.joinable()) acceptor_.join();
+  std::unique_lock<std::mutex> lock(conn_mutex_);
+  conn_cv_.wait(lock, [this] { return open_connections_ == 0; });
 }
 
 void HttpServer::accept_loop() {
+  std::unique_lock<std::mutex> lock(conn_mutex_);
   while (running_.load()) {
-    const int client = ::accept(listen_fd_.load(), nullptr, nullptr);
-    if (client < 0) {
-      if (!running_.load()) break;
+    if (open_connections_ >= kMaxConnections) {
+      conn_cv_.wait(lock);
       continue;
     }
-    if (config_.read_timeout_ms > 0) {
-      timeval tv{};
-      tv.tv_sec = config_.read_timeout_ms / 1000;
-      tv.tv_usec = (config_.read_timeout_ms % 1000) * 1000;
-      ::setsockopt(client, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    lock.unlock();
+    const int client = ::accept(listen_fd_.load(), nullptr, nullptr);
+    const int accept_errno = errno;
+    if (client >= 0) {
+      if (config_.read_timeout_ms > 0) set_timeout(client, SO_RCVTIMEO, config_.read_timeout_ms);
+      if (config_.write_timeout_ms > 0) set_timeout(client, SO_SNDTIMEO, config_.write_timeout_ms);
     }
-    if (config_.write_timeout_ms > 0) {
-      timeval tv{};
-      tv.tv_sec = config_.write_timeout_ms / 1000;
-      tv.tv_usec = (config_.write_timeout_ms % 1000) * 1000;
-      ::setsockopt(client, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
+    lock.lock();
+    if (client < 0) {
+      // Out of descriptors or memory, the next accept() fails the same way
+      // at once: wait for a connection to close, or 100 ms, instead of
+      // spinning.
+      if (accept_errno == EMFILE || accept_errno == ENFILE || accept_errno == ENOBUFS ||
+          accept_errno == ENOMEM) {
+        conn_cv_.wait_for(lock, std::chrono::milliseconds(100));
+      }
+      continue;
     }
-    {
-      std::lock_guard<std::mutex> lock(conn_mutex_);
-      conn_queue_.push_back(client);
+    ++open_connections_;
+    try {
+      std::thread([this, client] {
+        handle_connection(client);
+        ::close(client);
+        // The thread's last touch of the server: once the count reaches 0,
+        // stop() returns and the server may be destroyed.
+        std::lock_guard<std::mutex> done(conn_mutex_);
+        --open_connections_;
+        conn_cv_.notify_all();
+      }).detach();
+    } catch (const std::system_error&) {
+      --open_connections_;
+      ::close(client);
     }
-    conn_cv_.notify_one();
-  }
-}
-
-void HttpServer::handler_loop() {
-  while (true) {
-    int client = -1;
-    {
-      std::unique_lock<std::mutex> lock(conn_mutex_);
-      conn_cv_.wait(lock, [this] { return draining_ || !conn_queue_.empty(); });
-      if (conn_queue_.empty()) return;  // draining and nothing left
-      client = conn_queue_.front();
-      conn_queue_.pop_front();
-    }
-    handle_connection(client);
-    ::close(client);
   }
 }
 
@@ -288,15 +293,10 @@ void HttpServer::handle_connection(int fd) {
       // stop() can unblock the recv instead of waiting the timeout out.
       {
         std::lock_guard<std::mutex> lock(conn_mutex_);
-        if (draining_ || !running_.load()) break;
+        if (!running_.load()) break;
         idle_fds_.insert(fd);
       }
-      if (config_.keep_alive_timeout_ms > 0) {
-        timeval tv{};
-        tv.tv_sec = config_.keep_alive_timeout_ms / 1000;
-        tv.tv_usec = (config_.keep_alive_timeout_ms % 1000) * 1000;
-        ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-      }
+      set_timeout(fd, SO_RCVTIMEO, kKeepAliveTimeoutMs);
     }
     const ReadOutcome outcome = read_request(fd, config_, first, carry);
     if (!first) {

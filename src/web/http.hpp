@@ -3,11 +3,11 @@
 // The paper's framework is "a web-application to be easily accessible"
 // (Sec. IV-A): an HTML5/JS front-end posting a JSON descriptor to a back-end
 // that returns the generated artifacts. This module provides the transport:
-// an accept thread feeding a fixed pool of handler threads (so a slow or
-// blocking request — e.g. a predict waiting on the batcher — does not stall
-// the rest of the traffic) and a matching client used by the test suite.
-// Only the subset of HTTP needed for the JSON API is implemented: request
-// line, headers, Content-Length bodies.
+// an accept thread that serves each connection on a thread of its own (so a
+// slow or blocking request — e.g. a predict waiting on the batcher — and an
+// idle kept-alive connection stall nothing but themselves) and a matching
+// client used by the test suite. Only the subset of HTTP needed for the JSON
+// API is implemented: request line, headers, Content-Length bodies.
 //
 // Robustness: malformed request lines answer 400 instead of silently closing
 // the connection, bodies over `max_body_bytes` answer 413, a body past 64 KiB
@@ -15,12 +15,12 @@
 // stalls mid-request is cut off by a per-connection read timeout (408), and a
 // slow reader that accepts a response slower than the kernel send buffer
 // drains is cut off by a per-connection send timeout — so neither direction
-// of a stalled socket can pin a handler thread.
+// of a stalled socket can hold its connection thread forever.
 //
 // Keep-alive: a request carrying `Connection: keep-alive` keeps the socket
-// open for further requests (bounded by `keep_alive_timeout_ms` between
-// them) — the transport the shard router's per-worker connection pool rides
-// on (src/serve/shard). Clients that say nothing, or say `close`, get the
+// open for further requests (bounded by `kKeepAliveTimeoutMs` between them)
+// — the transport the shard router's per-worker connection pool rides on
+// (src/serve/shard). Clients that say nothing, or say `close`, get the
 // historical one-request-per-connection behavior. A client may pipeline:
 // bytes that arrive past one request start the next, and the responses go
 // out in request order.
@@ -28,7 +28,6 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <deque>
 #include <functional>
 #include <map>
 #include <mutex>
@@ -37,7 +36,6 @@
 #include <string>
 #include <string_view>
 #include <thread>
-#include <vector>
 
 namespace cnn2fpga::web {
 
@@ -61,21 +59,20 @@ struct HttpResponse {
 using Handler = std::function<HttpResponse(const HttpRequest&)>;
 
 struct ServerConfig {
-  std::size_t handler_threads = 4;          ///< concurrent request handlers
   std::size_t max_body_bytes = 16u << 20;   ///< larger bodies answer 413
   int read_timeout_ms = 5000;               ///< per-connection recv timeout (408)
   int write_timeout_ms = 5000;              ///< per-connection send timeout
                                             ///< (slow readers are dropped)
-  /// Idle wait for the next request on a kept-alive connection before the
-  /// server closes it (a quiet close, not a 408 — keep-alive expiry is
-  /// normal). Clients opt in per request with `Connection: keep-alive`.
-  int keep_alive_timeout_ms = 5000;
-  int backlog = 64;                         ///< listen(2) backlog
   /// Also set SO_REUSEPORT before binding. Shard worker processes use this
   /// to bind a port their parent keeps reserved (serve/shard ReservedPort),
   /// so a restart can never lose the port to an unrelated ephemeral bind.
   bool reuse_port = false;
 };
+
+/// Idle wait for the next request on a kept-alive connection before the
+/// server closes it (a quiet close, not a 408 — keep-alive expiry is
+/// normal). Clients opt in per request with `Connection: keep-alive`.
+inline constexpr int kKeepAliveTimeoutMs = 5000;
 
 class HttpServer {
  public:
@@ -89,12 +86,13 @@ class HttpServer {
   void route(const std::string& method, const std::string& path, Handler handler);
 
   /// Bind to 127.0.0.1:`port` (0 = ephemeral) and serve on background
-  /// threads (one acceptor + `handler_threads` handlers). Returns the bound
+  /// threads (one acceptor + one per open connection). Returns the bound
   /// port. Throws std::runtime_error on failure.
   int start(int port = 0);
 
-  /// Stop accepting, serve the already-accepted connections, join all
-  /// threads. Idempotent; the server can be start()ed again afterwards.
+  /// Stop accepting, close idle kept-alive connections, let requests in
+  /// flight finish, and return once every connection thread has exited.
+  /// Idempotent; the server can be start()ed again afterwards.
   void stop();
 
   int port() const { return port_; }
@@ -103,7 +101,6 @@ class HttpServer {
 
  private:
   void accept_loop();
-  void handler_loop();
   void handle_connection(int fd);
   HttpResponse dispatch(const HttpRequest& request) const;
 
@@ -114,12 +111,12 @@ class HttpServer {
   int port_ = 0;
   std::atomic<bool> running_{false};
   std::thread acceptor_;
-  std::vector<std::thread> handlers_;
 
   std::mutex conn_mutex_;
+  /// Notified when a connection closes: wakes stop() and an acceptor held at
+  /// the connection cap or out of descriptors.
   std::condition_variable conn_cv_;
-  std::deque<int> conn_queue_;  ///< accepted fds awaiting a handler
-  bool draining_ = false;       ///< stop requested; finish queued connections
+  std::size_t open_connections_ = 0;  ///< connection threads still running
   /// Kept-alive connections blocked waiting for their *next* request. stop()
   /// shuts their read side down so an idle peer cannot delay shutdown by the
   /// keep-alive timeout; in-flight requests still complete normally.

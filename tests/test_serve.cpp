@@ -1,6 +1,6 @@
 // Tests for the inference-serving runtime: registry LRU + hit/miss
 // accounting, micro-batching flush behavior, predicts computed on the
-// handler thread, deterministic predictions under concurrent clients,
+// connection's thread, deterministic predictions under concurrent clients,
 // metrics consistency, and the hardened HTTP transport.
 #include <gtest/gtest.h>
 
@@ -13,7 +13,9 @@
 #include <thread>
 #include <vector>
 
+#include <fcntl.h>
 #include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -1112,7 +1114,7 @@ TEST(ServeApi, ShutdownVersusPredictHammer) {
   EXPECT_EQ(bad.load(), 0u);
 }
 
-// ------------------------------------------ predicts on the handler thread
+// ------------------------------------- predicts on the connection's thread
 
 namespace {
 
@@ -1213,7 +1215,7 @@ TEST(ServeApi, PredictWaitsOnThePoolWhenNoSlotIsIdle) {
 TEST(ServeApi, InlineAndPoolBatchesShareTheWorkerBound) {
   // Two worker slots, eight designs, every batch held 20 ms inside its slot.
   // Eight concurrent predicts then need at least four rounds of two. Were
-  // handler-thread batches not counted against the pool's width, more than
+  // inline batches not counted against the pool's width, more than
   // two would overlap and the whole set would finish sooner.
   ServingConfig config;
   config.worker_threads = 2;
@@ -1253,7 +1255,7 @@ TEST(ServeApi, InlineBatchFailuresTripTheBreaker) {
     EXPECT_EQ(failed.status, 500) << failed.body;
     EXPECT_EQ(error_code(failed), "internal");
   }
-  EXPECT_EQ(inline_batches(runtime), 5u);  // each failed on the handler thread
+  EXPECT_EQ(inline_batches(runtime), 5u);  // each failed on the calling thread
 
   const auto rejected = runtime.handle_predict(predict);
   EXPECT_EQ(rejected.status, 503) << rejected.body;
@@ -1370,19 +1372,23 @@ TEST(ServeHttp, EndToEndConcurrentClients) {
 
 namespace {
 
+/// Connect the TCP socket `fd` to the loopback server on `port`.
+bool connect_local(int fd, int port) {
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  return ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0;
+}
+
 /// Send `request` as raw bytes on a fresh connection and read until the
 /// server closes it: the only view that shows the status line as sent.
 std::string raw_exchange(int port, const std::string& request) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   EXPECT_GE(fd, 0);
   if (fd < 0) return "";
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   std::string reply;
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0 &&
-      ::send(fd, request.data(), request.size(), MSG_NOSIGNAL) > 0) {
+  if (connect_local(fd, port) && ::send(fd, request.data(), request.size(), MSG_NOSIGNAL) > 0) {
     char buf[512];
     ssize_t n;
     while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
@@ -1443,14 +1449,10 @@ TEST(HttpHardening, StalledClientIsTimedOut) {
   const int port = server.start(0);
 
   // Connect and send nothing: the read timeout must answer 408 (rather than
-  // pinning a handler thread forever).
+  // holding the connection's thread forever).
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  ASSERT_TRUE(connect_local(fd, port));
   std::string reply;
   char buf[512];
   ssize_t n;
@@ -1464,18 +1466,17 @@ TEST(HttpHardening, StalledClientIsTimedOut) {
   server.stop();
 }
 
-TEST(HttpHardening, SlowReaderCannotPinTheHandlerThread) {
-  // One handler thread and a short send timeout: a client that requests a
-  // response far larger than the socket buffers and then never reads would
-  // block write_response forever without SO_SNDTIMEO. The timeout must free
-  // the (only) handler so the next request still gets served.
+TEST(HttpHardening, SlowReaderIsCutOffBySendTimeout) {
+  // A client that requests a response far larger than the socket buffers
+  // and then reads nothing would block write_response forever without
+  // SO_SNDTIMEO. With it the server gives up and closes, so the client,
+  // reading at last, gets less than the whole body and then EOF.
   web::ServerConfig config;
-  config.handler_threads = 1;
   config.write_timeout_ms = 200;
   web::HttpServer server(config);
-  web::install_api(server);
-  server.route("GET", "/big", [](const web::HttpRequest&) {
-    return web::HttpResponse{200, "application/octet-stream", std::string(16u << 20, 'x'), {}};
+  const std::size_t body_bytes = 16u << 20;
+  server.route("GET", "/big", [body_bytes](const web::HttpRequest&) {
+    return web::HttpResponse{200, "application/octet-stream", std::string(body_bytes, 'x'), {}};
   });
   const int port = server.start(0);
 
@@ -1483,22 +1484,20 @@ TEST(HttpHardening, SlowReaderCannotPinTheHandlerThread) {
   ASSERT_GE(fd, 0);
   const int tiny = 4096;  // shrink the client's receive window
   ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &tiny, sizeof(tiny));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  const timeval give_up{10, 0};  // a server that never closes fails, not hangs
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &give_up, sizeof(give_up));
+  ASSERT_TRUE(connect_local(fd, port));
   const char* request = "GET /big HTTP/1.1\r\nHost: test\r\n\r\n";
   ASSERT_GT(::send(fd, request, std::strlen(request), MSG_NOSIGNAL), 0);
-  // Never read: the server's send must stall, time out, and abandon us.
+  std::this_thread::sleep_for(std::chrono::seconds(1));  // the server's send stalls
 
-  const auto started = std::chrono::steady_clock::now();
-  const auto health = web::http_request("127.0.0.1", port, "GET", "/healthz");
-  const auto waited = std::chrono::steady_clock::now() - started;
-  ASSERT_TRUE(health.has_value());
-  EXPECT_EQ(health->status, 200);
-  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(waited).count(), 5000);
+  std::size_t received = 0;
+  std::vector<char> buf(1 << 16);
+  ssize_t n;
+  while ((n = ::recv(fd, buf.data(), buf.size(), 0)) > 0) received += static_cast<std::size_t>(n);
   ::close(fd);
+  EXPECT_EQ(n, 0) << "the server must close the connection";
+  EXPECT_LT(received, body_bytes) << "the server must give up before sending the whole body";
   server.stop();
 }
 
@@ -1530,7 +1529,7 @@ TEST(HttpHardening, PipelinedRequestsAreAnsweredInOrder) {
   const std::size_t echo = reply.find("echo:hello world");
   EXPECT_LT(echo, second) << reply;
   EXPECT_NE(reply.find("{\"status\":\"ok\"}", second), std::string::npos) << reply;
-  EXPECT_LT(waited, server.config().keep_alive_timeout_ms / 2) << reply;
+  EXPECT_LT(waited, web::kKeepAliveTimeoutMs / 2) << reply;
   server.stop();
 }
 
@@ -1636,24 +1635,20 @@ TEST(HttpHardening, StalledBodiesAreNotAllocatedUpFront) {
   ASSERT_GT(before, 0u);
 
   // Three clients each announce a body just under the 16 MiB default cap,
-  // send one byte of it and stall. Their handlers must hold what arrived,
-  // not what was announced.
+  // send one byte of it and stall. Their connections must hold what
+  // arrived, not what was announced.
   std::vector<int> fds;
   for (int c = 0; c < 3; ++c) {
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     ASSERT_GE(fd, 0);
     fds.push_back(fd);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<std::uint16_t>(port));
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+    ASSERT_TRUE(connect_local(fd, port));
     const std::string head =
         "POST /api/v1/generate HTTP/1.1\r\nContent-Length: 16000000\r\n\r\nx";
     ASSERT_EQ(::send(fd, head.data(), head.size(), MSG_NOSIGNAL),
               static_cast<ssize_t>(head.size()));
   }
-  // The handlers read the headers at once; watch the peak while they wait.
+  // The server reads the headers at once; watch the peak while it waits.
   std::size_t peak = before;
   const auto until = std::chrono::steady_clock::now() + std::chrono::milliseconds(300);
   while (std::chrono::steady_clock::now() < until) {
@@ -1681,5 +1676,109 @@ TEST(HttpHardening, ParallelHandlersServeConcurrently) {
   }
   for (std::thread& client : clients) client.join();
   EXPECT_EQ(failures.load(), 0u);
+  server.stop();
+}
+
+TEST(HttpHardening, IdleKeepAliveConnectionsDoNotStallNewOnes) {
+  web::HttpServer server;
+  web::install_api(server);
+  const int port = server.start(0);
+
+  // 16 clients each get one kept-alive answer and then sit idle on their
+  // connection, as a router's pooled connections do between requests.
+  const timeval answer_within{2, 0};
+  const std::string request =
+      "GET /healthz HTTP/1.1\r\nHost: test\r\nConnection: keep-alive\r\n\r\n";
+  std::vector<int> idle;
+  for (int c = 0; c < 16; ++c) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    idle.push_back(fd);
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &answer_within, sizeof(answer_within));
+    ASSERT_TRUE(connect_local(fd, port));
+    ASSERT_GT(::send(fd, request.data(), request.size(), MSG_NOSIGNAL), 0);
+    std::string reply;
+    char buf[512];
+    ssize_t n;
+    while (reply.find("{\"status\":\"ok\"}") == std::string::npos &&
+           (n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
+      reply.append(buf, static_cast<std::size_t>(n));
+    }
+    ASSERT_EQ(reply.rfind("HTTP/1.1 200 OK\r\n", 0), 0u) << "client " << c << ": " << reply;
+  }
+  const auto ms_since = [](std::chrono::steady_clock::time_point start) {
+    return std::chrono::duration_cast<std::chrono::milliseconds>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+  };
+
+  // A 17th client is answered at once, not after an idle one times out.
+  const auto asked = std::chrono::steady_clock::now();
+  const auto health = web::http_request("127.0.0.1", port, "GET", "/healthz");
+  EXPECT_LT(ms_since(asked), 2000);
+  ASSERT_TRUE(health.has_value());
+  EXPECT_EQ(health->status, 200);
+
+  // stop() cuts the idle connections rather than waiting out their
+  // keep-alive timeout.
+  const auto stopping = std::chrono::steady_clock::now();
+  server.stop();
+  EXPECT_LT(ms_since(stopping), 2000);
+  for (const int fd : idle) ::close(fd);
+}
+
+namespace {
+
+/// CPU time this process has used, user plus system, in seconds.
+double cpu_seconds() {
+  rusage usage{};
+  ::getrusage(RUSAGE_SELF, &usage);
+  const auto seconds = [](const timeval& tv) { return tv.tv_sec + tv.tv_usec / 1e6; };
+  return seconds(usage.ru_utime) + seconds(usage.ru_stime);
+}
+
+}  // namespace
+
+TEST(HttpHardening, AcceptOutOfDescriptorsWaitsInsteadOfSpinning) {
+  web::HttpServer server;
+  web::install_api(server);
+  const int port = server.start(0);
+  std::vector<int> clients;
+  for (int c = 0; c < 4; ++c) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    clients.push_back(fd);
+  }
+
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  {
+    // Every descriptor below the lowest free one is open, so with the soft
+    // limit there, the server's accept() fails with EMFILE. The guard puts
+    // the limit back even when an assertion below returns early, since the
+    // rest of the binary may run in this process.
+    const int lowest_free = ::fcntl(clients[0], F_DUPFD, 0);
+    ASSERT_GE(lowest_free, 0);
+    ::close(lowest_free);
+    struct RestoreLimit {
+      const rlimit& limit;
+      ~RestoreLimit() { ::setrlimit(RLIMIT_NOFILE, &limit); }
+    } restore{saved};
+    rlimit lowered = saved;
+    lowered.rlim_cur = static_cast<rlim_t>(lowest_free);
+    ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &lowered), 0);
+
+    // The connections wait in the listen backlog while accept() cannot
+    // take them. An acceptor that retried at once would spin a core.
+    for (const int fd : clients) ASSERT_TRUE(connect_local(fd, port));
+    const double before = cpu_seconds();
+    std::this_thread::sleep_for(std::chrono::milliseconds(500));
+    EXPECT_LT(cpu_seconds() - before, 0.1);
+  }
+  for (const int fd : clients) ::close(fd);
+
+  const auto health = web::http_request("127.0.0.1", port, "GET", "/healthz");
+  ASSERT_TRUE(health.has_value());
+  EXPECT_EQ(health->status, 200);
   server.stop();
 }

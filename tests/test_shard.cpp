@@ -18,6 +18,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <latch>
 #include <map>
 #include <memory>
 #include <set>
@@ -388,6 +389,36 @@ TEST(Router, DeployReplicatesToDistinctWorkersAndPredictIsBitExact) {
   ASSERT_EQ(actual_logits.size(), expected_logits.size());
   for (std::size_t i = 0; i < expected_logits.size(); ++i) {
     EXPECT_EQ(actual_logits[i].as_double(), expected_logits[i].as_double()) << i;
+  }
+}
+
+TEST(Router, ConcurrentPredictsToOneWorkerAllAnswerPromptly) {
+  // The router keeps up to 8 kept-alive connections per worker. Eight
+  // predicts at once open about that many, and the worker must serve each
+  // at once, not after one of its idle connections times out.
+  Fleet fleet(1, 1);
+  const auto deployed = fleet.router->handle_deploy(post(deploy_body("burst_net")));
+  ASSERT_EQ(deployed.status, 200) << deployed.body;
+  const std::string design_id = json::parse(deployed.body).at("design_id").as_string();
+
+  constexpr int kClients = 8;
+  std::latch start(kClients);
+  std::vector<int> statuses(kClients, 0);
+  std::vector<std::chrono::milliseconds> waited(kClients);
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      start.arrive_and_wait();
+      const auto asked = std::chrono::steady_clock::now();
+      statuses[c] = fleet.router->handle_predict(post(predict_body(design_id))).status;
+      waited[c] = std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::now() - asked);
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  for (int c = 0; c < kClients; ++c) {
+    EXPECT_EQ(statuses[c], 200) << "client " << c;
+    EXPECT_LT(waited[c].count(), 2000) << "client " << c;
   }
 }
 
