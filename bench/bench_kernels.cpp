@@ -24,10 +24,20 @@
 //      network's 900->36 linear step alone (the unpacked linear kernel of
 //      the active engine) at batch 1 and 8.
 //
+//   The int8 and int16 pipelines (integer im2col, finish, GEMM) are timed on
+//   the integer microkernel gemm_s8/gemm_s16 pick by cpuid ("microkernel":
+//   avx2, avxvnni or avx512vnni), and on a VNNI host again on the AVX2
+//   microkernel, reported beside them ("*_avx2_*", "avx2_microkernel") and
+//   not gated. Every integer output timed is compared bit for bit with the
+//   scalar engine (gemm_s8/gemm_s16 with Kind::kScalar) on panels the
+//   reference packers built ("bit_exact").
+//
 // Gate (AVX2 hosts): geometric-mean conv-GEMM speedup >= 3x over the
 // GEMM-dominated layers (N >= 64 output pixels) and parity holds; the
 // quantized pipelines must additionally beat the float SIMD path by >= 2x
-// (int8) and >= 1x (int16) on the same layers.
+// (int8) and >= 1x (int16) on the same layers, on the gated microkernel,
+// with bit-exact outputs. Flags: --quick (fewer samples) and --out <path>;
+// any other flag is refused before anything is measured.
 // On hosts without AVX2+FMA the measurements that need the engine are skipped
 // and the gate passes vacuously (there is no SIMD path to compare).
 //
@@ -41,13 +51,17 @@
 //               "int8_speedup_vs_float": float, "int16_us": float,
 //               "int16_speedup_vs_float": float, "int8_gemm_us": float,
 //               "int8_gemm_speedup_vs_float": float, "int16_gemm_us": float,
-//               "int16_gemm_speedup_vs_float": float}, ...],
+//               "int16_gemm_speedup_vs_float": float, "int8_avx2_us": float,
+//               "int8_avx2_gemm_us": float, "int16_avx2_us": float,
+//               "int16_avx2_gemm_us": float}, ...],
 //     "int8":  {"conv_speedup_vs_float_geomean": float,
 //               "gemm_speedup_vs_float_geomean": float,
-//               "gate_min_speedup": 2.0, "pass": bool},
-//     "int16": {"conv_speedup_vs_float_geomean": float,
-//               "gemm_speedup_vs_float_geomean": float,
-//               "gate_min_speedup": 1.0, "pass": bool},
+//               "gate_min_speedup": 2.0,
+//               "microkernel": "avx2"|"avxvnni"|"avx512vnni",
+//               "bit_exact": bool, "pass": bool,
+//               "avx2_microkernel": {"conv_speedup_vs_float_geomean": float,
+//                                    "gemm_speedup_vs_float_geomean": float}},
+//     "int16": {... the same fields, "gate_min_speedup": 1.0 ...},
 //     "conv_gemm_speedup_geomean": float, "host_peak_gflops": float,
 //     "test4_linear": {"m": int, "k": int, "b1_us": float, "b8_us": float},
 //     "net_forward_us": float, "net_infer_scalar_us": float,
@@ -61,7 +75,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -123,7 +136,7 @@ struct ConvResult {
   double gemm_gflops = 0.0;
   double peak_share = 0.0;   ///< gemm_gflops / host FMA peak
   double max_rel_err = 0.0;
-  double int8_us = 0.0;   ///< quantized pipeline per call (pack + gemm)
+  double int8_us = 0.0;   ///< quantized pipeline per call (pack, finish, gemm)
   double int16_us = 0.0;
   double int8_speedup = 0.0;   ///< vs the float SIMD pipeline (simd_us)
   double int16_speedup = 0.0;
@@ -131,6 +144,19 @@ struct ConvResult {
   double int16_gemm_us = 0.0;
   double int8_gemm_speedup = 0.0;   ///< vs the float GEMM alone (gemm_us)
   double int16_gemm_speedup = 0.0;
+  /// The same four timings on the AVX2 integer microkernel (equal to the
+  /// above when that is the one the gates measure).
+  double int8_avx2_us = 0.0, int16_avx2_us = 0.0;
+  double int8_avx2_gemm_us = 0.0, int16_avx2_gemm_us = 0.0;
+  /// Every timed integer output equals gemm_s8/gemm_s16(Kind::kScalar) on
+  /// panels the reference packers built.
+  bool int8_bit_exact = true, int16_bit_exact = true;
+};
+
+/// One integer precision's timings on one microkernel: the pipeline (pack,
+/// finish, GEMM) and the GEMM alone on the panels it left.
+struct QuantTimes {
+  double pipeline_us = 0.0, gemm_us = 0.0;
 };
 
 /// Seed blocked GEMM vs the scalar and AVX2 kernel pipelines on one conv
@@ -194,31 +220,59 @@ ConvResult measure_conv(const ConvCase& c, int samples) {
   // values (as they do between layers of the quantized runner), so the timed
   // path is the serving path — integer im2col into packed panels + the fused
   // requantizing GEMM. Weight packing is deploy-time (QuantPackCache) and is
-  // excluded, matching the float measurement above.
+  // excluded, matching the float measurement above. Each precision is timed
+  // on the microkernel gemm_s8/gemm_s16 pick (the gated one) and, on a VNNI
+  // host, again on the AVX2 microkernel; every output it timed is then
+  // checked bit for bit against the scalar engine on panels the reference
+  // packers built.
   {
+    // `gated` already is the AVX2 microkernel's timing on a host without VNNI.
+    const auto on_avx2_microkernel = [](auto&& measure, const QuantTimes& gated) {
+      if (ker::int_microkernel() == ker::IntMicrokernel::kAvx2) return gated;
+      const ker::ScopedIntMicrokernel force(ker::IntMicrokernel::kAvx2);
+      return measure();
+    };
+
     const nn::FixedPointFormat f8 = nn::serve_precision_format(nn::ServePrecision::kInt8);
     util::aligned_vector<std::int8_t> x8(x.size());
     ker::quantize_input_s8(x.data(), x.size(), f8, x8.data());
     ker::PackedWeightsS8 w8;
     ker::pack_weights_s8(conv.weights().data(), conv.bias().data(), r.m, r.k, f8, w8);
     util::aligned_vector<std::uint8_t> b8(ker::packed_b_size_s8(r.n, r.k));
-    util::aligned_vector<std::int8_t> c8(r.m * r.n);
-    r.int8_us = time_us(
-        [&] {
-          ker::im2col_pack_s8(x8.data(), c.ih * c.iw, c.in_c, c.ih, c.iw, c.kernel,
-                              c.kernel, oh, ow, b8.data(), /*col0=*/0, r.n);
-          ker::finish_pack_s8(b8.data(), r.n, r.k);
-          ker::gemm_s8(ker::Kind::kAvx2, w8, b8.data(), r.n, f8, /*act=*/-1, c8.data(),
-                       r.n);
-        },
-        samples);
+    util::aligned_vector<std::int8_t> c8(r.m * r.n), ref8(r.m * r.n);
+    ker::detail::im2col_pack_s8_ref(x8.data(), c.ih * c.iw, c.in_c, c.ih, c.iw, c.kernel,
+                                    c.kernel, oh, ow, b8.data(), /*col0=*/0, r.n);
+    ker::finish_pack_s8(b8.data(), r.n, r.k);
+    ker::gemm_s8(ker::Kind::kScalar, w8, b8.data(), r.n, f8, /*act=*/-1, ref8.data(), r.n);
+    const auto measure8 = [&] {
+      QuantTimes t;
+      t.pipeline_us = time_us(
+          [&] {
+            ker::im2col_pack_s8(x8.data(), c.ih * c.iw, c.in_c, c.ih, c.iw, c.kernel,
+                                c.kernel, oh, ow, b8.data(), /*col0=*/0, r.n);
+            ker::finish_pack_s8(b8.data(), r.n, r.k);
+            ker::gemm_s8(ker::Kind::kAvx2, w8, b8.data(), r.n, f8, /*act=*/-1, c8.data(),
+                         r.n);
+          },
+          samples);
+      r.int8_bit_exact = r.int8_bit_exact && c8 == ref8;
+      // The pipeline left the packed panels in b8.
+      t.gemm_us = time_us(
+          [&] {
+            ker::gemm_s8(ker::Kind::kAvx2, w8, b8.data(), r.n, f8, /*act=*/-1, c8.data(),
+                         r.n);
+          },
+          samples);
+      r.int8_bit_exact = r.int8_bit_exact && c8 == ref8;
+      return t;
+    };
+    const QuantTimes t8 = measure8();
+    const QuantTimes t8_avx2 = on_avx2_microkernel(measure8, t8);
+    r.int8_us = t8.pipeline_us;
+    r.int8_gemm_us = t8.gemm_us;
+    r.int8_avx2_us = t8_avx2.pipeline_us;
+    r.int8_avx2_gemm_us = t8_avx2.gemm_us;
     r.int8_speedup = r.simd_us / r.int8_us;
-    // The pipeline left the packed panels in b8.
-    r.int8_gemm_us = time_us(
-        [&] {
-          ker::gemm_s8(ker::Kind::kAvx2, w8, b8.data(), r.n, f8, /*act=*/-1, c8.data(), r.n);
-        },
-        samples);
     r.int8_gemm_speedup = r.gemm_us / r.int8_gemm_us;
 
     const nn::FixedPointFormat f16 = nn::serve_precision_format(nn::ServePrecision::kInt16);
@@ -227,23 +281,40 @@ ConvResult measure_conv(const ConvCase& c, int samples) {
     ker::PackedWeightsS16 w16;
     ker::pack_weights_s16(conv.weights().data(), conv.bias().data(), r.m, r.k, f16, w16);
     util::aligned_vector<std::int16_t> b16(ker::packed_b_size_s16(r.n, r.k));
-    util::aligned_vector<std::int16_t> c16(r.m * r.n);
-    r.int16_us = time_us(
-        [&] {
-          ker::im2col_pack_s16(x16.data(), c.ih * c.iw, c.in_c, c.ih, c.iw, c.kernel,
-                               c.kernel, oh, ow, b16.data(), /*col0=*/0, r.n);
-          ker::finish_pack_s16(b16.data(), r.n, r.k);
-          ker::gemm_s16(ker::Kind::kAvx2, w16, b16.data(), r.n, f16, /*act=*/-1,
-                        c16.data(), r.n);
-        },
-        samples);
+    util::aligned_vector<std::int16_t> c16(r.m * r.n), ref16(r.m * r.n);
+    ker::detail::im2col_pack_s16_ref(x16.data(), c.ih * c.iw, c.in_c, c.ih, c.iw, c.kernel,
+                                     c.kernel, oh, ow, b16.data(), /*col0=*/0, r.n);
+    ker::finish_pack_s16(b16.data(), r.n, r.k);
+    ker::gemm_s16(ker::Kind::kScalar, w16, b16.data(), r.n, f16, /*act=*/-1, ref16.data(),
+                  r.n);
+    const auto measure16 = [&] {
+      QuantTimes t;
+      t.pipeline_us = time_us(
+          [&] {
+            ker::im2col_pack_s16(x16.data(), c.ih * c.iw, c.in_c, c.ih, c.iw, c.kernel,
+                                 c.kernel, oh, ow, b16.data(), /*col0=*/0, r.n);
+            ker::finish_pack_s16(b16.data(), r.n, r.k);
+            ker::gemm_s16(ker::Kind::kAvx2, w16, b16.data(), r.n, f16, /*act=*/-1,
+                          c16.data(), r.n);
+          },
+          samples);
+      r.int16_bit_exact = r.int16_bit_exact && c16 == ref16;
+      t.gemm_us = time_us(
+          [&] {
+            ker::gemm_s16(ker::Kind::kAvx2, w16, b16.data(), r.n, f16, /*act=*/-1,
+                          c16.data(), r.n);
+          },
+          samples);
+      r.int16_bit_exact = r.int16_bit_exact && c16 == ref16;
+      return t;
+    };
+    const QuantTimes t16 = measure16();
+    const QuantTimes t16_avx2 = on_avx2_microkernel(measure16, t16);
+    r.int16_us = t16.pipeline_us;
+    r.int16_gemm_us = t16.gemm_us;
+    r.int16_avx2_us = t16_avx2.pipeline_us;
+    r.int16_avx2_gemm_us = t16_avx2.gemm_us;
     r.int16_speedup = r.simd_us / r.int16_us;
-    r.int16_gemm_us = time_us(
-        [&] {
-          ker::gemm_s16(ker::Kind::kAvx2, w16, b16.data(), r.n, f16, /*act=*/-1, c16.data(),
-                        r.n);
-        },
-        samples);
     r.int16_gemm_speedup = r.gemm_us / r.int16_gemm_us;
   }
 
@@ -330,18 +401,28 @@ LinearResult measure_linear(const nn::Network& net, nn::kernels::Kind kind, int 
 
 int main(int argc, char** argv) {
   namespace ker = nn::kernels;
-  std::string out_path = "BENCH_kernels.json";
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) out_path = argv[++i];
+  const util::CliArgs args(argc, argv);
+  // A misspelled flag would otherwise run the full mode and gate it.
+  for (const std::string& name : args.names()) {
+    if (name != "quick" && name != "out") {
+      std::fprintf(stderr, "unknown flag --%s\n", name.c_str());
+      return 1;
+    }
   }
+  if (!args.positional().empty()) {
+    std::fprintf(stderr, "unexpected argument '%s'\n", args.positional().front().c_str());
+    return 1;
+  }
+  const std::string out_path = args.get_string("out", "BENCH_kernels.json");
+  const bool quick = args.has("quick");
   const int samples = quick ? 3 : 7;
   const bool avx2 = ker::avx2_available();
+  const char* microkernel = ker::int_microkernel_name(ker::int_microkernel());
 
   std::printf("SIMD kernel engine benchmark (single thread, engine: %s%s)\n",
               ker::kind_name(ker::active()), quick ? ", --quick" : "");
   std::puts("---------------------------------------------------------------------");
+  if (avx2) std::printf("integer microkernel gated: %s\n", microkernel);
   const double peak_gflops = avx2 ? fma_peak_gflops() : 0.0;
   if (avx2) std::printf("host FMA peak (12 chains, one thread): %.1f GFLOP/s\n", peak_gflops);
 
@@ -357,6 +438,10 @@ int main(int argc, char** argv) {
   double log_speedup_sum = 0.0;
   double log_int8_sum = 0.0, log_int16_sum = 0.0;
   double log_int8_gemm_sum = 0.0, log_int16_gemm_sum = 0.0;
+  // The same on the AVX2 integer microkernel: reported, not gated.
+  double log_int8_avx2_sum = 0.0, log_int16_avx2_sum = 0.0;
+  double log_int8_avx2_gemm_sum = 0.0, log_int16_avx2_gemm_sum = 0.0;
+  bool int8_bit_exact = true, int16_bit_exact = true;
   std::size_t gated = 0;
   double worst_rel_err = 0.0;
   std::puts("conv GEMM, seed blocked path vs packed scalar and AVX2 kernels:");
@@ -375,8 +460,14 @@ int main(int argc, char** argv) {
         log_int16_sum += std::log(r.int16_speedup);
         log_int8_gemm_sum += std::log(r.int8_gemm_speedup);
         log_int16_gemm_sum += std::log(r.int16_gemm_speedup);
+        log_int8_avx2_sum += std::log(r.simd_us / r.int8_avx2_us);
+        log_int16_avx2_sum += std::log(r.simd_us / r.int16_avx2_us);
+        log_int8_avx2_gemm_sum += std::log(r.gemm_us / r.int8_avx2_gemm_us);
+        log_int16_avx2_gemm_sum += std::log(r.gemm_us / r.int16_avx2_gemm_us);
         ++gated;
       }
+      int8_bit_exact = int8_bit_exact && r.int8_bit_exact;
+      int16_bit_exact = int16_bit_exact && r.int16_bit_exact;
       worst_rel_err = std::max(worst_rel_err, r.max_rel_err);
       std::printf("  %-26s M=%-3zu K=%-4zu N=%-5zu %8.2f us -> %7.2f us  (%.2fx, err %.2e)\n",
                   r.name.c_str(), r.m, r.k, r.n, r.seed_us, r.simd_us, r.speedup,
@@ -407,13 +498,28 @@ int main(int argc, char** argv) {
       avx2 && gated > 0 ? std::exp(log_int8_gemm_sum / static_cast<double>(gated)) : 0.0;
   const double int16_gemm_geomean =
       avx2 && gated > 0 ? std::exp(log_int16_gemm_sum / static_cast<double>(gated)) : 0.0;
+  const auto geomean_of = [&](double log_sum) {
+    return avx2 && gated > 0 ? std::exp(log_sum / static_cast<double>(gated)) : 0.0;
+  };
+  const double int8_avx2_geomean = geomean_of(log_int8_avx2_sum);
+  const double int16_avx2_geomean = geomean_of(log_int16_avx2_sum);
+  const double int8_avx2_gemm_geomean = geomean_of(log_int8_avx2_gemm_sum);
+  const double int16_avx2_gemm_geomean = geomean_of(log_int16_avx2_gemm_sum);
   if (avx2) {
     std::printf("  geometric-mean conv GEMM speedup (N >= 64 layers): %.2fx\n", geomean);
-    std::printf("  quantized vs float SIMD geomean (N >= 64 layers): int8 %.2fx, int16 %.2fx\n",
-                int8_geomean, int16_geomean);
-    std::printf("  GEMM alone, quantized vs float geomean (N >= 64 layers): int8 %.2fx,"
+    std::printf("  quantized vs float SIMD geomean (N >= 64 layers, %s): int8 %.2fx,"
                 " int16 %.2fx\n",
-                int8_gemm_geomean, int16_gemm_geomean);
+                microkernel, int8_geomean, int16_geomean);
+    std::printf("  GEMM alone, quantized vs float geomean (N >= 64 layers, %s): int8 %.2fx,"
+                " int16 %.2fx\n",
+                microkernel, int8_gemm_geomean, int16_gemm_geomean);
+    std::printf("  avx2 integer microkernel (not gated): int8 %.2fx, int16 %.2fx;"
+                " GEMM alone int8 %.2fx, int16 %.2fx\n",
+                int8_avx2_geomean, int16_avx2_geomean, int8_avx2_gemm_geomean,
+                int16_avx2_gemm_geomean);
+    std::printf("  integer outputs bitwise equal to the scalar engine on reference-packed"
+                " panels: int8 %s, int16 %s\n",
+                int8_bit_exact ? "yes" : "NO", int16_bit_exact ? "yes" : "NO");
   }
 
   // Whole-network cost on the Test-4 CIFAR network.
@@ -466,14 +572,16 @@ int main(int argc, char** argv) {
   constexpr double kInt8Gate = 2.0;   ///< int8 must at least halve float SIMD time
   constexpr double kInt16Gate = 1.0;  ///< int16 must not lose to float SIMD
   const bool parity_ok = worst_rel_err <= 1e-4;
-  const bool int8_pass = !avx2 || int8_geomean >= kInt8Gate;
-  const bool int16_pass = !avx2 || int16_geomean >= kInt16Gate;
+  // An integer speed gate also needs the outputs it timed to be right.
+  const bool int8_pass = !avx2 || (int8_geomean >= kInt8Gate && int8_bit_exact);
+  const bool int16_pass = !avx2 || (int16_geomean >= kInt16Gate && int16_bit_exact);
   const bool pass =
       !avx2 || (geomean >= kGate && parity_ok && argmax_match && int8_pass && int16_pass);
   std::printf("gate: conv GEMM geomean >= %.1fx and parity <= 1e-4 -> %s\n", kGate,
               !avx2 || (geomean >= kGate && parity_ok && argmax_match) ? "PASS" : "FAIL");
-  std::printf("gate: int8 >= %.1fx and int16 >= %.1fx vs float SIMD -> %s\n", kInt8Gate,
-              kInt16Gate, int8_pass && int16_pass ? "PASS" : "FAIL");
+  std::printf("gate: int8 >= %.1fx and int16 >= %.1fx vs float SIMD, bit-exact, on the %s"
+              " integer microkernel -> %s\n",
+              kInt8Gate, kInt16Gate, microkernel, int8_pass && int16_pass ? "PASS" : "FAIL");
 
   std::string json = "{\"bench\": \"kernels\", \"avx2_available\": ";
   json += avx2 ? "true" : "false";
@@ -487,19 +595,32 @@ int main(int argc, char** argv) {
         "\"int8_us\": %.3f, \"int8_speedup_vs_float\": %.3f, "
         "\"int16_us\": %.3f, \"int16_speedup_vs_float\": %.3f, "
         "\"int8_gemm_us\": %.3f, \"int8_gemm_speedup_vs_float\": %.3f, "
-        "\"int16_gemm_us\": %.3f, \"int16_gemm_speedup_vs_float\": %.3f}",
+        "\"int16_gemm_us\": %.3f, \"int16_gemm_speedup_vs_float\": %.3f, "
+        "\"int8_avx2_us\": %.3f, \"int8_avx2_gemm_us\": %.3f, "
+        "\"int16_avx2_us\": %.3f, \"int16_avx2_gemm_us\": %.3f}",
         i == 0 ? "" : ", ", r.name.c_str(), r.m, r.k, r.n, r.seed_us, r.scalar_us, r.simd_us,
         r.speedup, r.gemm_us, r.gemm_gflops, r.peak_share, r.max_rel_err, r.int8_us,
         r.int8_speedup, r.int16_us, r.int16_speedup, r.int8_gemm_us, r.int8_gemm_speedup,
-        r.int16_gemm_us, r.int16_gemm_speedup);
+        r.int16_gemm_us, r.int16_gemm_speedup, r.int8_avx2_us, r.int8_avx2_gemm_us,
+        r.int16_avx2_us, r.int16_avx2_gemm_us);
   }
-  json += util::format(
-      "], \"int8\": {\"conv_speedup_vs_float_geomean\": %.3f, "
-      "\"gemm_speedup_vs_float_geomean\": %.3f, \"gate_min_speedup\": %.1f, \"pass\": %s}, "
-      "\"int16\": {\"conv_speedup_vs_float_geomean\": %.3f, "
-      "\"gemm_speedup_vs_float_geomean\": %.3f, \"gate_min_speedup\": %.1f, \"pass\": %s}",
-      int8_geomean, int8_gemm_geomean, kInt8Gate, int8_pass ? "true" : "false", int16_geomean,
-      int16_gemm_geomean, kInt16Gate, int16_pass ? "true" : "false");
+  const auto quant_block = [&](double conv_geomean, double gemm_geomean, double gate,
+                               bool bit_exact, bool block_pass, double avx2_conv,
+                               double avx2_gemm) {
+    return util::format(
+        "{\"conv_speedup_vs_float_geomean\": %.3f, \"gemm_speedup_vs_float_geomean\": %.3f, "
+        "\"gate_min_speedup\": %.1f, \"microkernel\": \"%s\", \"bit_exact\": %s, "
+        "\"pass\": %s, \"avx2_microkernel\": {\"conv_speedup_vs_float_geomean\": %.3f, "
+        "\"gemm_speedup_vs_float_geomean\": %.3f}}",
+        conv_geomean, gemm_geomean, gate, microkernel, bit_exact ? "true" : "false",
+        block_pass ? "true" : "false", avx2_conv, avx2_gemm);
+  };
+  json += "], \"int8\": " +
+          quant_block(int8_geomean, int8_gemm_geomean, kInt8Gate, int8_bit_exact, int8_pass,
+                      int8_avx2_geomean, int8_avx2_gemm_geomean) +
+          ", \"int16\": " +
+          quant_block(int16_geomean, int16_gemm_geomean, kInt16Gate, int16_bit_exact,
+                      int16_pass, int16_avx2_geomean, int16_avx2_gemm_geomean);
   json += util::format(
       ", \"host_peak_gflops\": %.3f, \"test4_linear\": {\"m\": %zu, \"k\": %zu, "
       "\"b1_us\": %.3f, \"b8_us\": %.3f}",

@@ -61,7 +61,8 @@
 //      REPORTS >= 1 truncation event, and every drill ends with every design
 //      answering bit-exact.
 //
-// `--quick` shrinks the request streams for CI smoke runs.
+// `--quick` shrinks the request streams for CI smoke runs. Any flag a mode
+// does not read is refused, naming it, before anything is measured.
 //
 // Emits a human-readable table plus one machine-readable line:
 //   SERVING_JSON {...}
@@ -74,6 +75,7 @@
 #include <cstring>
 #include <fstream>
 #include <future>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <string>
@@ -907,14 +909,34 @@ ChaosResult measure_chaos(bool quick) {
   return out;
 }
 
+/// Refuse any flag the mode does not read (and any bare argument): a
+/// misspelled flag would otherwise run another mode and gate it.
+bool only_flags(const util::CliArgs& args, std::initializer_list<const char*> known) {
+  for (const std::string& name : args.names()) {
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
+      std::fprintf(stderr, "unknown flag --%s\n", name.c_str());
+      return false;
+    }
+  }
+  if (!args.positional().empty()) {
+    std::fprintf(stderr, "unexpected argument '%s'\n", args.positional().front().c_str());
+    return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const util::CliArgs args(argc, argv);
   if (args.has("worker")) {
+    // The launch protocol of shard/process.hpp; launch_shard_workers adds no
+    // flags of its own.
+    if (!only_flags(args, {"worker", "port", "control-fd"})) return 1;
     return shard_worker_main(static_cast<int>(args.get_int("port", 0)),
                              static_cast<int>(args.get_int("control-fd", -1)));
   }
+  if (!only_flags(args, {"quick", "overload", "sharded", "chaos", "out"})) return 1;
   const bool quick = args.has("quick");
   const bool overload = args.has("overload");
   const bool sharded = args.has("sharded");

@@ -123,6 +123,21 @@ void im2col_pack(const float* in, std::size_t c_stride, std::size_t channels,
                  std::size_t ih, std::size_t iw, std::size_t kh, std::size_t kw,
                  std::size_t oh, std::size_t ow, float* bpack, std::size_t col0,
                  std::size_t n_total) {
+#ifdef CNN2FPGA_HAVE_AVX2
+  if (avx2_available()) {
+    detail::im2col_pack_avx2(in, c_stride, channels, ih, iw, kh, kw, oh, ow, bpack, col0,
+                             n_total);
+    return;
+  }
+#endif
+  detail::im2col_pack_ref(in, c_stride, channels, ih, iw, kh, kw, oh, ow, bpack, col0,
+                          n_total);
+}
+
+void detail::im2col_pack_ref(const float* in, std::size_t c_stride, std::size_t channels,
+                             std::size_t ih, std::size_t iw, std::size_t kh,
+                             std::size_t kw, std::size_t oh, std::size_t ow, float* bpack,
+                             std::size_t col0, std::size_t n_total) {
   // Depth index k = (c*kh + ky)*kw + kx is the (c, m, n) order in which
   // Conv2D::forward accumulates, so a packed GEMM against pack_a(weights)
   // computes the same dot products as the seed path.

@@ -31,6 +31,12 @@
 // Weight panels (PackedA) are packed once per layer and cached in a PackCache
 // shared across an ExecutionContextPool, so pooled serving contexts never
 // re-pack. Packing assumes frozen weights — mutate weights, rebuild contexts.
+//
+// Conv activations are packed per image by im2col_pack (and its int16/int8
+// siblings in kernels_int.hpp). Packing only copies, so both engines share
+// one packer: the AVX2 one (kernels/im2col_avx2.cpp) wherever the CPU has
+// AVX2, else the element loops (detail::im2col_pack_ref), which write the
+// same bytes. Packers read nothing outside the image's channel planes.
 #pragma once
 
 #include <cstddef>
@@ -100,10 +106,32 @@ void pack_b(const float* const* rows, std::size_t n, std::size_t k, float* bpack
 /// matrix whose depth is K = c*kh*kw. `c_stride` is the float stride between
 /// input channel planes (ih*iw for a contiguous CHW image; batch*ih*iw for a
 /// channel-interleaved batch buffer).
+///
+/// Packers (this one, im2col_pack_s16 and im2col_pack_s8) write exactly the
+/// lanes of their own columns, so the images of a batch may share panels, and
+/// they read only elements inside the image's ih*iw channel planes: callers
+/// may pass buffers that end where the last plane ends. With AVX2 the entry
+/// points run a vector packer (detail::im2col_pack_avx2) that assembles each
+/// 16-column panel row in registers and stores it whole; otherwise they run
+/// the element loops (detail::im2col_pack_ref). The two write identical
+/// bytes, so both engines share whichever the CPU has.
 void im2col_pack(const float* in, std::size_t c_stride, std::size_t channels,
                  std::size_t ih, std::size_t iw, std::size_t kh, std::size_t kw,
                  std::size_t oh, std::size_t ow, float* bpack, std::size_t col0,
                  std::size_t n_total);
+
+namespace detail {
+/// The packers behind im2col_pack: the element loop, and the AVX2 packer
+/// (kernels/im2col_avx2.cpp, requires avx2_available()).
+void im2col_pack_ref(const float* in, std::size_t c_stride, std::size_t channels,
+                     std::size_t ih, std::size_t iw, std::size_t kh, std::size_t kw,
+                     std::size_t oh, std::size_t ow, float* bpack, std::size_t col0,
+                     std::size_t n_total);
+void im2col_pack_avx2(const float* in, std::size_t c_stride, std::size_t channels,
+                      std::size_t ih, std::size_t iw, std::size_t kh, std::size_t kw,
+                      std::size_t oh, std::size_t ow, float* bpack, std::size_t col0,
+                      std::size_t n_total);
+}  // namespace detail
 
 /// Zero the padding lanes of the last panel (columns n..ceil(n/16)*16).
 void zero_pack_tail(float* bpack, std::size_t n, std::size_t k);

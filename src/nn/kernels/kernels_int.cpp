@@ -1,8 +1,10 @@
 // Portable half of the quantized kernel engine: weight quantization +
 // panel packing, offset-u8 / pair-interleaved B packing, the bit-identical
 // scalar reference GEMMs, integer pooling, activation tables, and the shared
-// QuantPackCache. The AVX2 entry points (gemm_s8_avx2 / gemm_s16_avx2) live in
-// kernels_int_avx2.cpp and become throwing stubs without CNN2FPGA_HAVE_AVX2.
+// QuantPackCache, and the choice of integer microkernel. The AVX2 entry points
+// (gemm_s8_avx2 / gemm_s16_avx2) live in kernels_int_avx2.cpp and become
+// throwing stubs without CNN2FPGA_HAVE_AVX2; the VNNI ones in
+// kernels_int_vnni.cpp, stubbed likewise when the compiler lacks their flags.
 //
 // Bit-exactness argument (tested in tests/test_kernels.cpp): every product of
 // raw fixed values is exact in int32, and both engines reduce with modular
@@ -15,6 +17,7 @@
 #include <algorithm>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 
 #if defined(__SSE2__)
 #include <emmintrin.h>
@@ -108,6 +111,37 @@ void im2col_pack_s8(const std::int8_t* in, std::size_t c_stride, std::size_t cha
                     std::size_t ih, std::size_t iw, std::size_t kh, std::size_t kw,
                     std::size_t oh, std::size_t ow, std::uint8_t* bpack, std::size_t col0,
                     std::size_t n_total) {
+#ifdef CNN2FPGA_HAVE_AVX2
+  if (avx2_available()) {
+    detail::im2col_pack_s8_avx2(in, c_stride, channels, ih, iw, kh, kw, oh, ow, bpack, col0,
+                                n_total);
+    return;
+  }
+#endif
+  detail::im2col_pack_s8_ref(in, c_stride, channels, ih, iw, kh, kw, oh, ow, bpack, col0,
+                             n_total);
+}
+
+void im2col_pack_s16(const std::int16_t* in, std::size_t c_stride, std::size_t channels,
+                     std::size_t ih, std::size_t iw, std::size_t kh, std::size_t kw,
+                     std::size_t oh, std::size_t ow, std::int16_t* bpack, std::size_t col0,
+                     std::size_t n_total) {
+#ifdef CNN2FPGA_HAVE_AVX2
+  if (avx2_available()) {
+    detail::im2col_pack_s16_avx2(in, c_stride, channels, ih, iw, kh, kw, oh, ow, bpack,
+                                 col0, n_total);
+    return;
+  }
+#endif
+  detail::im2col_pack_s16_ref(in, c_stride, channels, ih, iw, kh, kw, oh, ow, bpack, col0,
+                              n_total);
+}
+
+void detail::im2col_pack_s8_ref(const std::int8_t* in, std::size_t c_stride,
+                                std::size_t channels, std::size_t ih, std::size_t iw,
+                                std::size_t kh, std::size_t kw, std::size_t oh,
+                                std::size_t ow, std::uint8_t* bpack, std::size_t col0,
+                                std::size_t n_total) {
   // Same depth order k = (c*kh + ky)*kw + kx as the float im2col_pack. The
   // packed layout puts a column's 4-k group in one contiguous dword
   // ((k/4)*64 + j*4 + k%4), so instead of scattering bytes at stride 4 we
@@ -186,11 +220,12 @@ void im2col_pack_s8(const std::int8_t* in, std::size_t c_stride, std::size_t cha
   }
 }
 
-void im2col_pack_s16(const std::int16_t* in, std::size_t c_stride, std::size_t channels,
-                     std::size_t ih, std::size_t iw, std::size_t kh, std::size_t kw,
-                     std::size_t oh, std::size_t ow, std::int16_t* bpack, std::size_t col0,
-                     std::size_t n_total) {
-  // Mirror of im2col_pack_s8: a column's k-pair is one contiguous dword
+void detail::im2col_pack_s16_ref(const std::int16_t* in, std::size_t c_stride,
+                                 std::size_t channels, std::size_t ih, std::size_t iw,
+                                 std::size_t kh, std::size_t kw, std::size_t oh,
+                                 std::size_t ow, std::int16_t* bpack, std::size_t col0,
+                                 std::size_t n_total) {
+  // Mirror of im2col_pack_s8_ref: a column's k-pair is one contiguous dword
   // ((k/2)*32 + j*2 + k%2), assembled with a single unaligned u32 load when
   // the pair sits in one kernel row (kx + 1 < kw).
   (void)n_total;
@@ -271,51 +306,75 @@ void pack_b_s16(const void* const* rows, std::size_t n, std::size_t k,
   }
 }
 
-void finish_pack_s8(std::uint8_t* bpack, std::size_t n, std::size_t k) {
-  const std::size_t kp = padded_k_s8(k);
+namespace {
+
+/// Zero the padding of freshly packed B panels whose (column, k-group) cells
+/// are dwords of 4 / elem_bytes values: the dead columns of the last panel,
+/// and every value at k >= `k` in every panel. Each panel holds kp / group
+/// rows of 16 dwords, so both are byte masks over whole 64-byte rows, applied
+/// a word at a time.
+void zero_panel_padding(std::uint8_t* bpack, std::size_t n, std::size_t k, std::size_t kp,
+                        std::size_t elem_bytes) {
+  constexpr std::size_t kRowBytes = kPanelCols * 4;
+  constexpr std::size_t kWords = kRowBytes / sizeof(std::uint64_t);
+  const std::size_t group = 4 / elem_bytes;
+  const std::size_t rows = kp / group;
   const std::size_t panels = panel_count_cols(n);
   if (panels == 0) return;
-  // Dead columns of the last panel, full depth.
+  // AND every row with `keep` (word w covers bytes [8w, 8w + 8)).
+  const auto mask_rows = [](std::uint8_t* row, std::size_t count, const std::uint64_t* keep) {
+    for (std::size_t r = 0; r < count; ++r, row += kRowBytes) {
+      for (std::size_t w = 0; w < kWords; ++w) {
+        std::uint64_t v;
+        std::memcpy(&v, row + 8 * w, sizeof(v));
+        v &= keep[w];
+        std::memcpy(row + 8 * w, &v, sizeof(v));
+      }
+    }
+  };
   const std::size_t live = n - (panels - 1) * kPanelCols;
   if (live < kPanelCols) {
-    std::uint8_t* panel = bpack + (panels - 1) * kp * kPanelCols;
-    for (std::size_t kk = 0; kk < kp; ++kk) {
-      std::uint8_t* group = panel + (kk / kGroupS8) * (kPanelCols * kGroupS8) + kk % kGroupS8;
-      for (std::size_t j = live; j < kPanelCols; ++j) group[j * kGroupS8] = 0;
-    }
+    std::uint8_t live_bytes[kRowBytes];  // the live columns' dwords
+    for (std::size_t b = 0; b < kRowBytes; ++b) live_bytes[b] = b < live * 4 ? 0xFF : 0;
+    std::uint64_t keep[kWords];
+    std::memcpy(keep, live_bytes, sizeof(keep));
+    mask_rows(bpack + (panels - 1) * rows * kRowBytes, rows, keep);
   }
-  // k-padding rows of every panel (paired with zero weight padding, so the
-  // byte value only has to be deterministic; zero keeps maddubs inert).
+  const std::size_t full_rows = k / group;
+  const std::size_t tail_bytes = (k % group) * elem_bytes;  // live bytes of a partial group
+  // Every word of a partial group's row keeps the same bytes: two dwords'
+  // first tail_bytes.
+  std::uint8_t keep_bytes[sizeof(std::uint64_t)];
+  for (std::size_t b = 0; b < sizeof(keep_bytes); ++b) {
+    keep_bytes[b] = b % 4 < tail_bytes ? 0xFF : 0;
+  }
+  std::uint64_t keep_word;
+  std::memcpy(&keep_word, keep_bytes, sizeof(keep_word));
+  std::uint64_t keep[kWords];
+  for (std::uint64_t& w : keep) w = keep_word;
   for (std::size_t q = 0; q < panels; ++q) {
-    std::uint8_t* panel = bpack + q * kp * kPanelCols;
-    for (std::size_t kk = k; kk < kp; ++kk) {
-      std::uint8_t* group = panel + (kk / kGroupS8) * (kPanelCols * kGroupS8) + kk % kGroupS8;
-      for (std::size_t j = 0; j < kPanelCols; ++j) group[j * kGroupS8] = 0;
+    std::uint8_t* pad = bpack + (q * rows + full_rows) * kRowBytes;
+    std::size_t pad_rows = rows - full_rows;
+    if (tail_bytes > 0) {
+      mask_rows(pad, 1, keep);
+      pad += kRowBytes;
+      --pad_rows;
     }
+    std::memset(pad, 0, pad_rows * kRowBytes);
   }
 }
 
+}  // namespace
+
+void finish_pack_s8(std::uint8_t* bpack, std::size_t n, std::size_t k) {
+  // k padding pairs with zero weight padding, so the byte value only has to
+  // be deterministic; zero keeps the products inert.
+  zero_panel_padding(bpack, n, k, padded_k_s8(k), sizeof(std::uint8_t));
+}
+
 void finish_pack_s16(std::int16_t* bpack, std::size_t n, std::size_t k) {
-  const std::size_t kp = padded_k_s16(k);
-  const std::size_t panels = panel_count_cols(n);
-  if (panels == 0) return;
-  const std::size_t live = n - (panels - 1) * kPanelCols;
-  if (live < kPanelCols) {
-    std::int16_t* panel = bpack + (panels - 1) * kp * kPanelCols;
-    for (std::size_t kk = 0; kk < kp; ++kk) {
-      std::int16_t* group =
-          panel + (kk / kGroupS16) * (kPanelCols * kGroupS16) + kk % kGroupS16;
-      for (std::size_t j = live; j < kPanelCols; ++j) group[j * kGroupS16] = 0;
-    }
-  }
-  for (std::size_t q = 0; q < panels; ++q) {
-    std::int16_t* panel = bpack + q * kp * kPanelCols;
-    for (std::size_t kk = k; kk < kp; ++kk) {
-      std::int16_t* group =
-          panel + (kk / kGroupS16) * (kPanelCols * kGroupS16) + kk % kGroupS16;
-      for (std::size_t j = 0; j < kPanelCols; ++j) group[j * kGroupS16] = 0;
-    }
-  }
+  zero_panel_padding(reinterpret_cast<std::uint8_t*>(bpack), n, k, padded_k_s16(k),
+                     sizeof(std::int16_t));
 }
 
 namespace detail {
@@ -379,22 +438,99 @@ void gemm_s16_ref(const PackedWeightsS16& a, const std::int16_t* bpack, std::siz
 
 }  // namespace detail
 
+namespace {
+
+IntMicrokernel resolve_int_microkernel() {
+  if (int_microkernel_available(IntMicrokernel::kAvxVnni)) return IntMicrokernel::kAvxVnni;
+  if (int_microkernel_available(IntMicrokernel::kAvx512Vnni)) {
+    return IntMicrokernel::kAvx512Vnni;
+  }
+  return IntMicrokernel::kAvx2;
+}
+
+IntMicrokernel& mutable_int_microkernel() {
+  static IntMicrokernel mk = resolve_int_microkernel();
+  return mk;
+}
+
+}  // namespace
+
+const char* int_microkernel_name(IntMicrokernel mk) {
+  switch (mk) {
+    case IntMicrokernel::kAvx2: return "avx2";
+    case IntMicrokernel::kAvxVnni: return "avxvnni";
+    case IntMicrokernel::kAvx512Vnni: return "avx512vnni";
+  }
+  return "?";
+}
+
+bool int_microkernel_available(IntMicrokernel mk) {
+  if (!avx2_available()) return false;
+  switch (mk) {
+    case IntMicrokernel::kAvx2: return true;
+    case IntMicrokernel::kAvxVnni:
+#ifdef CNN2FPGA_HAVE_AVXVNNI
+      return __builtin_cpu_supports("avxvnni");
+#else
+      return false;
+#endif
+    case IntMicrokernel::kAvx512Vnni:
+#ifdef CNN2FPGA_HAVE_AVX512VNNI
+      return __builtin_cpu_supports("avx512vnni") && __builtin_cpu_supports("avx512vl");
+#else
+      return false;
+#endif
+  }
+  return false;
+}
+
+IntMicrokernel int_microkernel() { return mutable_int_microkernel(); }
+
+ScopedIntMicrokernel::ScopedIntMicrokernel(IntMicrokernel mk)
+    : previous_(mutable_int_microkernel()) {
+  if (!int_microkernel_available(mk)) {
+    throw std::runtime_error(std::string("ScopedIntMicrokernel: ") + int_microkernel_name(mk) +
+                             " is unavailable on this host");
+  }
+  mutable_int_microkernel() = mk;
+}
+
+ScopedIntMicrokernel::~ScopedIntMicrokernel() { mutable_int_microkernel() = previous_; }
+
 void gemm_s8(Kind kind, const PackedWeightsS8& a, const std::uint8_t* bpack, std::size_t n,
              const FixedPointFormat& format, int act, std::int8_t* c, std::size_t ldc) {
-  if (kind == Kind::kAvx2) {
-    detail::gemm_s8_avx2(a, bpack, n, format, act, c, ldc);
-  } else {
+  if (kind == Kind::kScalar) {
     detail::gemm_s8_ref(a, bpack, n, format, act, c, ldc);
+    return;
+  }
+  switch (int_microkernel()) {
+    case IntMicrokernel::kAvx2: detail::gemm_s8_avx2(a, bpack, n, format, act, c, ldc); return;
+    case IntMicrokernel::kAvxVnni:
+      detail::gemm_s8_avxvnni(a, bpack, n, format, act, c, ldc);
+      return;
+    case IntMicrokernel::kAvx512Vnni:
+      detail::gemm_s8_avx512vnni(a, bpack, n, format, act, c, ldc);
+      return;
   }
 }
 
 void gemm_s16(Kind kind, const PackedWeightsS16& a, const std::int16_t* bpack,
               std::size_t n, const FixedPointFormat& format, int act, std::int16_t* c,
               std::size_t ldc) {
-  if (kind == Kind::kAvx2) {
-    detail::gemm_s16_avx2(a, bpack, n, format, act, c, ldc);
-  } else {
+  if (kind == Kind::kScalar) {
     detail::gemm_s16_ref(a, bpack, n, format, act, c, ldc);
+    return;
+  }
+  switch (int_microkernel()) {
+    case IntMicrokernel::kAvx2:
+      detail::gemm_s16_avx2(a, bpack, n, format, act, c, ldc);
+      return;
+    case IntMicrokernel::kAvxVnni:
+      detail::gemm_s16_avxvnni(a, bpack, n, format, act, c, ldc);
+      return;
+    case IntMicrokernel::kAvx512Vnni:
+      detail::gemm_s16_avx512vnni(a, bpack, n, format, act, c, ldc);
+      return;
   }
 }
 
@@ -550,5 +686,36 @@ void gemm_s16_avx2(const PackedWeightsS16&, const std::int16_t*, std::size_t,
 }
 }  // namespace detail
 #endif  // !CNN2FPGA_HAVE_AVX2
+
+// int_microkernel() never names a VNNI kernel that is not compiled in; these
+// stubs only satisfy the linker.
+namespace detail {
+namespace {
+[[noreturn, maybe_unused]] void no_vnni(const char* which) {
+  throw std::runtime_error(std::string("cnn2fpga: ") + which +
+                           " int kernel invoked but not compiled in");
+}
+}  // namespace
+#ifndef CNN2FPGA_HAVE_AVXVNNI
+void gemm_s8_avxvnni(const PackedWeightsS8&, const std::uint8_t*, std::size_t,
+                     const FixedPointFormat&, int, std::int8_t*, std::size_t) {
+  no_vnni("avxvnni");
+}
+void gemm_s16_avxvnni(const PackedWeightsS16&, const std::int16_t*, std::size_t,
+                      const FixedPointFormat&, int, std::int16_t*, std::size_t) {
+  no_vnni("avxvnni");
+}
+#endif
+#ifndef CNN2FPGA_HAVE_AVX512VNNI
+void gemm_s8_avx512vnni(const PackedWeightsS8&, const std::uint8_t*, std::size_t,
+                        const FixedPointFormat&, int, std::int8_t*, std::size_t) {
+  no_vnni("avx512vnni");
+}
+void gemm_s16_avx512vnni(const PackedWeightsS16&, const std::int16_t*, std::size_t,
+                         const FixedPointFormat&, int, std::int16_t*, std::size_t) {
+  no_vnni("avx512vnni");
+}
+#endif
+}  // namespace detail
 
 }  // namespace cnn2fpga::nn::kernels

@@ -17,9 +17,20 @@
 //   int16 (Q8.8)  — VPMADDWD over pair-interleaved s16 panels, int32
 //     accumulation. ALU-neutral vs float FMA but half the operand traffic.
 //
+// Those are the AVX2 microkernels. Where cpuid reports AVX-VNNI, or
+// AVX512-VNNI with AVX512VL, gemm_s8 / gemm_s16 run VNNI microkernels on the
+// same panels instead (kernels_int_vnni.cpp, int_microkernel()): one
+// vpdpbusd adds a column's four u8 x s8 products per int32 lane (32 MACs per
+// op, 6x16 tiles), one vpdpwssd its two s16 products (16 MACs per op).
+//
+// Conv activations reach the panels through im2col_pack_s8 / _s16, which
+// like the float packer run an AVX2 vector packer where the CPU has AVX2
+// (kernels/im2col_avx2.cpp) and the element loops (detail::*_ref) otherwise,
+// reading only inside the image's channel planes.
+//
 // Every product and (modular int32) add is exact, so accumulation order
 // cannot change the result: the scalar reference kernels here are
-// bit-identical to the AVX2 kernels on every input, and — whenever the true
+// bit-identical to the AVX2 and VNNI kernels on every input, and — whenever the true
 // accumulator fits int32, always in practice for these formats — identical to
 // forward_fixed's int64 math. The int8 path additionally differs from
 // forward_fixed only when a weight exceeds the +/-31-raw clamp (|w| > 1.9375
@@ -86,7 +97,10 @@ std::size_t packed_b_size_s16(std::size_t n, std::size_t k);
 
 /// im2col of raw s8 activations straight into offset-u8 packed-B panels
 /// (each byte stores raw + 128): bpack[q*kp*16 + (k/4)*64 + j*4 + (k%4)] for
-/// global column q*16+j. Mirrors kernels::im2col_pack's geometry contract.
+/// global column q*16+j. Mirrors kernels::im2col_pack's geometry contract,
+/// its dispatch (detail::im2col_pack_s8_avx2 with AVX2, else _ref) and its
+/// read and write bounds. A partial last k-group repeats the group's first
+/// k in its padding bytes; finish_pack_s8 zeroes them.
 void im2col_pack_s8(const std::int8_t* in, std::size_t c_stride, std::size_t channels,
                     std::size_t ih, std::size_t iw, std::size_t kh, std::size_t kw,
                     std::size_t oh, std::size_t ow, std::uint8_t* bpack, std::size_t col0,
@@ -95,6 +109,29 @@ void im2col_pack_s16(const std::int16_t* in, std::size_t c_stride, std::size_t c
                      std::size_t ih, std::size_t iw, std::size_t kh, std::size_t kw,
                      std::size_t oh, std::size_t ow, std::int16_t* bpack, std::size_t col0,
                      std::size_t n_total);
+
+namespace detail {
+/// The packers behind im2col_pack_s8/_s16: the element loops (the only path
+/// without AVX2, and the oracle of the vector packers), and the AVX2 packers
+/// in kernels/im2col_avx2.cpp (require avx2_available()). After
+/// finish_pack_* the two leave identical panels.
+void im2col_pack_s8_ref(const std::int8_t* in, std::size_t c_stride, std::size_t channels,
+                        std::size_t ih, std::size_t iw, std::size_t kh, std::size_t kw,
+                        std::size_t oh, std::size_t ow, std::uint8_t* bpack,
+                        std::size_t col0, std::size_t n_total);
+void im2col_pack_s16_ref(const std::int16_t* in, std::size_t c_stride,
+                         std::size_t channels, std::size_t ih, std::size_t iw,
+                         std::size_t kh, std::size_t kw, std::size_t oh, std::size_t ow,
+                         std::int16_t* bpack, std::size_t col0, std::size_t n_total);
+void im2col_pack_s8_avx2(const std::int8_t* in, std::size_t c_stride, std::size_t channels,
+                         std::size_t ih, std::size_t iw, std::size_t kh, std::size_t kw,
+                         std::size_t oh, std::size_t ow, std::uint8_t* bpack,
+                         std::size_t col0, std::size_t n_total);
+void im2col_pack_s16_avx2(const std::int16_t* in, std::size_t c_stride,
+                          std::size_t channels, std::size_t ih, std::size_t iw,
+                          std::size_t kh, std::size_t kw, std::size_t oh, std::size_t ow,
+                          std::int16_t* bpack, std::size_t col0, std::size_t n_total);
+}  // namespace detail
 
 /// Pack row-major B rows (rows[i] -> K contiguous raw values of the matching
 /// width) into panels; int8 rows are offset to u8 while packing. `rows` is
@@ -116,7 +153,8 @@ void finish_pack_s16(std::int16_t* bpack, std::size_t n, std::size_t k);
 /// fused after the saturate (exact in fixed point). Other activations must be
 /// applied by the caller via activation_lut_* (table built per format).
 /// `kind` selects the engine: kScalar runs the bit-identical portable
-/// reference, kAvx2 the SIMD microkernel (requires avx2_available()).
+/// reference, kAvx2 the SIMD microkernel int_microkernel() names (requires
+/// avx2_available()).
 void gemm_s8(Kind kind, const PackedWeightsS8& a, const std::uint8_t* bpack, std::size_t n,
              const FixedPointFormat& format, int act, std::int8_t* c, std::size_t ldc);
 void gemm_s16(Kind kind, const PackedWeightsS16& a, const std::int16_t* bpack,
@@ -148,10 +186,44 @@ void activation_lut_s8(ActKind act, const std::int8_t* lut, const std::int8_t* i
 void activation_lut_s16(ActKind act, const std::int16_t* lut, const std::int16_t* in,
                         std::int16_t* out, std::size_t n);
 
+/// The SIMD microkernels behind gemm_s8/gemm_s16 with Kind::kAvx2. kAvx2 is
+/// the vpmaddubsw/vpmaddwd kernel every AVX2 CPU runs; the VNNI kernels issue
+/// vpdpbusd / vpdpwssd, encoded as AVX-VNNI (VEX) or as AVX512-VNNI on YMM
+/// registers (EVEX, needs AVX512VL). All three are bit-identical.
+enum class IntMicrokernel { kAvx2, kAvxVnni, kAvx512Vnni };
+
+/// "avx2", "avxvnni" or "avx512vnni".
+const char* int_microkernel_name(IntMicrokernel mk);
+
+/// True when `mk` is compiled in and this CPU can run it.
+bool int_microkernel_available(IntMicrokernel mk);
+
+/// The microkernel gemm_s8/gemm_s16(Kind::kAvx2, ...) run, resolved once by
+/// cpuid: AVX-VNNI when the CPU reports avxvnni, else AVX512-VNNI when it
+/// reports avx512vnni and avx512vl, else kAvx2.
+IntMicrokernel int_microkernel();
+
+/// Test and bench hook: makes gemm_s8/gemm_s16(Kind::kAvx2, ...) run `mk`
+/// until destruction, so a VNNI host checks and times every microkernel it
+/// has. Throws std::runtime_error when !int_microkernel_available(mk). Not
+/// thread-safe against concurrent GEMM callers, like ScopedKernelOverride.
+class ScopedIntMicrokernel {
+ public:
+  explicit ScopedIntMicrokernel(IntMicrokernel mk);
+  ~ScopedIntMicrokernel();
+  ScopedIntMicrokernel(const ScopedIntMicrokernel&) = delete;
+  ScopedIntMicrokernel& operator=(const ScopedIntMicrokernel&) = delete;
+
+ private:
+  IntMicrokernel previous_;
+};
+
 namespace detail {
 /// Engine implementations behind gemm_s8/gemm_s16. The _avx2 symbols live in
-/// kernels_int_avx2.cpp (throwing stubs without CNN2FPGA_HAVE_AVX2); the _ref
-/// scalar kernels read the same packed bytes and are bit-identical.
+/// kernels_int_avx2.cpp (throwing stubs without CNN2FPGA_HAVE_AVX2), the
+/// _avxvnni/_avx512vnni ones in kernels_int_vnni.cpp (built once per
+/// encoding, and only when the compiler has its flags); the _ref scalar
+/// kernels read the same packed bytes and are bit-identical.
 void gemm_s8_ref(const PackedWeightsS8& a, const std::uint8_t* bpack, std::size_t n,
                  const FixedPointFormat& format, int act, std::int8_t* c, std::size_t ldc);
 void gemm_s16_ref(const PackedWeightsS16& a, const std::int16_t* bpack, std::size_t n,
@@ -161,6 +233,18 @@ void gemm_s8_avx2(const PackedWeightsS8& a, const std::uint8_t* bpack, std::size
 void gemm_s16_avx2(const PackedWeightsS16& a, const std::int16_t* bpack, std::size_t n,
                    const FixedPointFormat& format, int act, std::int16_t* c,
                    std::size_t ldc);
+void gemm_s8_avxvnni(const PackedWeightsS8& a, const std::uint8_t* bpack, std::size_t n,
+                     const FixedPointFormat& format, int act, std::int8_t* c,
+                     std::size_t ldc);
+void gemm_s16_avxvnni(const PackedWeightsS16& a, const std::int16_t* bpack, std::size_t n,
+                      const FixedPointFormat& format, int act, std::int16_t* c,
+                      std::size_t ldc);
+void gemm_s8_avx512vnni(const PackedWeightsS8& a, const std::uint8_t* bpack, std::size_t n,
+                        const FixedPointFormat& format, int act, std::int8_t* c,
+                        std::size_t ldc);
+void gemm_s16_avx512vnni(const PackedWeightsS16& a, const std::int16_t* bpack,
+                         std::size_t n, const FixedPointFormat& format, int act,
+                         std::int16_t* c, std::size_t ldc);
 }  // namespace detail
 
 /// Per-network cache of quantized weight panels + activation tables for ONE

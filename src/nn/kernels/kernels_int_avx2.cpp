@@ -17,16 +17,22 @@
 //
 // Epilogues renormalize in-register (modular add of the rounding half +
 // arithmetic shift), then let the saturating pack instructions perform the
-// fixed_saturate clamp exactly; fused ReLU applies to the packed lanes.
-// Everything is modular int32 arithmetic on exact products, so these kernels
-// are bit-identical to the _ref kernels in kernels_int.cpp.
+// fixed_saturate clamp exactly; fused ReLU applies to the packed lanes
+// (kernels_int_simd.hpp, shared with the VNNI kernels). Everything is modular
+// int32 arithmetic on exact products, so these kernels are bit-identical to
+// the _ref kernels in kernels_int.cpp.
+//
+// gemm_s8 / gemm_s16 run these only where the CPU has neither AVX-VNNI nor
+// AVX512-VNNI with VL (kernels_int_vnni.cpp: 12 vpdpbusd per 384 int8 MACs,
+// 1 op per 32 against the 10 per 128 here), or under the ScopedIntMicrokernel
+// hook the tests and bench_kernels use to keep measuring them on VNNI hosts.
 #include "nn/kernels/kernels_int.hpp"
 
 #ifdef CNN2FPGA_HAVE_AVX2
 
 #include <immintrin.h>
 
-#include <cstring>
+#include "nn/kernels/kernels_int_simd.hpp"
 
 namespace cnn2fpga::nn::kernels::detail {
 
@@ -44,32 +50,6 @@ namespace {
 constexpr std::size_t kTileRows = 3;
 static_assert(kPanelRows == 2 * kTileRows);
 
-inline __m256i broadcast_dword(const void* p) {
-  std::int32_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return _mm256_set1_epi32(v);
-}
-
-/// (acc + half) >> frac on 8 int32 lanes; the add wraps and the shift is
-/// arithmetic, matching the scalar reference's uint32 + srai sequence.
-inline __m256i renorm8(__m256i acc, __m256i half, __m128i shift) {
-  return _mm256_sra_epi32(_mm256_add_epi32(acc, half), shift);
-}
-
-/// Narrow two renormalized int32 octets (columns 0-7, 8-15) to 16 saturated
-/// int8 lanes in column order. packs_epi32 / packs_epi16 saturate exactly
-/// like fixed_saturate's clamp to [-128, 127].
-inline __m128i narrow_s8(__m256i lo, __m256i hi) {
-  __m256i w = _mm256_packs_epi32(lo, hi);          // lo0-3 hi0-3 | lo4-7 hi4-7
-  w = _mm256_permute4x64_epi64(w, 0xD8);           // lo0-7 | hi0-7
-  return _mm_packs_epi16(_mm256_castsi256_si128(w), _mm256_extracti128_si256(w, 1));
-}
-
-/// Same narrowing to 16 saturated int16 lanes ([-32768, 32767]).
-inline __m256i narrow_s16(__m256i lo, __m256i hi) {
-  return _mm256_permute4x64_epi64(_mm256_packs_epi32(lo, hi), 0xD8);
-}
-
 }  // namespace
 
 void gemm_s8_avx2(const PackedWeightsS8& a, const std::uint8_t* bpack, std::size_t n,
@@ -80,7 +60,6 @@ void gemm_s8_avx2(const PackedWeightsS8& a, const std::uint8_t* bpack, std::size
   const __m256i half = _mm256_set1_epi32(std::int32_t{1} << (format.frac_bits - 1));
   const __m128i shift = _mm_cvtsi32_si128(format.frac_bits);
   const bool relu = act == static_cast<int>(ActKind::kReLU);
-  const __m128i zero8 = _mm_setzero_si128();
 
   for (std::size_t q = 0; q * kPanelCols < n; ++q) {
     const std::uint8_t* bpanel = bpack + q * kp * kPanelCols;
@@ -121,17 +100,8 @@ void gemm_s8_avx2(const PackedWeightsS8& a, const std::uint8_t* bpack, std::size
 #pragma GCC unroll 3
       for (std::size_t r = 0; r < kTileRows; ++r) {
         if (r >= live_rows) continue;
-        __m128i bytes = narrow_s8(renorm8(acc_lo[r], half, shift),
-                                  renorm8(acc_hi[r], half, shift));
-        if (relu) bytes = _mm_max_epi8(bytes, zero8);
-        std::int8_t* dst = c + (row0 + r) * ldc + q * kPanelCols;
-        if (live_cols == kPanelCols) {
-          _mm_storeu_si128(reinterpret_cast<__m128i*>(dst), bytes);
-        } else {
-          alignas(16) std::int8_t tmp[16];
-          _mm_store_si128(reinterpret_cast<__m128i*>(tmp), bytes);
-          std::memcpy(dst, tmp, live_cols);
-        }
+        store_row_s8(c + (row0 + r) * ldc + q * kPanelCols, acc_lo[r], acc_hi[r], half, shift,
+                     relu, live_cols);
       }
     }
   }
@@ -144,7 +114,6 @@ void gemm_s16_avx2(const PackedWeightsS16& a, const std::int16_t* bpack, std::si
   const __m256i half = _mm256_set1_epi32(std::int32_t{1} << (format.frac_bits - 1));
   const __m128i shift = _mm_cvtsi32_si128(format.frac_bits);
   const bool relu = act == static_cast<int>(ActKind::kReLU);
-  const __m256i zero16 = _mm256_setzero_si256();
 
   for (std::size_t q = 0; q * kPanelCols < n; ++q) {
     const std::int16_t* bpanel = bpack + q * kp * kPanelCols;
@@ -178,17 +147,8 @@ void gemm_s16_avx2(const PackedWeightsS16& a, const std::int16_t* bpack, std::si
 #pragma GCC unroll 3
       for (std::size_t r = 0; r < kTileRows; ++r) {
         if (r >= live_rows) continue;
-        __m256i words = narrow_s16(renorm8(acc_lo[r], half, shift),
-                                   renorm8(acc_hi[r], half, shift));
-        if (relu) words = _mm256_max_epi16(words, zero16);
-        std::int16_t* dst = c + (row0 + r) * ldc + q * kPanelCols;
-        if (live_cols == kPanelCols) {
-          _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst), words);
-        } else {
-          alignas(32) std::int16_t tmp[16];
-          _mm256_store_si256(reinterpret_cast<__m256i*>(tmp), words);
-          std::memcpy(dst, tmp, live_cols * sizeof(std::int16_t));
-        }
+        store_row_s16(c + (row0 + r) * ldc + q * kPanelCols, acc_lo[r], acc_hi[r], half,
+                      shift, relu, live_cols);
       }
     }
   }

@@ -22,7 +22,9 @@
 
 #include <cmath>
 #include <cstring>
+#include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "nn/execution.hpp"
@@ -246,6 +248,99 @@ TEST(KernelGemm, InPlaceLinearBitwiseEqualsPackedGemm) {
       }
     }
   }
+}
+
+// ------------------------------------------------------------------ packers
+//
+// The AVX2 conv packers against the element loops they replace: after the
+// finish step the panels must be bitwise equal, on every image of a batch,
+// for both channel strides the plan executor passes. The input buffer is
+// allocated at its exact size, so the last image's last plane ends where the
+// allocation ends and the ASan job catches any read past it.
+
+namespace {
+
+struct PackGeometry {
+  std::size_t channels, ih, iw, kh, kw;
+};
+
+// The four bench_kernels conv shapes, then output widths below, equal to
+// and above 16, K % 4 of 1, 2 and 3, 1x1 and 2x2 kernels, non-square inputs
+// and kernels, a kernel as large as its input (one column per image), K = 1,
+// and K = 640 (past the packers' on-stack tap table).
+const PackGeometry kPackGeometries[] = {
+    {1, 16, 16, 5, 5}, {6, 6, 6, 5, 5},   {3, 32, 32, 5, 5},  {12, 14, 14, 5, 5},
+    {2, 9, 7, 3, 3},   {1, 18, 20, 3, 5}, {3, 12, 40, 3, 3},  {3, 7, 11, 1, 3},
+    {5, 6, 9, 1, 1},   {7, 3, 20, 1, 1},  {4, 17, 17, 1, 1},  {3, 10, 10, 2, 2},
+    {2, 8, 8, 8, 8},   {1, 30, 5, 4, 2},  {1, 5, 7, 1, 1},    {40, 6, 19, 4, 4},
+};
+
+/// Packs `batch` images with `vector_pack` and `ref_pack` (each called per
+/// image as the plan executor calls them), runs `finish` on both, and
+/// expects identical panels. `make_input` fills a buffer of the exact size.
+template <typename T, typename P, typename Pack, typename Finish, typename Size>
+void expect_packers_agree(const char* what, Pack vector_pack, Pack ref_pack, Finish finish,
+                          Size packed_size, std::uint64_t seed) {
+  for (const PackGeometry& g : kPackGeometries) {
+    const std::size_t oh = g.ih - g.kh + 1, ow = g.iw - g.kw + 1;
+    const std::size_t pixels = g.ih * g.iw, cols = oh * ow;
+    const std::size_t k = g.channels * g.kh * g.kw;
+    for (const std::size_t batch : {std::size_t{1}, std::size_t{2}, std::size_t{3},
+                                    std::size_t{8}}) {
+      for (const bool interleaved : {false, true}) {
+        std::vector<T> in(batch * g.channels * pixels);
+        util::Rng rng(seed++);
+        for (T& v : in) {
+          if constexpr (std::is_same_v<T, float>) {
+            v = rng.uniform(-1.0f, 1.0f);
+          } else {
+            v = static_cast<T>(rng.next_below(1u << (8 * sizeof(T))));
+          }
+        }
+        const std::size_t n = batch * cols;
+        util::aligned_vector<P> got(packed_size(n, k)), want(packed_size(n, k));
+        std::memset(got.data(), 0xA5, got.size() * sizeof(P));
+        std::memset(want.data(), 0xA5, want.size() * sizeof(P));
+        for (std::size_t b = 0; b < batch; ++b) {
+          const T* base = in.data() + (interleaved ? b * pixels : b * g.channels * pixels);
+          const std::size_t c_stride = interleaved ? batch * pixels : pixels;
+          vector_pack(base, c_stride, g.channels, g.ih, g.iw, g.kh, g.kw, oh, ow, got.data(),
+                      b * cols, n);
+          ref_pack(base, c_stride, g.channels, g.ih, g.iw, g.kh, g.kw, oh, ow, want.data(),
+                   b * cols, n);
+        }
+        finish(got.data(), n, k);
+        finish(want.data(), n, k);
+        ASSERT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(P)), 0)
+            << what << " c=" << g.channels << " in=" << g.ih << "x" << g.iw
+            << " kernel=" << g.kh << "x" << g.kw << " batch=" << batch
+            << (interleaved ? " interleaved" : " image-major");
+      }
+    }
+  }
+}
+
+}  // namespace
+
+TEST(KernelPack, FloatPackerMatchesReferenceBitwise) {
+  SKIP_WITHOUT_AVX2();
+  expect_packers_agree<float, float>("float", kernels::detail::im2col_pack_avx2,
+                                     kernels::detail::im2col_pack_ref,
+                                     kernels::zero_pack_tail, kernels::packed_b_size, 1);
+}
+
+TEST(KernelPack, Int16PackerMatchesReferenceBitwise) {
+  SKIP_WITHOUT_AVX2();
+  expect_packers_agree<std::int16_t, std::int16_t>(
+      "int16", kernels::detail::im2col_pack_s16_avx2, kernels::detail::im2col_pack_s16_ref,
+      kernels::finish_pack_s16, kernels::packed_b_size_s16, 1001);
+}
+
+TEST(KernelPack, Int8PackerMatchesReferenceBitwise) {
+  SKIP_WITHOUT_AVX2();
+  expect_packers_agree<std::int8_t, std::uint8_t>(
+      "int8", kernels::detail::im2col_pack_s8_avx2, kernels::detail::im2col_pack_s8_ref,
+      kernels::finish_pack_s8, kernels::packed_b_size_s8, 2001);
 }
 
 TEST(KernelElementwise, ActivationMatchesScalarIncludingSaturation) {
@@ -551,8 +646,13 @@ TEST(QuantPrecision, NamesParseAndFormatsRoundTrip) {
   EXPECT_THROW(serve_precision_format(ServePrecision::kFloat32), std::invalid_argument);
 }
 
-TEST(QuantGemm, Int8RefVsAvx2BitExactOnAwkwardShapes) {
-  SKIP_WITHOUT_AVX2();
+namespace {
+
+// Each check below runs twice: as QuantGemm.* / QuantParity.* on the
+// integer microkernel gemm_s8/gemm_s16 pick by cpuid, and as
+// Microkernels/Quant*Microkernel.* under each microkernel forced in turn.
+
+void check_int8_gemm_ref_vs_avx2() {
   const FixedPointFormat fmt = serve_precision_format(ServePrecision::kInt8);
   std::uint64_t seed = 71;
   for (const GemmShape& sh : kGemmShapes) {
@@ -585,8 +685,7 @@ TEST(QuantGemm, Int8RefVsAvx2BitExactOnAwkwardShapes) {
   }
 }
 
-TEST(QuantGemm, Int16RefVsAvx2BitExactOnAwkwardShapes) {
-  SKIP_WITHOUT_AVX2();
+void check_int16_gemm_ref_vs_avx2() {
   const FixedPointFormat fmt = serve_precision_format(ServePrecision::kInt16);
   std::uint64_t seed = 171;
   for (const GemmShape& sh : kGemmShapes) {
@@ -620,8 +719,7 @@ TEST(QuantGemm, Int16RefVsAvx2BitExactOnAwkwardShapes) {
   }
 }
 
-TEST(QuantParity, ScalarVsAvx2BitExactAcrossArchitectures) {
-  SKIP_WITHOUT_AVX2();
+void check_scalar_vs_avx2_architectures() {
   for (const ServePrecision prec : {ServePrecision::kInt8, ServePrecision::kInt16}) {
     for (int arch = 0; arch < kArchCount; ++arch) {
       const Network net =
@@ -640,40 +738,35 @@ TEST(QuantParity, ScalarVsAvx2BitExactAcrossArchitectures) {
   }
 }
 
-TEST(QuantParity, BatchFusionBitIdenticalToPerImageQuantInfer) {
-  for (const kernels::Kind kind : {kernels::Kind::kScalar, kernels::Kind::kAvx2}) {
-    if (kind == kernels::Kind::kAvx2 && !kernels::avx2_available()) continue;
-    for (const ServePrecision prec : {ServePrecision::kInt8, ServePrecision::kInt16}) {
-      for (int arch = 0; arch < kArchCount; ++arch) {
-        const Network net =
-            make_awkward_network(arch, 600u + static_cast<std::uint64_t>(arch));
-        ExecutionContext ctx = quant_ctx(net, kind, prec);
-        std::vector<tensor::Tensor> images;
-        std::vector<tensor::Tensor> per_image;
-        for (std::uint64_t i = 0; i < 8; ++i) {
-          images.push_back(random_input(net.input_shape(), 8000 + i));
-          per_image.push_back(net.infer(images.back(), ctx));  // copy
-        }
-        for (const std::size_t batch : {std::size_t{1}, std::size_t{3}, std::size_t{8}}) {
-          const std::vector<tensor::Tensor> subset(
-              images.begin(), images.begin() + static_cast<long>(batch));
-          const std::vector<tensor::Tensor> fused = net.infer_batch(subset, ctx);
-          ASSERT_EQ(fused.size(), batch);
-          for (std::size_t b = 0; b < batch; ++b) {
-            ASSERT_EQ(fused[b].shape(), per_image[b].shape());
-            ASSERT_EQ(std::memcmp(fused[b].data(), per_image[b].data(),
-                                  fused[b].size() * sizeof(float)),
-                      0)
-                << kernels::kind_name(kind) << " " << serve_precision_name(prec)
-                << " arch " << arch << " batch " << batch << " image " << b;
-          }
+void check_batch_fusion(kernels::Kind kind) {
+  for (const ServePrecision prec : {ServePrecision::kInt8, ServePrecision::kInt16}) {
+    for (int arch = 0; arch < kArchCount; ++arch) {
+      const Network net =
+          make_awkward_network(arch, 600u + static_cast<std::uint64_t>(arch));
+      ExecutionContext ctx = quant_ctx(net, kind, prec);
+      std::vector<tensor::Tensor> images;
+      std::vector<tensor::Tensor> per_image;
+      for (std::uint64_t i = 0; i < 8; ++i) {
+        images.push_back(random_input(net.input_shape(), 8000 + i));
+        per_image.push_back(net.infer(images.back(), ctx));  // copy
+      }
+      for (const std::size_t batch : {std::size_t{1}, std::size_t{3}, std::size_t{8}}) {
+        const std::vector<tensor::Tensor> subset(images.begin(),
+                                                 images.begin() + static_cast<long>(batch));
+        const std::vector<tensor::Tensor> fused = net.infer_batch(subset, ctx);
+        ASSERT_EQ(fused.size(), batch);
+        for (std::size_t b = 0; b < batch; ++b) {
+          ASSERT_EQ(fused[b].shape(), per_image[b].shape());
+          ASSERT_EQ(std::memcmp(fused[b].data(), per_image[b].data(),
+                                fused[b].size() * sizeof(float)),
+                    0)
+              << kernels::kind_name(kind) << " " << serve_precision_name(prec) << " arch "
+              << arch << " batch " << batch << " image " << b;
         }
       }
     }
   }
 }
-
-namespace {
 
 /// True if quantizing any conv/linear layer of `net` at Q4.4 hits the int8
 /// weight clamp (the only case where the int8 engine may diverge from
@@ -698,9 +791,7 @@ bool any_int8_weight_clamped(const Network& net) {
   return false;
 }
 
-}  // namespace
-
-TEST(QuantParity, MatchesForwardFixedModelBitExact) {
+void check_matches_forward_fixed(kernels::Kind kind) {
   // int16 (Q8.8) must always match forward_fixed; int8 (Q4.4) must match
   // whenever no weight exceeds the clamp — true for every LeCun-initialized
   // fixture here (asserted, so a regression in either claim fails loudly).
@@ -713,7 +804,7 @@ TEST(QuantParity, MatchesForwardFixedModelBitExact) {
         ASSERT_FALSE(any_int8_weight_clamped(net))
             << "fixture unexpectedly clamps; pick a different seed";
       }
-      ExecutionContext qctx = quant_ctx(net, kernels::Kind::kScalar, prec);
+      ExecutionContext qctx = quant_ctx(net, kind, prec);
       for (std::uint64_t i = 0; i < 4; ++i) {
         const tensor::Tensor input = random_input(net.input_shape(), 9000 * i + 1);
         const FixedForwardResult want = forward_fixed(net, input, fmt);
@@ -722,21 +813,22 @@ TEST(QuantParity, MatchesForwardFixedModelBitExact) {
         ASSERT_EQ(std::memcmp(got.data(), want.scores.data(),
                               got.size() * sizeof(float)),
                   0)
-            << serve_precision_name(prec) << " arch " << arch << " input " << i;
+            << kernels::kind_name(kind) << " " << serve_precision_name(prec) << " arch "
+            << arch << " input " << i;
         EXPECT_EQ(got.argmax(), want.predicted);
       }
     }
   }
 }
 
-TEST(QuantParity, SharedQuantPackCacheGivesIdenticalResults) {
+void check_shared_quant_pack_cache(kernels::Kind kind) {
   // Pooled quantized contexts share one QuantPackCache; a private context
   // quantizes + packs its own. Same weights -> same bits either way.
   const Network net = make_awkward_network(4, 77);
   for (const ServePrecision prec : {ServePrecision::kInt8, ServePrecision::kInt16}) {
-    ExecutionContextPool pool(net, kernels::Kind::kScalar, prec);
+    ExecutionContextPool pool(net, kind, prec);
     pool.warm();
-    ExecutionContext solo = quant_ctx(net, kernels::Kind::kScalar, prec);
+    ExecutionContext solo = quant_ctx(net, kind, prec);
     for (std::uint64_t i = 0; i < 3; ++i) {
       const tensor::Tensor input = random_input(net.input_shape(), 10000 + i);
       const tensor::Tensor want = net.infer(input, solo);
@@ -747,3 +839,99 @@ TEST(QuantParity, SharedQuantPackCacheGivesIdenticalResults) {
     }
   }
 }
+
+}  // namespace
+
+TEST(QuantGemm, Int8RefVsAvx2BitExactOnAwkwardShapes) {
+  SKIP_WITHOUT_AVX2();
+  check_int8_gemm_ref_vs_avx2();
+}
+
+TEST(QuantGemm, Int16RefVsAvx2BitExactOnAwkwardShapes) {
+  SKIP_WITHOUT_AVX2();
+  check_int16_gemm_ref_vs_avx2();
+}
+
+TEST(QuantParity, ScalarVsAvx2BitExactAcrossArchitectures) {
+  SKIP_WITHOUT_AVX2();
+  check_scalar_vs_avx2_architectures();
+}
+
+TEST(QuantParity, BatchFusionBitIdenticalToPerImageQuantInfer) {
+  check_batch_fusion(kernels::Kind::kScalar);
+  if (kernels::avx2_available()) check_batch_fusion(kernels::Kind::kAvx2);
+}
+
+TEST(QuantParity, MatchesForwardFixedModelBitExact) {
+  check_matches_forward_fixed(kernels::Kind::kScalar);
+}
+
+TEST(QuantParity, SharedQuantPackCacheGivesIdenticalResults) {
+  check_shared_quant_pack_cache(kernels::Kind::kScalar);
+}
+
+// --------------------------------------- every integer microkernel the CPU has
+//
+// gemm_s8/gemm_s16(Kind::kAvx2) run the VNNI kernels where cpuid reports
+// them, so a VNNI host would never run the AVX2 kernel in the suites above.
+// These run each check with the AVX2 engine forced onto one microkernel; a
+// microkernel the CPU (or the compiler) lacks is skipped by name.
+
+namespace {
+
+class QuantMicrokernel : public ::testing::TestWithParam<kernels::IntMicrokernel> {
+ protected:
+  void SetUp() override {
+    if (!kernels::int_microkernel_available(GetParam())) {
+      GTEST_SKIP() << "integer microkernel " << kernels::int_microkernel_name(GetParam())
+                   << " is unavailable on this host";
+    }
+    force_.emplace(GetParam());
+  }
+
+ private:
+  std::optional<kernels::ScopedIntMicrokernel> force_;
+};
+
+std::string microkernel_test_name(
+    const ::testing::TestParamInfo<kernels::IntMicrokernel>& info) {
+  return kernels::int_microkernel_name(info.param);
+}
+
+class QuantGemmMicrokernel : public QuantMicrokernel {};
+class QuantParityMicrokernel : public QuantMicrokernel {};
+
+const auto kAllMicrokernels =
+    ::testing::Values(kernels::IntMicrokernel::kAvx2, kernels::IntMicrokernel::kAvxVnni,
+                      kernels::IntMicrokernel::kAvx512Vnni);
+
+}  // namespace
+
+TEST_P(QuantGemmMicrokernel, Int8RefVsAvx2BitExactOnAwkwardShapes) {
+  check_int8_gemm_ref_vs_avx2();
+}
+
+TEST_P(QuantGemmMicrokernel, Int16RefVsAvx2BitExactOnAwkwardShapes) {
+  check_int16_gemm_ref_vs_avx2();
+}
+
+TEST_P(QuantParityMicrokernel, ScalarVsAvx2BitExactAcrossArchitectures) {
+  check_scalar_vs_avx2_architectures();
+}
+
+TEST_P(QuantParityMicrokernel, BatchFusionBitIdenticalToPerImageQuantInfer) {
+  check_batch_fusion(kernels::Kind::kAvx2);
+}
+
+TEST_P(QuantParityMicrokernel, MatchesForwardFixedModelBitExact) {
+  check_matches_forward_fixed(kernels::Kind::kAvx2);
+}
+
+TEST_P(QuantParityMicrokernel, SharedQuantPackCacheGivesIdenticalResults) {
+  check_shared_quant_pack_cache(kernels::Kind::kAvx2);
+}
+
+INSTANTIATE_TEST_SUITE_P(Microkernels, QuantGemmMicrokernel, kAllMicrokernels,
+                         microkernel_test_name);
+INSTANTIATE_TEST_SUITE_P(Microkernels, QuantParityMicrokernel, kAllMicrokernels,
+                         microkernel_test_name);
