@@ -25,9 +25,11 @@
 //   --router               run as the fleet front door
 //   --workers N            worker processes to spawn (router mode; default 2).
 //                          Without --router, N is the executor thread count
-//                          of the single-process runtime (default 4).
+//                          of the single-process runtime (default 4) on the
+//                          cpu engine; the accel engine always has one.
 //   --replication R        distinct workers holding each design (default 2)
-//   --worker-threads N     executor threads per worker process (default 2)
+//   --worker-threads N     executor threads per worker process (default 2;
+//                          one on the accel engine)
 //
 // Crash safety (see DESIGN.md "Crash recovery and durability"):
 //   --journal PATH         durable deploy journal: every accepted deploy is
@@ -54,7 +56,7 @@
 // The engine (see DESIGN.md "One engine per serving runtime"):
 //   --placer ENGINE        the engine every batch runs on: "cpu" (default;
 //                          the host SIMD engine) or "accel" (the simulated
-//                          FPGA fabric)
+//                          FPGA fabric: one IP core, one executor thread)
 //
 // Each mode exits 1 on a flag it does not read.
 #include <algorithm>
@@ -129,7 +131,7 @@ bool build_serving_config(const util::CliArgs& args, std::size_t default_threads
     std::fprintf(stderr, "--placer rejected: want cpu or accel, got '%s'\n", engine.c_str());
     return false;
   }
-  config->engine = *parsed;
+  config->batcher.engine = *parsed;
   return true;
 }
 
@@ -279,7 +281,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   serve::ServingRuntime runtime(serving_config);
-  std::printf("engine: %s\n", serve::backend_name(serving_config.engine));
+  std::printf("engine: %s\n", serve::backend_name(serving_config.batcher.engine));
   if (const std::string faults = args.get_string("faults", ""); !faults.empty()) {
     std::string error;
     if (!runtime.faults().configure(faults, &error)) {

@@ -4,7 +4,7 @@
 #include <span>
 #include <stdexcept>
 
-#include "serve/backend/cpu_backend.hpp"
+#include "nn/fixed_inference.hpp"
 #include "util/logging.hpp"
 #include "util/strings.hpp"
 
@@ -18,27 +18,60 @@ std::uint64_t elapsed_us(Batcher::Clock::time_point from, Batcher::Clock::time_p
       std::chrono::duration_cast<std::chrono::microseconds>(to - from).count());
 }
 
-std::shared_ptr<InferenceBackend> checked(std::shared_ptr<InferenceBackend> backend) {
-  if (!backend) throw std::invalid_argument("Batcher: no backend");
-  return backend;
+/// The engine's functional result: the generated IP is bit-exact with the
+/// reference network (the paper's central claim), so both engines compute
+/// the same function and differ only in timing and concurrency. Float
+/// designs run the fused infer_batch path (bit-identical to per-image infer
+/// by the kernel chunk-invariance contract); fixed designs run per-image
+/// forward_fixed through the same leased context.
+void run_reference_batch(DeployedDesign& design, std::span<const tensor::Tensor* const> inputs,
+                         std::span<tensor::Tensor> outputs) {
+  auto ctx = design.contexts.acquire();
+  const core::NetworkDescriptor& descriptor = design.descriptor();
+  if (design.precision != nn::ServePrecision::kFloat32) {
+    // Quantized serving: the pooled contexts carry the deployed precision, so
+    // infer_batch runs the whole micro-batch through the int8/int16 fused
+    // engine end to end and returns dequantized float scores (bit-identical
+    // across batch sizes and engines — see kernels_int.hpp).
+    design.net.infer_batch(inputs, outputs, *ctx);
+  } else if (descriptor.precision.is_fixed) {
+    // Fixed designs quantize per image through the context's cached Q(m,n)
+    // parameters; the scores tensor already carries the final (float)
+    // log-probabilities, so argmax over it equals FixedForwardResult::
+    // predicted. A failure mid-batch fails the whole batch — same all-or-
+    // nothing contract as the fused float path (inputs are shape-validated
+    // at predict(), so a failure here is environmental).
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      outputs[i] = nn::forward_fixed(design.net, *inputs[i], descriptor.precision.fixed,
+                                     *ctx, /*track_output_error=*/false)
+                       .scores;
+    }
+  } else {
+    // Float path: one fused inference for the whole batch — a single im2col +
+    // GEMM per conv/linear layer, bit-identical to per-image infer() through
+    // the same context (kernel chunk-invariance contract).
+    design.net.infer_batch(inputs, outputs, *ctx);
+  }
+  design.served.fetch_add(inputs.size(), std::memory_order_relaxed);
+}
+
+BatcherConfig validated(BatcherConfig config, const Executor& executor) {
+  if (config.engine == BackendId::kAccelerator && executor.thread_count() != 1) {
+    throw std::invalid_argument(
+        format("Batcher: the fabric is one IP core, but the executor has %zu threads",
+               executor.thread_count()));
+  }
+  if (config.max_batch == 0) config.max_batch = 1;
+  return config;
 }
 }  // namespace
 
 Batcher::Batcher(Executor& executor, BatcherConfig config, ServeMetrics* metrics,
                  FaultInjector* faults)
-    : Batcher(std::make_shared<CpuBackend>(executor), config, metrics, faults) {}
-
-Batcher::Batcher(std::shared_ptr<InferenceBackend> backend, BatcherConfig config,
-                 ServeMetrics* metrics, FaultInjector* faults)
-    : backend_(checked(std::move(backend))),
-      config_{config.max_batch == 0 ? 1 : config.max_batch,
-              config.max_wait_us,
-              config.max_inflight_per_design,
-              config.max_queue_depth,
-              config.max_queue_depth_per_design},
-      inflight_limit_(config.max_inflight_per_design != 0
-                          ? config.max_inflight_per_design
-                          : std::max<std::size_t>(1, backend_->capabilities().concurrency)),
+    : executor_(executor),
+      config_(validated(config, executor)),
+      inflight_limit_(config.max_inflight_per_design != 0 ? config.max_inflight_per_design
+                                                          : executor.thread_count()),
       metrics_(metrics),
       faults_(faults),
       deadline_thread_([this] { deadline_loop(); }) {}
@@ -56,13 +89,10 @@ Prediction Batcher::predict_wait(std::shared_ptr<DeployedDesign> design, tensor:
   {
     InlineBatch run;
     future = admit(std::move(design), std::move(input), deadline, &run);
-    // The request flushed alone into an idle CPU slot that this thread now
+    // The request flushed alone into an idle slot that this thread now
     // holds: compute it here, outside the mutex, exactly as a pool worker
     // would. Leaving the scope frees the slot.
-    if (run.slot) {
-      execute_batch(std::move(run.design), std::move(run.batch));
-      backend_->end_inline();
-    }
+    if (run.slot) execute_batch(std::move(run.design), std::move(run.batch));
   }
   return future.get();
 }
@@ -169,17 +199,8 @@ void Batcher::shutdown() {
   }
   lane_cv_.notify_all();
   if (deadline_thread_.joinable()) deadline_thread_.join();
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    drained_cv_.wait(lock, [this] { return in_flight_ == 0; });
-    if (backend_shut_) return;
-    backend_shut_ = true;
-  }
-  // Backend shutdown happens after the drain (its resource executed the
-  // in-flight batches) and outside the lock (joining a driver thread must
-  // never hold the batcher mutex). The CpuBackend's shutdown is a no-op —
-  // the shared executor belongs to the runtime.
-  backend_->shutdown();
+  std::unique_lock<std::mutex> lock(mutex_);
+  drained_cv_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
 std::size_t Batcher::pending() const {
@@ -241,9 +262,11 @@ void Batcher::deadline_loop() {
 }
 
 bool Batcher::capacity_available_locked(const std::string& design_id) const {
-  if (!backend_->capabilities().eager_partial_flush) return false;
-  // The shared pool runs many designs; what the flush trigger bounds is
-  // this design's share of it.
+  // The fabric's DMA round trip amortizes over a full batch: an idle fabric
+  // pulls full lanes at once but partial lanes only at their deadline.
+  if (config_.engine == BackendId::kAccelerator) return false;
+  // The executor runs many designs; what the flush trigger bounds is this
+  // design's share of it.
   const auto it = busy_.find(design_id);
   return it == busy_.end() || it->second < inflight_limit_;
 }
@@ -285,19 +308,18 @@ void Batcher::flush_locked(Lane lane, InlineBatch* run) {
     }
     return;
   }
-  const std::size_t backend_idx = backend_index(backend_->id());
+  const std::size_t backend_idx = backend_index(config_.engine);
 
-  // Fault site backend.dispatch (error/alloc): the hand-off to the backend's
-  // execution resource failed. Feed the breaker so repeated dispatch faults
-  // quarantine the design; the batch never starts, so the requests fail
-  // here.
+  // Fault site backend.dispatch (error/alloc): the hand-off to the engine's
+  // executor failed. Feed the breaker so repeated dispatch faults quarantine
+  // the design; the batch never starts, so the requests fail here.
   if (faults_ != nullptr) {
     std::exception_ptr fault;
     if (faults_->should_fail_alloc("backend.dispatch")) {
       fault = std::make_exception_ptr(std::bad_alloc());
     } else if (faults_->should_fail("backend.dispatch")) {
       fault = std::make_exception_ptr(InjectedFault(
-          format("injected dispatch failure on backend '%s'", backend_->name())));
+          format("injected dispatch failure on backend '%s'", backend_name(config_.engine))));
     }
     if (fault) {
       breaker.record_failure();
@@ -315,10 +337,11 @@ void Batcher::flush_locked(Lane lane, InlineBatch* run) {
   ++busy_[design_id];
   if (metrics_) metrics_->backend[backend_idx].dispatched.add();
   if (run != nullptr) {
-    // An idle slot of the backend (only the CPU pool grants one) is claimed
-    // here, under the mutex, so the slot and the busy_/in_flight_ accounting
-    // above are taken together.
-    if (Executor::Slot slot = backend_->begin_inline()) {
+    // An idle slot of the executor is claimed here, under the mutex, so the
+    // slot and the busy_/in_flight_ accounting above are taken together. (On
+    // the fabric a lane of one flushes only at max_batch 1; the caller then
+    // holds the one slot, as a worker would.)
+    if (Executor::Slot slot = executor_.try_claim()) {
       if (metrics_) metrics_->backend[backend_idx].inline_batches.add();
       run->slot = std::move(slot);
       run->design = std::move(lane.design);
@@ -328,12 +351,13 @@ void Batcher::flush_locked(Lane lane, InlineBatch* run) {
   }
   auto design = std::move(lane.design);
   // The task owns the batch; requests are fulfilled even if the lane's design
-  // was evicted from the registry meanwhile (shared_ptr keeps it alive). It
-  // also holds the backend: dispatch() updates the backend's gauges after the
-  // task returns, when the batcher may already be destroyed.
+  // was evicted from the registry meanwhile (shared_ptr keeps it alive). The
+  // executor outlives the batcher, and the task's last touch of the batcher
+  // is execute_batch's final --in_flight_ under the mutex, which shutdown()
+  // waits for.
   auto batch = std::make_shared<std::vector<Request>>(std::move(live));
   try {
-    backend_->dispatch([this, design = std::move(design), batch, backend = backend_] {
+    executor_.submit([this, design = std::move(design), batch] {
       execute_batch(design, std::move(*batch));
     });
   } catch (...) {
@@ -342,7 +366,7 @@ void Batcher::flush_locked(Lane lane, InlineBatch* run) {
       busy_.erase(it);
     }
     settle_waiting_locked(design_id, batch->size());
-    // The only expected dispatch failures are resource shutdown (report the
+    // The only expected submit failures are executor shutdown (report the
     // uniform shutdown code) and allocation pressure (forward as-is).
     std::exception_ptr error;
     try {
@@ -350,7 +374,7 @@ void Batcher::flush_locked(Lane lane, InlineBatch* run) {
     } catch (const std::bad_alloc&) {
       error = std::current_exception();
     } catch (...) {
-      error = std::make_exception_ptr(ShutdownError("Batcher: backend is shut down"));
+      error = std::make_exception_ptr(ShutdownError("Batcher: executor is shut down"));
     }
     for (Request& request : *batch) {
       request.promise.set_exception(error);
@@ -373,7 +397,7 @@ void Batcher::execute_batch(std::shared_ptr<DeployedDesign> design,
 
   // Deadline propagation, stage 2: re-check at dispatch so a worker never
   // runs inference for a client that already gave up (the batch may have sat
-  // in the backend queue behind slow work).
+  // in the executor queue behind slow work).
   std::vector<char> skip(batch.size(), 0);
   std::size_t live = 0;
   {
@@ -388,7 +412,13 @@ void Batcher::execute_batch(std::shared_ptr<DeployedDesign> design,
     }
   }
 
-  const std::size_t backend_idx = backend_index(backend_->id());
+  // Modeled deployment cost of this invocation: one scatter-gather pass
+  // through the accelerator for the executed images (expired requests never
+  // reach the FPGA). Reported per prediction on either engine, so clients
+  // always see what the deployment hardware would cost.
+  const double accel_seconds = design->invocation_seconds(live);
+
+  const std::size_t backend_idx = backend_index(config_.engine);
   std::vector<Prediction> results(batch.size());
   std::vector<std::exception_ptr> errors(batch.size());
   Clock::time_point start = Clock::now();
@@ -403,9 +433,6 @@ void Batcher::execute_batch(std::shared_ptr<DeployedDesign> design,
       }
       failures = live;
     } else {
-      // Both backends compute through the same reentrant reference engine
-      // (run_reference_batch), so a batch's logits are identical on either
-      // engine; the backends differ in timing and concurrency.
       std::vector<const tensor::Tensor*> inputs;
       std::vector<std::size_t> slot;
       inputs.reserve(live);
@@ -419,8 +446,13 @@ void Batcher::execute_batch(std::shared_ptr<DeployedDesign> design,
       std::vector<tensor::Tensor> outputs(inputs.size());
       start = Clock::now();
       try {
-        backend_->run_batch(*design, std::span<const tensor::Tensor* const>(inputs),
-                            std::span<tensor::Tensor>(outputs));
+        run_reference_batch(*design, inputs, outputs);
+        if (config_.engine == BackendId::kAccelerator && config_.accel_sleep_for_model) {
+          // The fabric is busy for the modeled invocation: the batch keeps
+          // the one IP core's slot that long, so work queues behind the
+          // fabric as it would behind the hardware.
+          std::this_thread::sleep_for(std::chrono::duration<double>(accel_seconds));
+        }
         for (std::size_t j = 0; j < slot.size(); ++j) {
           Prediction& out = results[slot[j]];
           out.predicted = outputs[j].argmax();
@@ -471,11 +503,6 @@ void Batcher::execute_batch(std::shared_ptr<DeployedDesign> design,
     }
   }
 
-  // Modeled deployment cost of this invocation: one scatter-gather pass
-  // through the accelerator for the executed images (expired requests never
-  // reach the FPGA). Reported per prediction on either engine, so clients
-  // always see what the deployment hardware would cost.
-  const double accel_seconds = design->invocation_seconds(live);
   const auto accel_invocation_us = static_cast<std::uint64_t>(accel_seconds * 1e6);
   const auto accel_share_us =
       live == 0 ? 0
@@ -516,7 +543,7 @@ void Batcher::execute_batch(std::shared_ptr<DeployedDesign> design,
     results[i].exec_us = exec_us;
     results[i].accel_us = accel_share_us;
     results[i].batch_size = live;
-    results[i].backend = backend_->id();
+    results[i].backend = config_.engine;
     results[i].precision = design->precision;
     if (metrics_) {
       metrics_->predictions.add();

@@ -2,26 +2,31 @@
 // runtime's engine.
 //
 // Requests for the same deployed design coalesce in a per-design lane. A lane
-// flushes — becoming one batch that the runtime's InferenceBackend
-// (src/serve/backend/) executes on its resource, fulfilling the per-request
-// futures — on the first of three triggers:
-//   1. the engine can take a partial lane right now (the CPU engine, while
-//      the design has a free inference slot): flush immediately, so an
-//      unloaded server adds zero batching latency and a loaded one keeps
-//      every slot busy. When that flush holds only the request a
-//      predict_wait() caller just submitted and the shared pool has an idle
-//      slot, the caller claims the slot and computes the batch on its own
-//      thread: no hand-off to a worker and no future wake-up. Otherwise the
-//      batch goes to the engine's resource;
+// flushes — becoming one batch that runs in a slot of the runtime's Executor,
+// fulfilling the per-request futures — on the first of three triggers:
+//   1. the design has a free inference slot (CPU engine only): flush
+//      immediately, so an unloaded server adds zero batching latency and a
+//      loaded one keeps every slot busy. When that flush holds only the
+//      request a predict_wait() caller just submitted and the Executor has an
+//      idle slot, the caller claims the slot and computes the batch on its
+//      own thread: no hand-off to a worker and no future wake-up. Otherwise
+//      the batch is submitted to the Executor;
 //   2. `max_batch` requests are waiting: flush from the submitting thread;
 //   3. the oldest request has waited `max_wait_us`: deadline flush for
-//      partial batches stuck behind long-running batches. The fabric, whose
-//      DMA round trip amortizes over a full batch, takes partial lanes only
-//      this way.
+//      partial batches stuck behind long-running batches.
 // While the engine is busy, concurrent requests accumulate and flush the
 // moment a batch completes — under saturation the batch size converges on
 // the number of concurrent clients (capped at max_batch) with no timer on
 // the hot path.
+//
+// The two engines differ in two rules, both here. The fabric (the generated
+// IP of Fig. 5) amortizes its DMA round trip over a full batch, so it never
+// flushes a partial lane early (trigger 1): partial lanes wait for trigger 3.
+// And its Executor has exactly one thread, one physical IP core, in which a
+// fabric batch keeps its slot after computing for the modeled invocation,
+// DeployedDesign::invocation_seconds (while accel_sleep_for_model is on).
+// Both engines compute the same reference function, so a batch's logits do
+// not depend on the engine.
 //
 // Overload behavior (see DESIGN.md "Overload and failure behavior"):
 //   - Bounded admission. `max_queue_depth` caps requests that are admitted
@@ -52,7 +57,7 @@
 #include <thread>
 #include <vector>
 
-#include "serve/backend/backend.hpp"
+#include "serve/backend/ids.hpp"
 #include "serve/errors.hpp"
 #include "serve/executor.hpp"
 #include "serve/fault.hpp"
@@ -80,10 +85,10 @@ struct Prediction {
 struct BatcherConfig {
   std::size_t max_batch = 8;        ///< flush as soon as this many requests wait
   std::uint64_t max_wait_us = 1000; ///< deadline flush for partial batches
-  /// Concurrent batches allowed per design on the CPU backend; 0 = the
+  /// Concurrent batches allowed per design on the CPU engine; 0 = the
   /// executor's worker count. 1 restores the fully serialized
-  /// pre-ExecutionContext behavior. (The accelerator runs one batch at a
-  /// time: one physical IP core.)
+  /// pre-ExecutionContext behavior. (The fabric runs one batch at a time:
+  /// its Executor has one thread.)
   std::size_t max_inflight_per_design = 0;
   /// Bounded admission: cap on requests admitted but not yet executing
   /// (waiting()). 0 = unbounded. At the cap predict() sheds with
@@ -91,6 +96,13 @@ struct BatcherConfig {
   std::size_t max_queue_depth = 0;
   /// Per-design share of the admission budget. 0 = unbounded.
   std::size_t max_queue_depth_per_design = 0;
+  /// The engine every batch runs on: the host SIMD engine, or the simulated
+  /// FPGA fabric, whose Executor must have exactly one thread.
+  BackendId engine = BackendId::kCpu;
+  /// On the fabric, hold the slot for the modeled invocation after computing
+  /// (the fabric really is busy that long). Off in tests that only read the
+  /// modeled time from ServeMetrics::accel_us.
+  bool accel_sleep_for_model = true;
 };
 
 class Batcher {
@@ -100,17 +112,12 @@ class Batcher {
   /// Sentinel deadline: the request never expires.
   static constexpr Clock::time_point kNoDeadline = Clock::time_point::max();
 
-  /// Batcher on the host engine: wraps `executor` in a CpuBackend.
-  /// `executor` must outlive the batcher. `metrics` and `faults` may be null.
+  /// Every flushed batch runs in a slot of `executor`, which must outlive
+  /// the batcher. `metrics` and `faults` may be null. Throws
+  /// std::invalid_argument for a fabric engine on an executor wider than one
+  /// thread: the model describes one physical IP core.
   Batcher(Executor& executor, BatcherConfig config, ServeMetrics* metrics = nullptr,
           FaultInjector* faults = nullptr);
-
-  /// Every flushed batch runs on `backend`, which must be non-null. The
-  /// batcher shares ownership and calls its shutdown() after draining.
-  /// BatcherConfig::max_inflight_per_design == 0 resolves to the backend's
-  /// concurrency.
-  Batcher(std::shared_ptr<InferenceBackend> backend, BatcherConfig config,
-          ServeMetrics* metrics = nullptr, FaultInjector* faults = nullptr);
   ~Batcher();
   Batcher(const Batcher&) = delete;
   Batcher& operator=(const Batcher&) = delete;
@@ -130,29 +137,27 @@ class Batcher {
 
   /// predict() and wait for the result: returns the Prediction or throws
   /// what predict() or its future would. Admission is predict()'s own. When
-  /// the request flushes at once as a batch of one on the CPU backend and
-  /// the worker pool has an idle slot, this thread claims that slot and
-  /// runs the batch itself (counted in backends.cpu.inline); the
-  /// batch goes through the same deadline drops, fault sites, breaker
-  /// verdicts and metrics as on a worker. Otherwise it waits on the future.
+  /// the request flushes at once as a batch of one and the executor has an
+  /// idle slot, this thread claims that slot and runs the batch itself
+  /// (counted in backends.<engine>.inline); the batch goes through the same
+  /// deadline drops, fault sites, breaker verdicts, fabric hold and metrics
+  /// as on a worker. Otherwise it waits on the future.
   Prediction predict_wait(std::shared_ptr<DeployedDesign> design, tensor::Tensor input,
                           Clock::time_point deadline = kNoDeadline);
 
   /// Flush every pending lane, wait for all in-flight batches, stop the
-  /// deadline thread, shut the backend down. Idempotent.
+  /// deadline thread. Idempotent. The executor is the caller's to stop.
   void shutdown();
 
   const BatcherConfig& config() const { return config_; }
-  /// Effective concurrent-batch cap per design on the CPU backend.
+  /// Effective concurrent-batch cap per design.
   std::size_t inflight_limit() const { return inflight_limit_; }
-  /// The engine every batch runs on.
-  const InferenceBackend& backend() const { return *backend_; }
 
   /// Requests waiting in lanes (not yet flushed).
   std::size_t pending() const;
 
   /// Requests admitted but not yet executing (lanes + submitted batches the
-  /// backend has not started). This is what max_queue_depth bounds.
+  /// executor has not started). This is what max_queue_depth bounds.
   std::size_t waiting() const;
 
  private:
@@ -170,7 +175,7 @@ class Batcher {
   };
 
   /// A flushed batch the submitting thread runs itself, in the idle slot
-  /// `slot` of the backend's pool (predict_wait()).
+  /// `slot` of the executor (predict_wait()).
   struct InlineBatch {
     Executor::Slot slot;
     std::shared_ptr<DeployedDesign> design;
@@ -183,16 +188,16 @@ class Batcher {
   std::future<Prediction> admit(std::shared_ptr<DeployedDesign> design, tensor::Tensor input,
                                 Clock::time_point deadline, InlineBatch* run);
   void deadline_loop();
-  /// The engine takes a partial lane of `design_id` right now: it flushes
-  /// partial lanes eagerly (eager_partial_flush; the fabric amortizes a
-  /// fixed per-invocation cost and waits for a full lane or the max_wait
-  /// deadline) and the design has a free inflight slot. Caller holds mutex_.
+  /// The engine takes a partial lane of `design_id` right now: it is the CPU
+  /// engine (the fabric amortizes a fixed per-invocation cost and waits for
+  /// a full lane or the max_wait deadline) and the design has a free
+  /// inflight slot. Caller holds mutex_.
   bool capacity_available_locked(const std::string& design_id) const;
-  /// Claim the design's breaker for a lane and dispatch it to the backend
+  /// Claim the design's breaker for a lane and submit it to the executor
   /// (expired requests are dropped first). With `run` set, the batch is
-  /// instead moved into `run` when the backend grants an idle inline slot;
-  /// the caller then runs execute_batch after releasing the mutex. Caller
-  /// holds mutex_.
+  /// instead moved into `run` when the executor grants an idle slot; the
+  /// caller then runs execute_batch after releasing the mutex. Caller holds
+  /// mutex_.
   void flush_locked(Lane lane, InlineBatch* run = nullptr);
   void execute_batch(std::shared_ptr<DeployedDesign> design, std::vector<Request> batch);
   /// Account `count` admitted requests of `design_id` leaving the waiting
@@ -203,7 +208,7 @@ class Batcher {
   /// with or without mutex_ held (touches only the request and metrics).
   void expire_request(Request& request);
 
-  const std::shared_ptr<InferenceBackend> backend_;
+  Executor& executor_;
   const BatcherConfig config_;
   const std::size_t inflight_limit_;
   ServeMetrics* metrics_;
@@ -218,7 +223,6 @@ class Batcher {
   std::size_t waiting_ = 0;             ///< admitted, not yet executing
   std::map<std::string, std::size_t> waiting_by_design_;
   bool stopping_ = false;
-  bool backend_shut_ = false;
   std::thread deadline_thread_;
 };
 

@@ -57,6 +57,16 @@ void Executor::shutdown() {
   }
 }
 
+std::size_t Executor::queued() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return queue_.size();
+}
+
+std::size_t Executor::running() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return active_ + claimed_;
+}
+
 std::size_t Executor::backlog() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return queue_.size() + active_ + claimed_;

@@ -1,15 +1,16 @@
 // Fixed-size worker pool executing opaque tasks FIFO.
 //
-// The serving runtime submits one task per micro-batch; the pool bounds the
-// number of concurrently executing batches to the hardware the host actually
-// has, independent of how many HTTP connection threads are blocked on futures.
-// Shutdown is graceful: every task already submitted runs to completion
-// before the workers join.
+// The serving runtime submits one task per micro-batch; the pool's threads
+// are its engine's slots, so they bound the number of concurrently executing
+// batches: the host's worker_threads on the CPU engine, one on the fabric (one
+// physical IP core), independent of how many HTTP connection threads are
+// blocked on futures. Shutdown is graceful: every task already submitted runs
+// to completion before the workers join.
 //
 // The pool's slots are shared with callers. A thread that would submit a
 // task and then sleep on its result can instead claim an idle slot
 // (try_claim()) and run the work itself. A claimed slot counts like a
-// running task: it shows in backlog(), and no worker starts a task while
+// running task: it shows in running(), and no worker starts a task while
 // running tasks and claimed slots together fill thread_count(). So the
 // bound holds whichever thread computes.
 #pragma once
@@ -73,8 +74,11 @@ class Executor {
 
   std::size_t thread_count() const { return width_; }
 
-  /// Tasks submitted but not yet finished, plus claimed slots (approximate;
-  /// for tests/metrics).
+  /// Tasks submitted but not yet started (approximate; for tests/metrics).
+  std::size_t queued() const;
+  /// Tasks executing plus claimed slots: the slots in use (approximate).
+  std::size_t running() const;
+  /// queued() + running() (approximate).
   std::size_t backlog() const;
 
  private:

@@ -52,8 +52,8 @@ struct QuantReport {
 /// an ExecutionContext out of `contexts` and runs without a lock (at the
 /// design's deployed serving precision). Only the *modeled* accelerator
 /// (invocation_seconds) remains serial: the deployment hardware is one
-/// physical IP core, and AcceleratorBackend enforces a single in-flight
-/// invocation (see backend/accel_backend.hpp).
+/// physical IP core, so a fabric runtime's Executor has a single thread (see
+/// batcher.hpp).
 struct DeployedDesign {
   DeployedDesign(std::string id_in, core::DesignAnalysis analysis_in, nn::Network net_in,
                  std::vector<std::uint8_t> weights_in,
@@ -98,9 +98,9 @@ struct DeployedDesign {
   ///
   /// Concurrency contract: the model describes ONE physical IP core, so two
   /// invocations can never overlap — callers must serialize. In the serving
-  /// runtime that serialization is owned by AcceleratorBackend, which runs
-  /// every invocation on a single driver thread and asserts that concurrent
-  /// calls queue rather than interleave.
+  /// runtime a fabric Batcher refuses an Executor of more than one thread,
+  /// so every invocation holds the one slot and concurrent batches queue
+  /// rather than interleave.
   double invocation_seconds(std::size_t images) const;
 };
 

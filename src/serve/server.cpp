@@ -4,8 +4,6 @@
 #include <span>
 #include <stdexcept>
 
-#include "serve/backend/accel_backend.hpp"
-#include "serve/backend/cpu_backend.hpp"
 #include "serve/deadline.hpp"
 #include "serve/deploy_request.hpp"
 #include "util/base64.hpp"
@@ -118,27 +116,21 @@ json::Object breaker_summary(const DeployedDesign& deployed, bool include_retry)
 }
 
 /// The engine block of readyz and the metrics: which engine serves, how many
-/// batches it runs at once, and the work waiting for it.
-json::Object engine_summary(const InferenceBackend& engine) {
-  const std::size_t slots = engine.capabilities().concurrency;
-  const std::size_t pending = engine.pending();
+/// batches it runs at once (its executor's threads), and the work waiting
+/// for it.
+json::Object engine_summary(BackendId engine, const Executor& executor) {
+  const std::size_t slots = executor.thread_count();
+  const std::size_t queued = executor.queued();
+  const std::size_t inflight = executor.running();
+  const std::size_t pending = queued + inflight;
   json::Object out;
-  out["name"] = std::string(engine.name());
+  out["name"] = std::string(backend_name(engine));
   out["slots"] = slots;
-  out["queued"] = engine.queued();
-  out["inflight"] = engine.inflight();
+  out["queued"] = queued;
+  out["inflight"] = inflight;
   out["pending"] = pending;
   out["saturated"] = pending > slots;  // work queued beyond its capacity
   return out;
-}
-
-std::shared_ptr<InferenceBackend> make_backend(const ServingConfig& config,
-                                               Executor& executor) {
-  if (config.engine == BackendId::kAccelerator) {
-    return std::make_shared<AcceleratorBackend>(
-        AcceleratorBackend::Options{.sleep_for_model = config.accel_sleep_for_model});
-  }
-  return std::make_shared<CpuBackend>(executor);
 }
 
 /// Seconds a shed client should back off: the p95 queue latency rounded up,
@@ -161,8 +153,8 @@ std::uint64_t breaker_retry_after_seconds(std::uint64_t retry_after_ms) {
 ServingRuntime::ServingRuntime(ServingConfig config)
     : config_(config),
       registry_(config.registry_capacity, &metrics_, config.breaker, &faults_),
-      executor_(config.worker_threads),
-      batcher_(make_backend(config, executor_), config.batcher, &metrics_, &faults_) {
+      executor_(config.batcher.engine == BackendId::kAccelerator ? 1 : config.worker_threads),
+      batcher_(executor_, config.batcher, &metrics_, &faults_) {
   // CNN2FPGA_FAULTS / CNN2FPGA_FAULT_SEED arm injection before any request
   // can arrive (the HTTP server is installed on a constructed runtime).
   faults_.configure_from_env();
@@ -333,7 +325,7 @@ web::HttpResponse ServingRuntime::handle_metrics(const web::HttpRequest&) {
   pool["pending"] = batcher_.pending();
   pool["waiting"] = batcher_.waiting();
   body["pool"] = std::move(pool);
-  body["engine"] = engine_summary(batcher_.backend());
+  body["engine"] = engine_summary(config_.batcher.engine, executor_);
   json::Object breakers;
   for (const auto& deployed : registry_.list()) {
     breakers[deployed->id] = breaker_summary(*deployed, /*include_retry=*/false);
@@ -362,7 +354,7 @@ web::HttpResponse ServingRuntime::handle_readyz(const web::HttpRequest&) {
   // The engine's own saturation. The top-level "status" above stays the
   // admission-queue aggregate; a load balancer that wants the engine's view
   // reads this block instead.
-  body["engine"] = engine_summary(batcher_.backend());
+  body["engine"] = engine_summary(config_.batcher.engine, executor_);
   json::Object breakers;
   for (const auto& deployed : registry_.list()) {
     breakers[deployed->id] = breaker_summary(*deployed, /*include_retry=*/true);

@@ -31,21 +31,21 @@
 // once the runtime is draining. The header is read by serve/deadline.hpp, as
 // the shard router reads it; a budget past the clock's range is no deadline.
 //
-// The runtime serves on one engine, chosen at start-up (ServingConfig::
-// engine): the host CPU by default, or the simulated fabric. It builds only
-// that backend.
+// The runtime serves on one engine, chosen at start-up (BatcherConfig::
+// engine): the host CPU by default, or the simulated fabric. Its one
+// Executor is that engine's set of slots: worker_threads threads on the CPU,
+// exactly one on the fabric (one physical IP core).
 //
 // handle_predict waits through Batcher::predict_wait: when the request's
-// batch is a lone CPU batch and a worker slot is idle, the thread serving
+// batch is a lone batch and an executor slot is idle, the thread serving
 // the request's HTTP connection computes it in that slot itself. Connection
 // threads therefore do inference work when the server is uncontended,
-// within the same worker_threads bound as the pool.
+// within the same slot bound as the executor's threads.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 
-#include "serve/backend/ids.hpp"
 #include "serve/batcher.hpp"
 #include "serve/breaker.hpp"
 #include "serve/executor.hpp"
@@ -58,16 +58,11 @@ namespace cnn2fpga::serve {
 
 struct ServingConfig {
   std::size_t registry_capacity = 16;  ///< LRU bound on resident designs
-  std::size_t worker_threads = 4;      ///< executor pool size
-  BatcherConfig batcher;
+  /// Executor size on the CPU engine. It does not apply to the fabric,
+  /// whose executor always has one thread.
+  std::size_t worker_threads = 4;
+  BatcherConfig batcher;               ///< includes the engine
   BreakerConfig breaker;               ///< applied per design
-  /// The engine every batch runs on: the host SIMD engine on the shared
-  /// worker pool, or the simulated FPGA fabric on its own driver thread.
-  BackendId engine = BackendId::kCpu;
-  /// Wall-clock the modeled accelerator latency (the fabric really is busy
-  /// for invocation_seconds). Disable in tests that only want the virtual
-  /// clock.
-  bool accel_sleep_for_model = true;
   /// Server-side deadline for predict requests without an X-Deadline-Ms
   /// header. 0 = no default (requests wait as long as the client does).
   std::uint64_t default_deadline_ms = 0;
@@ -103,7 +98,7 @@ class ServingRuntime {
   ServeMetrics metrics_;
   FaultInjector faults_;  ///< must precede registry_/batcher_ (they hold it)
   DesignRegistry registry_;
-  Executor executor_;  ///< must precede batcher_ (its CpuBackend wraps it)
+  Executor executor_;  ///< the engine's slots; must precede batcher_
   Batcher batcher_;
   std::atomic<bool> stopped_{false};
 };

@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -61,8 +62,9 @@ ReadOutcome error_outcome(int status) { return {std::nullopt, status}; }
 /// Read one request: the header block, then exactly Content-Length body
 /// bytes. A body framed any other way is refused, and the connection closes:
 /// any Transfer-Encoding answers 501 (RFC 9112 §6.1), a repeated
-/// Content-Length 400 (RFC 9110 §8.6). Guessing the framing would read the
-/// body's bytes as the next request. `carry` holds bytes the connection delivered past the previous
+/// Content-Length or a header line parse_header_line refuses 400 (RFC 9110
+/// §8.6, RFC 9112 §5). Guessing the framing would read the body's bytes as
+/// the next request. `carry` holds bytes the connection delivered past the previous
 /// request (a pipelined client, RFC 9112 §9.3.2, may send the next request in
 /// the same segment); the request starts there, and on return `carry` holds
 /// whatever arrived past this one.
@@ -92,12 +94,11 @@ ReadOutcome read_request(int fd, const ServerConfig& config, bool first, std::st
   }
 
   HttpRequest request;
-  const std::string head = data.substr(0, header_end);
-  const auto lines = util::split(head, '\n');
-  if (lines.empty()) return error_outcome(400);
+  const std::string_view head(data.data(), header_end);
+  std::size_t line_end = head.find('\n');
   {
     // Request line: METHOD SP TARGET SP HTTP-VERSION.
-    const auto parts = util::split(std::string(util::trim(lines[0])), ' ');
+    const auto parts = util::split(util::trim(head.substr(0, line_end)), ' ');
     if (parts.size() != 3 || parts[0].empty() || parts[1].empty() ||
         !util::starts_with(parts[2], "HTTP/")) {
       return error_outcome(400);
@@ -105,15 +106,16 @@ ReadOutcome read_request(int fd, const ServerConfig& config, bool first, std::st
     request.method = parts[0];
     request.path = parts[1];
   }
-  for (std::size_t i = 1; i < lines.size(); ++i) {
-    const std::string line(util::trim(lines[i]));
-    const std::size_t colon = line.find(':');
-    if (colon == std::string::npos) continue;
-    const std::string name = util::to_lower(line.substr(0, colon));
+  while (line_end != std::string_view::npos) {
+    const std::size_t begin = line_end + 1;
+    line_end = head.find('\n', begin);
+    const auto field = parse_header_line(head.substr(begin, line_end - begin));
+    if (!field) return error_outcome(400);
+    std::string name = util::to_lower(field->name);
     if (name == "transfer-encoding") return error_outcome(501);
-    const auto [header, fresh] = request.headers.try_emplace(name);
-    if (!fresh && name == "content-length") return error_outcome(400);
-    header->second = util::trim(line.substr(colon + 1));
+    const auto [header, fresh] = request.headers.try_emplace(std::move(name));
+    if (!fresh && header->first == "content-length") return error_outcome(400);
+    header->second = field->value;
   }
 
   std::size_t content_length = 0;
@@ -348,6 +350,20 @@ std::optional<std::size_t> parse_content_length(std::string_view value) {
   if (!length) return std::nullopt;
   return static_cast<std::size_t>(
       std::min<std::uint64_t>(*length, std::numeric_limits<std::size_t>::max()));
+}
+
+std::optional<HeaderField> parse_header_line(std::string_view line) {
+  constexpr std::string_view kTokenPunctuation = "!#$%&'*+-.^_`|~";
+  const std::size_t colon = line.find(':');
+  if (colon == 0 || colon == std::string_view::npos) return std::nullopt;
+  const std::string_view name = line.substr(0, colon);
+  for (const char c : name) {
+    if (!std::isalnum(static_cast<unsigned char>(c)) &&
+        kTokenPunctuation.find(c) == std::string_view::npos) {
+      return std::nullopt;  // SP, HTAB, CR or another byte a token cannot hold
+    }
+  }
+  return HeaderField{name, util::trim(line.substr(colon + 1))};
 }
 
 std::optional<HttpResponse> http_request(const std::string& host, int port,

@@ -9,8 +9,9 @@
 // client used by the test suite. Only the subset of HTTP needed for the JSON
 // API is implemented: request line, headers, Content-Length bodies.
 //
-// Robustness: malformed request lines answer 400 instead of silently closing
-// the connection, bodies over `max_body_bytes` answer 413, a body past 64 KiB
+// Robustness: malformed request lines and header lines (parse_header_line)
+// answer 400 instead of silently closing the connection or skipping the
+// line, bodies over `max_body_bytes` answer 413, a body past 64 KiB
 // is allocated as its bytes arrive rather than when announced, a client that
 // stalls mid-request is cut off by a per-connection read timeout (408), and a
 // slow reader that accepts a response slower than the kernel send buffer
@@ -128,6 +129,19 @@ class HttpServer {
 /// the value is not a digit string; a value past the range of size_t reads as
 /// its maximum, which every size limit rejects.
 std::optional<std::size_t> parse_content_length(std::string_view value);
+
+/// One header field line split at its first colon.
+struct HeaderField {
+  std::string_view name;   ///< as sent (a token); compare it lower-cased
+  std::string_view value;  ///< without surrounding whitespace or the CR
+};
+
+/// Parse one header field line (RFC 9112 §5), its CR included or not.
+/// nullopt for a line a peer could frame another way, so the message must be
+/// refused: a line that starts with SP or HTAB (obs-fold, §5.2), whitespace
+/// between the name and the colon (§5.1), no colon or an empty name, or any
+/// other name that is not a token (RFC 9110 §5.1).
+std::optional<HeaderField> parse_header_line(std::string_view line);
 
 /// Blocking single-request client (test utility).
 std::optional<HttpResponse> http_request(const std::string& host, int port,

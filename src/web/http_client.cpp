@@ -163,7 +163,9 @@ std::optional<HttpResponse> HttpClient::try_request(
   // Read the status line + headers, then exactly Content-Length body bytes
   // (keep-alive requires length framing; the server always emits it). A
   // response with no Content-Length is read to EOF — only valid when the
-  // connection is closing anyway.
+  // connection is closing anyway. A response this client cannot frame is a
+  // transport failure: a header line parse_header_line refuses, a repeated
+  // Content-Length, or any Transfer-Encoding (no chunked decoding here).
   std::string data;
   char buf[4096];
   std::size_t header_end = std::string::npos;
@@ -176,30 +178,33 @@ std::optional<HttpResponse> HttpClient::try_request(
   }
 
   HttpResponse response;
-  const auto lines = util::split(data.substr(0, header_end), '\n');
-  if (lines.empty()) return std::nullopt;
+  const std::string_view head(data.data(), header_end);
+  std::size_t line_end = head.find('\n');
   {
-    const auto parts = util::split(std::string(util::trim(lines[0])), ' ');
+    const auto parts = util::split(util::trim(head.substr(0, line_end)), ' ');
     if (parts.size() < 2) return std::nullopt;
     response.status = static_cast<int>(std::strtol(parts[1].c_str(), nullptr, 10));
     if (response.status < 100 || response.status > 599) return std::nullopt;
   }
   std::optional<std::size_t> content_length;
   bool server_closes = !config_.keep_alive;
-  for (std::size_t i = 1; i < lines.size(); ++i) {
-    const std::string line(util::trim(lines[i]));
-    const std::size_t colon = line.find(':');
-    if (colon == std::string::npos) continue;
-    const std::string name = util::to_lower(line.substr(0, colon));
-    const std::string value(util::trim(line.substr(colon + 1)));
+  while (line_end != std::string_view::npos) {
+    const std::size_t begin = line_end + 1;
+    line_end = head.find('\n', begin);
+    const auto field = parse_header_line(head.substr(begin, line_end - begin));
+    if (!field) return std::nullopt;
+    std::string name = util::to_lower(field->name);
     if (name == "content-type") {
-      response.content_type = value;
+      response.content_type = field->value;
     } else if (name == "content-length") {
-      content_length = parse_content_length(value);
+      if (content_length) return std::nullopt;  // repeated
+      content_length = parse_content_length(field->value);
       if (!content_length) return std::nullopt;  // not a digit string
+    } else if (name == "transfer-encoding") {
+      return std::nullopt;
     } else {
-      if (name == "connection" && util::to_lower(value) == "close") server_closes = true;
-      response.headers[name] = value;
+      if (name == "connection" && util::to_lower(field->value) == "close") server_closes = true;
+      response.headers[std::move(name)] = field->value;
     }
   }
 

@@ -356,21 +356,20 @@ TEST(FailureInjection, ShedsUnderInjectedLatencyThenRecovers) {
 
 TEST(FailureInjection, BackendDispatchFaultTripsBackendScopedBreaker) {
   serve::ServingConfig config;
-  config.worker_threads = 2;
   config.batcher.max_batch = 8;
   config.batcher.max_wait_us = 500;
   config.breaker.failure_threshold = 3;
   config.breaker.cooldown_ms = 100;
   // Serve on the fabric, so every dispatch fault is a failed hand-off to the
-  // accelerator's driver thread.
-  config.engine = serve::BackendId::kAccelerator;
-  config.accel_sleep_for_model = false;
+  // fabric's one executor thread.
+  config.batcher.engine = serve::BackendId::kAccelerator;
+  config.batcher.accel_sleep_for_model = false;
   serve::ServingRuntime runtime(config);
   const auto design =
       runtime.registry().deploy_random(serve_descriptor("fi_backend"), 1).design;
   const Shape shape = design->net.input_shape();
 
-  // Fail the next 3 hand-offs to the accelerator's driver thread.
+  // Fail the next 3 hand-offs to the fabric.
   runtime.faults().arm("backend.dispatch",
                        {serve::FaultKind::kError, /*rate=*/1.0, /*count=*/3});
   for (int i = 0; i < 3; ++i) {

@@ -399,7 +399,9 @@ TEST(JsonDifferential, StringScanMatchesTheByteLoop) {
   for (std::size_t offset = 0; offset <= 16; ++offset) {
     for (const std::string_view escape : kEscapes) {
       for (std::size_t cut = 0; cut <= escape.size(); ++cut) {
-        const std::string doc = "\"" + std::string(offset, 'x') + std::string(escape.substr(0, cut));
+        std::string doc(1, '"');
+        doc.append(offset, 'x');
+        doc.append(escape.substr(0, cut));
         check(doc);
         check(doc + "\"");
         check(doc + "tail\"");

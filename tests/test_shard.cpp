@@ -232,9 +232,23 @@ TEST(HttpClient, StaleKeepAliveConnectionRetriesOnFreshSocket) {
 
 TEST(HttpClient, NonDigitContentLengthIsATransportFailure) {
   // A one-connection server that answers every request with a canned reply,
-  // so the client sees exactly the Content-Length value under test.
-  for (const auto& [value, accepted] : std::vector<std::pair<std::string, bool>>{
-           {"2", true}, {"2x", false}, {"+2", false}, {"-1", false}, {"", false}}) {
+  // so the client sees exactly the header lines under test. Only the first
+  // row frames its body one way; the client refuses every other one rather
+  // than guess where the body ends.
+  for (const auto& [lines, accepted] : std::vector<std::pair<std::string, bool>>{
+           {"Content-Length: 2", true},
+           {"Content-Length: 2x", false},
+           {"Content-Length: +2", false},
+           {"Content-Length: -1", false},
+           {"Content-Length: ", false},
+           {"Content-Length: 2\r\nContent-Length: 2", false},
+           {"Transfer-Encoding: chunked\r\nContent-Length: 2", false},
+           {"Transfer-Encoding: identity", false},
+           {"Content-Length : 2", false},
+           {"Content-Length\t: 2", false},
+           {"X-Note: a\r\n folded\r\nContent-Length: 2", false},
+           {"Content-Length 2", false},
+           {": 2\r\nContent-Length: 2", false}}) {
     const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
     ASSERT_GE(listener, 0);
     sockaddr_in addr{};
@@ -246,13 +260,13 @@ TEST(HttpClient, NonDigitContentLengthIsATransportFailure) {
     ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len), 0);
     const timeval accept_timeout{5, 0};  // never hang the suite on a lost connect
     ::setsockopt(listener, SOL_SOCKET, SO_RCVTIMEO, &accept_timeout, sizeof(accept_timeout));
-    std::thread canned([listener, value = value] {
+    std::thread canned([listener, lines = lines] {
       const int fd = ::accept(listener, nullptr, nullptr);
       if (fd < 0) return;
       char buf[4096];
       (void)::recv(fd, buf, sizeof(buf), 0);
       const std::string reply =
-          "HTTP/1.1 200 OK\r\nContent-Length: " + value + "\r\nConnection: close\r\n\r\nok";
+          "HTTP/1.1 200 OK\r\n" + lines + "\r\nConnection: close\r\n\r\nok";
       (void)::send(fd, reply.data(), reply.size(), MSG_NOSIGNAL);
       ::close(fd);
     });
@@ -260,7 +274,7 @@ TEST(HttpClient, NonDigitContentLengthIsATransportFailure) {
     const auto response = client.request("GET", "/ping");
     canned.join();
     ::close(listener);
-    EXPECT_EQ(response.has_value(), accepted) << "'" << value << "'";
+    EXPECT_EQ(response.has_value(), accepted) << "'" << lines << "'";
     if (response) {
       EXPECT_EQ(response->body, "ok");
     }
