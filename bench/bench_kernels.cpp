@@ -79,7 +79,7 @@
 #include <string>
 #include <vector>
 
-#include "cnn2fpga.hpp"
+#include "bench_common.hpp"
 #include "nn/kernels/kernels.hpp"
 #include "nn/kernels/kernels_int.hpp"
 
@@ -111,13 +111,6 @@ double time_us(Fn&& fn, int samples) {
     best = std::min(best, elapsed / iters);
   }
   return best * 1e6;
-}
-
-tensor::Tensor random_tensor(nn::Shape shape, std::uint64_t seed) {
-  tensor::Tensor t(shape);
-  util::Rng rng(seed);
-  t.fill_uniform(rng, -1.0f, 1.0f);
-  return t;
 }
 
 struct ConvCase {
@@ -166,7 +159,7 @@ ConvResult measure_conv(const ConvCase& c, int samples) {
   nn::Conv2D conv(c.in_c, c.maps, c.kernel, c.kernel);
   util::Rng rng(1);
   conv.init_weights(rng);
-  const tensor::Tensor x = random_tensor(nn::Shape{c.in_c, c.ih, c.iw}, 2);
+  const tensor::Tensor x = bench::random_tensor(nn::Shape{c.in_c, c.ih, c.iw}, 2);
   const nn::Shape out_shape = conv.output_shape(x.shape());
   const std::size_t oh = out_shape.height(), ow = out_shape.width();
 
@@ -381,7 +374,7 @@ LinearResult measure_linear(const nn::Network& net, nn::kernels::Kind kind, int 
     r.k = lin->in_features();
     ker::PackedA wp;
     ker::pack_a(lin->weights().data(), r.m, r.k, wp);
-    const tensor::Tensor x = random_tensor(nn::Shape{8, 1, r.k}, 30);
+    const tensor::Tensor x = bench::random_tensor(nn::Shape{8, 1, r.k}, 30);
     std::vector<float> out(8 * r.m);
     const auto run = [&](std::size_t batch) {
       if (kind == ker::Kind::kAvx2) {
@@ -402,17 +395,7 @@ LinearResult measure_linear(const nn::Network& net, nn::kernels::Kind kind, int 
 int main(int argc, char** argv) {
   namespace ker = nn::kernels;
   const util::CliArgs args(argc, argv);
-  // A misspelled flag would otherwise run the full mode and gate it.
-  for (const std::string& name : args.names()) {
-    if (name != "quick" && name != "out") {
-      std::fprintf(stderr, "unknown flag --%s\n", name.c_str());
-      return 1;
-    }
-  }
-  if (!args.positional().empty()) {
-    std::fprintf(stderr, "unexpected argument '%s'\n", args.positional().front().c_str());
-    return 1;
-  }
+  if (!bench::only_flags(args, {"quick", "out"})) return 1;
   const std::string out_path = args.get_string("out", "BENCH_kernels.json");
   const bool quick = args.has("quick");
   const int samples = quick ? 3 : 7;
@@ -526,7 +509,7 @@ int main(int argc, char** argv) {
   nn::Network net = nn::make_test4_network();
   util::Rng rng(9);
   net.init_weights(rng);
-  const tensor::Tensor x = random_tensor(nn::Shape{3, 32, 32}, 10);
+  const tensor::Tensor x = bench::random_tensor(nn::Shape{3, 32, 32}, 10);
   nn::ExecutionContext scalar_ctx(net, ker::Kind::kScalar, nullptr);
 
   const double forward_us = time_us([&] { (void)net.forward(x, false); }, samples);
@@ -545,7 +528,7 @@ int main(int argc, char** argv) {
     constexpr std::size_t kBatch = 8;
     std::vector<tensor::Tensor> images;
     for (std::size_t i = 0; i < kBatch; ++i) {
-      images.push_back(random_tensor(net.input_shape(), 20 + i));
+      images.push_back(bench::random_tensor(net.input_shape(), 20 + i));
     }
     batch_us_per_image = time_us([&] { (void)net.infer_batch(images, simd_ctx); }, samples) /
                          static_cast<double>(kBatch);

@@ -18,6 +18,18 @@ std::uint64_t elapsed_us(Batcher::Clock::time_point from, Batcher::Clock::time_p
       std::chrono::duration_cast<std::chrono::microseconds>(to - from).count());
 }
 
+/// Returns at `until`, not much later. A sleep overshoots by tens of
+/// microseconds (sleep_for(73 µs) returned after 129 µs at p50), which is the
+/// size of a small design's whole invocation, so it sleeps only to 100 µs
+/// short of `until` and spins the rest. It does not yield while spinning: on
+/// a busy host a yield hands the core to another process for a whole
+/// timeslice (holds of 3 ms against a 73 µs model).
+void hold_until(Batcher::Clock::time_point until) {
+  std::this_thread::sleep_until(until - std::chrono::microseconds(100));
+  while (Batcher::Clock::now() < until) {
+  }
+}
+
 /// The engine's functional result: the generated IP is bit-exact with the
 /// reference network (the paper's central claim), so both engines compute
 /// the same function and differ only in timing and concurrency. Float
@@ -448,10 +460,12 @@ void Batcher::execute_batch(std::shared_ptr<DeployedDesign> design,
       try {
         run_reference_batch(*design, inputs, outputs);
         if (config_.engine == BackendId::kAccelerator && config_.accel_sleep_for_model) {
-          // The fabric is busy for the modeled invocation: the batch keeps
-          // the one IP core's slot that long, so work queues behind the
-          // fabric as it would behind the hardware.
-          std::this_thread::sleep_for(std::chrono::duration<double>(accel_seconds));
+          // The fabric is busy for the modeled invocation, counted from the
+          // batch's start (the functional model's compute stands in for part
+          // of it): the batch keeps the one IP core's slot until then, so
+          // work queues behind the fabric as it would behind the hardware.
+          hold_until(start + std::chrono::ceil<Clock::duration>(
+                                 std::chrono::duration<double>(accel_seconds)));
         }
         for (std::size_t j = 0; j < slot.size(); ++j) {
           Prediction& out = results[slot[j]];

@@ -23,8 +23,9 @@
 // IP of Fig. 5) amortizes its DMA round trip over a full batch, so it never
 // flushes a partial lane early (trigger 1): partial lanes wait for trigger 3.
 // And its Executor has exactly one thread, one physical IP core, in which a
-// fabric batch keeps its slot after computing for the modeled invocation,
-// DeployedDesign::invocation_seconds (while accel_sleep_for_model is on).
+// fabric batch keeps its slot until the modeled invocation,
+// DeployedDesign::invocation_seconds, has passed since it started computing
+// (while accel_sleep_for_model is on).
 // Both engines compute the same reference function, so a batch's logits do
 // not depend on the engine.
 //
@@ -99,9 +100,9 @@ struct BatcherConfig {
   /// The engine every batch runs on: the host SIMD engine, or the simulated
   /// FPGA fabric, whose Executor must have exactly one thread.
   BackendId engine = BackendId::kCpu;
-  /// On the fabric, hold the slot for the modeled invocation after computing
-  /// (the fabric really is busy that long). Off in tests that only read the
-  /// modeled time from ServeMetrics::accel_us.
+  /// On the fabric, hold the slot until the modeled invocation has passed
+  /// since the batch started computing (the fabric really is busy that long).
+  /// Off in tests that only read the modeled time from ServeMetrics::accel_us.
   bool accel_sleep_for_model = true;
 };
 

@@ -4,6 +4,7 @@
 // second invocation while it is busy, modeled invocation time).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <future>
@@ -205,6 +206,39 @@ TEST(Backends, AcceleratorSerializesConcurrentDispatches) {
   EXPECT_EQ(metrics.accel_us.sum(), kPredicts * modeled_us(*design, 1));
   EXPECT_GE(static_cast<std::uint64_t>(wall_us), metrics.accel_us.sum());
   EXPECT_EQ(metrics.backend[backend_index(BackendId::kAccelerator)].batches.value(), kPredicts);
+}
+
+TEST(Backends, FabricHoldTracksTheModel) {
+  // A fabric batch holds the core until its modeled invocation has passed
+  // since it started computing: never less, and not the model plus the
+  // compute plus a sleep's overshoot (which doubled a small design's time).
+  // Where computing alone outlasts the model (a sanitizer build), the hold
+  // adds nothing to it, so the bound is the longer of the two: interleaved
+  // predicts through a fabric batcher without the hold time the compute.
+  DesignRegistry registry(4);
+  const auto design = deploy(registry, "bx_hold");
+  Executor fabric(1);
+  Executor bare(1);
+  Batcher held(fabric, fabric_config(/*max_batch=*/1, /*sleep_for_model=*/true));
+  Batcher computed(bare, fabric_config(/*max_batch=*/1, /*sleep_for_model=*/false));
+  const std::uint64_t model_us = modeled_us(*design, 1);
+
+  std::vector<std::uint64_t> hold_us;
+  std::vector<std::uint64_t> compute_us;
+  for (int i = 0; i < 50; ++i) {
+    const tensor::Tensor image = test_image(i, design->net.input_shape());
+    const Prediction prediction = held.predict_wait(design, image);
+    EXPECT_GE(prediction.exec_us, model_us);
+    hold_us.push_back(prediction.exec_us);
+    compute_us.push_back(computed.predict_wait(design, image).exec_us);
+  }
+  const auto median = [](std::vector<std::uint64_t> values) {
+    std::sort(values.begin(), values.end());
+    return values[values.size() / 2];
+  };
+  const std::uint64_t bound_us = std::max(model_us, median(compute_us));
+  EXPECT_LE(static_cast<double>(median(hold_us)), 1.25 * static_cast<double>(bound_us))
+      << "modeled " << model_us << " us, computing alone " << median(compute_us) << " us";
 }
 
 TEST(Backends, OverlappingInvocationsViolateThePhysicalCoreContract) {
