@@ -158,7 +158,7 @@ Throughput measure_throughput(const core::NetworkDescriptor& descriptor,
   // per-image infer — so serving must match this reference bit-for-bit
   // either way).
   nn::Network reference = descriptor.build_network();
-  nn::deserialize_weights(reference, design->weights);
+  nn::deserialize_weights(reference, serve::seeded_weights(descriptor, 1));
   nn::ExecutionContext ref_ctx(reference);
   std::vector<tensor::Tensor> images;
   std::vector<tensor::Tensor> expected;

@@ -55,9 +55,9 @@ IpRunResult CnnIpCore::run(AxiStreamChannel& in, AxiStreamChannel& out) {
 
   nn::Tensor scores;
   if (format_.is_fixed) {
-    // Fresh context per run: streamed-weights designs may reload parameters
-    // between invocations, which would invalidate a cached quantization.
-    scores = nn::forward_fixed(net_, image, format_.fixed).scores;
+    // Quantizes the current parameters on every run, so a streamed-weights
+    // reload between invocations is always seen. No float reference runs.
+    scores = nn::forward_fixed(net_, image, format_.fixed, /*track_output_error=*/false).scores;
   } else {
     scores = net_.infer(image, ctx_);
   }

@@ -33,7 +33,8 @@ class CnnIpCore {
  public:
   /// `net` must outlive the core. The HLS report is synthesized on
   /// construction for the given directives/device/numeric format; fixed-point
-  /// designs execute the bit-exact quantized model (nn::forward_fixed).
+  /// designs execute the bit-exact quantized reference model
+  /// (nn::forward_fixed) and skip its float error signal.
   CnnIpCore(nn::Network& net, const hls::DirectiveSet& directives,
             const hls::FpgaDevice& device,
             const nn::NumericFormat& format = nn::NumericFormat::float32(),

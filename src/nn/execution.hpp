@@ -4,8 +4,9 @@
 // activations, so two threads cannot run the same network concurrently — the
 // serving runtime had to serialize every batch behind a per-design mutex.
 // This module redesigns inference around an ExecutionContext: a caller-owned
-// bundle of the compiled plan, packed weight panels, batch scratch and (for
-// forward_fixed) a quantized-parameter cache. `Network::infer(input, ctx)` is
+// bundle of the compiled plan, packed weight panels and batch scratch. It
+// holds no fixed-point reference state: forward_fixed (nn/fixed_inference.hpp)
+// quantizes per call and needs no context. `Network::infer(input, ctx)` is
 // const and touches only the context, so N contexts give N concurrent
 // inference streams over one immutable network with zero steady-state heap
 // traffic.
@@ -90,9 +91,6 @@ class ExecutionContext {
   /// Serving precision this context executes in (fixed at construction).
   ServePrecision precision() const { return precision_; }
 
-  /// Fixed-point format of a quantized context (undefined for kFloat32).
-  const FixedPointFormat& quant_format() const { return qformat_; }
-
   /// One compiled step of the plan: a layer, possibly with the directly
   /// following Activation fused into it.
   struct Step {
@@ -110,17 +108,6 @@ class ExecutionContext {
   /// tables) for every step. Deploy-time warming: pooled serving contexts
   /// then never pack on a request path.
   void warm_packs();
-
-  /// Fixed-point execution state: quantized parameters (built lazily, keyed
-  /// by format) and int32 activation ping/pong buffers, reused across calls.
-  struct FixedState {
-    bool valid = false;
-    FixedPointFormat format{};
-    std::vector<std::vector<std::int32_t>> weights;  ///< per layer; empty if none
-    std::vector<std::vector<std::int32_t>> biases;
-    std::vector<std::int32_t> ping, pong;  ///< activation buffers
-  };
-  FixedState& fixed_state() { return fixed_; }
 
  private:
   friend class Network;
@@ -143,7 +130,6 @@ class ExecutionContext {
   FixedPointFormat qformat_{};
   std::vector<Step> steps_;
   Tensor output_;  ///< what infer() returns a reference to
-  FixedState fixed_;
 
   // Weight panels: float32 contexts read packs_, quantized ones qpacks_.
   std::shared_ptr<kernels::PackCache> packs_;

@@ -4,6 +4,8 @@
 #include <optional>
 #include <stdexcept>
 
+#include "nn/execution.hpp"
+
 namespace cnn2fpga::nn {
 
 namespace {
@@ -14,27 +16,6 @@ std::vector<Raw> quantize_tensor(const Tensor& t, const FixedPointFormat& format
   std::vector<Raw> out(t.size());
   for (std::size_t i = 0; i < t.size(); ++i) out[i] = fixed_quantize(t[i], format);
   return out;
-}
-
-/// Quantize every conv/linear parameter tensor into the context's cache.
-/// Rebuilt only when the cache is cold or the format changed.
-void build_fixed_cache(const Network& net, const FixedPointFormat& format,
-                       ExecutionContext::FixedState& fs) {
-  if (fs.valid && fs.format == format) return;
-  fs.weights.assign(net.layer_count(), {});
-  fs.biases.assign(net.layer_count(), {});
-  for (std::size_t l = 0; l < net.layer_count(); ++l) {
-    const Layer& layer = net.layer(l);
-    if (const auto* conv = dynamic_cast<const Conv2D*>(&layer)) {
-      fs.weights[l] = quantize_tensor(conv->weights(), format);
-      fs.biases[l] = quantize_tensor(conv->bias(), format);
-    } else if (const auto* linear = dynamic_cast<const Linear*>(&layer)) {
-      fs.weights[l] = quantize_tensor(linear->weights(), format);
-      fs.biases[l] = quantize_tensor(linear->bias(), format);
-    }
-  }
-  fs.format = format;
-  fs.valid = true;
 }
 
 void run_conv(const Conv2D& conv, const std::vector<Raw>& w, const std::vector<Raw>& b,
@@ -132,94 +113,106 @@ void run_activation(const Activation& act, const std::vector<Raw>& x,
 
 }  // namespace
 
-FixedForwardResult forward_fixed(const Network& net, const Tensor& input,
-                                 const FixedPointFormat& format) {
-  // Scalar, so the float reference of the error signal reuses this context.
-  ExecutionContext ctx(net, kernels::Kind::kScalar, nullptr);
-  return forward_fixed(net, input, format, ctx);
+std::vector<FixedForwardResult> forward_fixed(const Network& net,
+                                              std::span<const Tensor* const> inputs,
+                                              const FixedPointFormat& format,
+                                              bool track_output_error) {
+  format.validate();
+  for (const Tensor* input : inputs) {
+    if (input->shape() != net.input_shape()) {
+      throw std::invalid_argument("forward_fixed: input shape mismatch");
+    }
+  }
+  // Every conv/linear layer's parameters, quantized once for all inputs.
+  std::vector<std::vector<Raw>> weights(net.layer_count()), biases(net.layer_count());
+  for (std::size_t l = 0; l < net.layer_count(); ++l) {
+    const Layer& layer = net.layer(l);
+    if (const auto* conv = dynamic_cast<const Conv2D*>(&layer)) {
+      weights[l] = quantize_tensor(conv->weights(), format);
+      biases[l] = quantize_tensor(conv->bias(), format);
+    } else if (const auto* linear = dynamic_cast<const Linear*>(&layer)) {
+      weights[l] = quantize_tensor(linear->weights(), format);
+      biases[l] = quantize_tensor(linear->bias(), format);
+    }
+  }
+  // The error signal's float reference: the scalar engine, bit-exact with forward.
+  std::optional<ExecutionContext> scalar;
+  if (track_output_error) scalar.emplace(net, kernels::Kind::kScalar, nullptr);
+
+  std::vector<Raw> ping, pong;  // activation buffers, reused across inputs
+  std::vector<FixedForwardResult> results(inputs.size());
+  for (std::size_t n = 0; n < inputs.size(); ++n) {
+    const Tensor& input = *inputs[n];
+    std::vector<Raw>* acts = &ping;
+    std::vector<Raw>* next = &pong;
+    acts->resize(input.size());
+    for (std::size_t i = 0; i < input.size(); ++i) (*acts)[i] = fixed_quantize(input[i], format);
+    Shape shape = net.input_shape();
+
+    bool normalize = false;
+    for (std::size_t l = 0; l < net.layer_count(); ++l) {
+      const Layer& layer = net.layer(l);
+      const Shape& out_shape = net.shape_after(l);
+      if (const auto* conv = dynamic_cast<const Conv2D*>(&layer)) {
+        run_conv(*conv, weights[l], biases[l], *acts, shape, out_shape, format, *next);
+      } else if (const auto* pool = dynamic_cast<const Pool2D*>(&layer)) {
+        run_pool(*pool, *acts, shape, out_shape, format, *next);
+      } else if (const auto* linear = dynamic_cast<const Linear*>(&layer)) {
+        run_linear(*linear, weights[l], biases[l], *acts, format, *next);
+      } else if (const auto* act = dynamic_cast<const Activation*>(&layer)) {
+        run_activation(*act, *acts, format, *next);
+      } else if (dynamic_cast<const LogSoftMax*>(&layer) != nullptr) {
+        // The output normalizer runs in float on the dequantized logits,
+        // exactly as the generated fixed design does.
+        normalize = true;
+        break;
+      }
+      std::swap(acts, next);
+      shape = out_shape;
+    }
+
+    FixedForwardResult& result = results[n];
+    result.scores = Tensor(Shape{acts->size()});
+    for (std::size_t i = 0; i < acts->size(); ++i) {
+      result.scores[i] = fixed_dequantize((*acts)[i], format);
+    }
+    if (scalar) {
+      // Quantization-quality signal: the same point of the network in float.
+      Tensor reference = net.infer_logits(input, *scalar);
+      for (std::size_t i = 0; i < reference.size(); ++i) {
+        result.output_error =
+            std::max(result.output_error, std::fabs(reference[i] - result.scores[i]));
+      }
+      if (normalize) {
+        kernels::logsoftmax_scalar(reference.data(), reference.data(), reference.size());
+      }
+      result.reference_predicted = reference.argmax();
+    }
+    if (normalize) {
+      kernels::logsoftmax_scalar(result.scores.data(), result.scores.data(),
+                                 result.scores.size());
+    }
+    result.predicted = result.scores.argmax();
+  }
+  return results;
 }
 
 FixedForwardResult forward_fixed(const Network& net, const Tensor& input,
-                                 const FixedPointFormat& format, ExecutionContext& ctx,
-                                 bool track_output_error) {
-  format.validate();
-  if (&ctx.network() != &net) {
-    throw std::invalid_argument("forward_fixed: context was built for a different network");
-  }
-  if (input.shape() != net.input_shape()) {
-    throw std::invalid_argument("forward_fixed: input shape mismatch");
-  }
-
-  ExecutionContext::FixedState& fs = ctx.fixed_state();
-  build_fixed_cache(net, format, fs);
-
-  std::vector<Raw>* acts = &fs.ping;
-  std::vector<Raw>* next = &fs.pong;
-  acts->resize(input.size());
-  for (std::size_t i = 0; i < input.size(); ++i) (*acts)[i] = fixed_quantize(input[i], format);
-  Shape shape = net.input_shape();
-
-  bool normalize = false;
-  for (std::size_t l = 0; l < net.layer_count(); ++l) {
-    const Layer& layer = net.layer(l);
-    const Shape& out_shape = net.shape_after(l);
-    if (const auto* conv = dynamic_cast<const Conv2D*>(&layer)) {
-      run_conv(*conv, fs.weights[l], fs.biases[l], *acts, shape, out_shape, format, *next);
-    } else if (const auto* pool = dynamic_cast<const Pool2D*>(&layer)) {
-      run_pool(*pool, *acts, shape, out_shape, format, *next);
-    } else if (const auto* linear = dynamic_cast<const Linear*>(&layer)) {
-      run_linear(*linear, fs.weights[l], fs.biases[l], *acts, format, *next);
-    } else if (const auto* act = dynamic_cast<const Activation*>(&layer)) {
-      run_activation(*act, *acts, format, *next);
-    } else if (dynamic_cast<const LogSoftMax*>(&layer) != nullptr) {
-      // The output normalizer runs in float on the dequantized logits,
-      // exactly as the generated fixed design does.
-      normalize = true;
-      break;
-    }
-    std::swap(acts, next);
-    shape = out_shape;
-  }
-
-  FixedForwardResult result;
-  result.scores = Tensor(Shape{acts->size()});
-  for (std::size_t i = 0; i < acts->size(); ++i) {
-    result.scores[i] = fixed_dequantize((*acts)[i], format);
-  }
-  if (track_output_error) {
-    // Quantization-quality signal: the same point of the network on the
-    // scalar float engine (bit-exact with forward), whatever ctx's engine.
-    const bool reuse =
-        ctx.kernel() == kernels::Kind::kScalar && ctx.precision() == ServePrecision::kFloat32;
-    std::optional<ExecutionContext> scalar;
-    Tensor reference = net.infer_logits(
-        input, reuse ? ctx : scalar.emplace(net, kernels::Kind::kScalar, nullptr));
-    for (std::size_t i = 0; i < reference.size(); ++i) {
-      result.output_error =
-          std::max(result.output_error, std::fabs(reference[i] - result.scores[i]));
-    }
-    if (normalize) {
-      kernels::logsoftmax_scalar(reference.data(), reference.data(), reference.size());
-    }
-    result.reference_predicted = reference.argmax();
-  }
-  if (normalize) {
-    kernels::logsoftmax_scalar(result.scores.data(), result.scores.data(),
-                               result.scores.size());
-  }
-  result.predicted = result.scores.argmax();
-  return result;
+                                 const FixedPointFormat& format, bool track_output_error) {
+  const Tensor* one = &input;
+  return std::move(forward_fixed(net, std::span(&one, 1), format, track_output_error)[0]);
 }
 
 float evaluate_error_fixed(const Network& net, const std::vector<Sample>& samples,
                            const FixedPointFormat& format) {
   if (samples.empty()) return 1.0f;
-  ExecutionContext ctx(net);
+  std::vector<const Tensor*> images;
+  for (const Sample& sample : samples) images.push_back(&sample.image);
+  const std::vector<FixedForwardResult> out =
+      forward_fixed(net, images, format, /*track_output_error=*/false);
   std::size_t wrong = 0;
-  for (const Sample& sample : samples) {
-    const FixedForwardResult out =
-        forward_fixed(net, sample.image, format, ctx, /*track_output_error=*/false);
-    if (out.predicted != sample.label) ++wrong;
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    if (out[i].predicted != samples[i].label) ++wrong;
   }
   return static_cast<float>(wrong) / static_cast<float>(samples.size());
 }

@@ -10,11 +10,16 @@
 // Transcendental stages (tanh/sigmoid, the trailing LogSoftMax) dequantize,
 // evaluate in float and (for mid-network activations) requantize, mirroring
 // the LUT-backed float cores the generated design would instantiate.
+//
+// This is the reference model, not a serving path. Served fixed-point
+// designs run the integer engine (int16 computes Q8.8, int8 Q4.4; see
+// kernels_int.hpp), which the registry checks against this model at deploy;
+// axi::CnnIpCore runs it as the function of a generated fixed-point design.
 #pragma once
 
+#include <span>
 #include <vector>
 
-#include "nn/execution.hpp"
 #include "nn/network.hpp"
 #include "nn/quantize.hpp"
 #include "nn/trainer.hpp"  // Sample
@@ -32,23 +37,22 @@ struct FixedForwardResult {
   std::size_t reference_predicted = 0;
 };
 
-/// Run one image through the network in fixed-point arithmetic. Convenience
-/// wrapper that builds a fresh ExecutionContext per call (re-quantizing the
-/// parameters); hot paths should hold a context and use the overload below.
-FixedForwardResult forward_fixed(const Network& net, const Tensor& input,
-                                 const FixedPointFormat& format);
+/// Run `inputs` through the network in fixed-point arithmetic, one result
+/// per image. The parameters are quantized once per call, so a call over N
+/// images is bit-identical to N single-image calls and cheaper. Reentrant:
+/// every call owns its state, so concurrent calls over one network are safe.
+/// `track_output_error` additionally runs the float network on the scalar
+/// engine (bit-exact with forward), up to its LogSoftMax, to fill
+/// FixedForwardResult::output_error and reference_predicted; without it no
+/// float inference runs.
+std::vector<FixedForwardResult> forward_fixed(const Network& net,
+                                              std::span<const Tensor* const> inputs,
+                                              const FixedPointFormat& format,
+                                              bool track_output_error = true);
 
-/// Reentrant fixed-point inference through a caller-owned context: quantized
-/// weights/biases are cached in `ctx` (keyed by `format`) and the int32
-/// activation buffers are reused, so repeated calls do no steady-state heap
-/// work. Bit-identical to the wrapper above. `track_output_error` additionally
-/// runs the float network once on the scalar engine, up to its LogSoftMax
-/// (through `ctx` when it is a scalar float context, else a temporary one), to
-/// fill FixedForwardResult::output_error and reference_predicted; pass false
-/// on serving hot paths. The cached parameters assume frozen weights — use a
-/// fresh context after mutating them.
+/// One image: forward_fixed over a span of one.
 FixedForwardResult forward_fixed(const Network& net, const Tensor& input,
-                                 const FixedPointFormat& format, ExecutionContext& ctx,
+                                 const FixedPointFormat& format,
                                  bool track_output_error = true);
 
 /// Misclassification rate of the fixed-point execution over a sample set.

@@ -1,7 +1,7 @@
 // Quantized (int8 / int16) GEMM microkernels and packing.
 //
 // The serving engine's quantized path computes in the exact Q(m,n) arithmetic
-// of nn::FixedInference (frac-scaled two's-complement raw values, int32
+// of nn::forward_fixed (frac-scaled two's-complement raw values, int32
 // accumulation at 2*frac scale, round-half-up renormalize, saturate), but on
 // packed panels the AVX2 engine can stream:
 //

@@ -56,10 +56,12 @@ std::int32_t fixed_renormalize(std::int64_t accumulator, const FixedPointFormat&
 /// Saturate an already frac_bits-scaled value into the representable range.
 std::int32_t fixed_saturate(std::int64_t raw, const FixedPointFormat& format);
 
-/// Numeric precision a design is *served* at by the CPU engine. Orthogonal to
+/// Numeric precision a design is *served* at by the CPU engine. Separate from
 /// NumericFormat (the HLS codegen format below): a float32-codegen design can
-/// be deployed for int8 serving and vice versa. The quantized precisions map
-/// onto fixed formats whose raw values fit the native integer width:
+/// be deployed for int8 serving, and a fixed-point one serves at the precision
+/// that computes its format (serve/deploy_request.hpp). The quantized
+/// precisions map onto fixed formats whose raw values fit the native integer
+/// width:
 ///   kInt16 -> Q8.8  (total 16, frac 8) — bit-identical to forward_fixed
 ///   kInt8  -> Q4.4  (total 8,  frac 4) — forward_fixed semantics with the
 ///             SIMD engine's +/-kInt8WeightClamp weight clamp (kernels_int.hpp)

@@ -4,7 +4,6 @@
 #include <span>
 #include <stdexcept>
 
-#include "nn/fixed_inference.hpp"
 #include "util/logging.hpp"
 #include "util/strings.hpp"
 
@@ -32,38 +31,14 @@ void hold_until(Batcher::Clock::time_point until) {
 
 /// The engine's functional result: the generated IP is bit-exact with the
 /// reference network (the paper's central claim), so both engines compute
-/// the same function and differ only in timing and concurrency. Float
-/// designs run the fused infer_batch path (bit-identical to per-image infer
-/// by the kernel chunk-invariance contract); fixed designs run per-image
-/// forward_fixed through the same leased context.
+/// the same function and differ only in timing and concurrency. The pooled
+/// contexts carry the design's serving precision, so one fused infer_batch
+/// runs the micro-batch in float32, int16 or int8, bit-identical to
+/// per-image infer by the kernel chunk-invariance contract.
 void run_reference_batch(DeployedDesign& design, std::span<const tensor::Tensor* const> inputs,
                          std::span<tensor::Tensor> outputs) {
   auto ctx = design.contexts.acquire();
-  const core::NetworkDescriptor& descriptor = design.descriptor();
-  if (design.precision != nn::ServePrecision::kFloat32) {
-    // Quantized serving: the pooled contexts carry the deployed precision, so
-    // infer_batch runs the whole micro-batch through the int8/int16 fused
-    // engine end to end and returns dequantized float scores (bit-identical
-    // across batch sizes and engines — see kernels_int.hpp).
-    design.net.infer_batch(inputs, outputs, *ctx);
-  } else if (descriptor.precision.is_fixed) {
-    // Fixed designs quantize per image through the context's cached Q(m,n)
-    // parameters; the scores tensor already carries the final (float)
-    // log-probabilities, so argmax over it equals FixedForwardResult::
-    // predicted. A failure mid-batch fails the whole batch — same all-or-
-    // nothing contract as the fused float path (inputs are shape-validated
-    // at predict(), so a failure here is environmental).
-    for (std::size_t i = 0; i < inputs.size(); ++i) {
-      outputs[i] = nn::forward_fixed(design.net, *inputs[i], descriptor.precision.fixed,
-                                     *ctx, /*track_output_error=*/false)
-                       .scores;
-    }
-  } else {
-    // Float path: one fused inference for the whole batch — a single im2col +
-    // GEMM per conv/linear layer, bit-identical to per-image infer() through
-    // the same context (kernel chunk-invariance contract).
-    design.net.infer_batch(inputs, outputs, *ctx);
-  }
+  design.net.infer_batch(inputs, outputs, *ctx);
   design.served.fetch_add(inputs.size(), std::memory_order_relaxed);
 }
 

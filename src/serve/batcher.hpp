@@ -26,8 +26,10 @@
 // fabric batch keeps its slot until the modeled invocation,
 // DeployedDesign::invocation_seconds, has passed since it started computing
 // (while accel_sleep_for_model is on).
-// Both engines compute the same reference function, so a batch's logits do
-// not depend on the engine.
+// Both engines compute the same function, one infer_batch through the
+// design's pooled contexts at its serving precision (float32, int16 or int8;
+// a fixed-point descriptor's format picks the integer one at deploy), so a
+// batch's logits depend on the design and its precision, not on the engine.
 //
 // Overload behavior (see DESIGN.md "Overload and failure behavior"):
 //   - Bounded admission. `max_queue_depth` caps requests that are admitted

@@ -2,6 +2,7 @@
 
 #include "serve/registry.hpp"
 #include "util/base64.hpp"
+#include "util/strings.hpp"
 #include "web/envelope.hpp"
 
 namespace cnn2fpga::serve {
@@ -40,6 +41,23 @@ std::optional<DeployRequest> parse_deploy_request(const std::string& body,
     request.descriptor = core::NetworkDescriptor::from_json(doc);
   } catch (const core::DescriptorError& e) {
     return reject(api_error(400, "bad_descriptor", e.what()));
+  }
+
+  // A fixed-point descriptor serves on the integer engine that computes its
+  // format (the inverse of serve_precision_format); no engine computes any
+  // other format, so those are refused rather than served in another one.
+  if (const nn::NumericFormat& numeric = request.descriptor.precision; numeric.is_fixed) {
+    if (numeric.fixed == nn::serve_precision_format(nn::ServePrecision::kInt16)) {
+      request.precision = nn::ServePrecision::kInt16;
+    } else if (numeric.fixed == nn::serve_precision_format(nn::ServePrecision::kInt8)) {
+      request.precision = nn::ServePrecision::kInt8;
+    } else {
+      return reject(api_error(
+          400, "bad_request",
+          util::format("deploy: no serving engine computes fixed precision %s; use Q8.8 "
+                       "(served as int16) or Q4.4 (served as int8)",
+                       numeric.fixed.name().c_str())));
+    }
   }
 
   try {

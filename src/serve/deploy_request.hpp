@@ -24,12 +24,14 @@ struct DeployRequest {
 };
 
 /// Parse a deploy body: the descriptor JSON at the top level, an optional
-/// serve-level string "precision" (float32 | int16 | int8; a fixed-point
-/// precision object is the descriptor's), and the weights as
-/// "weights_base64" or as a "seed" (default 1) expanded by seeded_weights().
-/// On a bad body returns std::nullopt and, if `error` is set, the 400
-/// envelope. Weights that do not fit the architecture are not detected here:
-/// the registry rejects them when it loads them.
+/// serve-level string "precision" (float32 | int16 | int8), and the weights
+/// as "weights_base64" or as a "seed" (default 1) expanded by
+/// seeded_weights(). A fixed-point precision object is the descriptor's, and
+/// it also picks the serving precision that computes it: Q8.8 serves as
+/// int16, Q4.4 as int8, any other format is a 400. On a bad body returns
+/// std::nullopt and, if `error` is set, the 400 envelope. Weights that do not
+/// fit the architecture are not detected here: the registry rejects them
+/// when it loads them.
 std::optional<DeployRequest> parse_deploy_request(const std::string& body,
                                                   web::HttpResponse* error);
 

@@ -1,5 +1,6 @@
 #include "serve/registry.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
@@ -16,40 +17,41 @@ using cnn2fpga::util::format;
 namespace {
 
 /// Seeded probe images run at deploy to anchor a quantized design to the
-/// fixed-point accuracy model. Eight images keep a quantized deploy cheap
+/// fixed-point reference model. Eight images keep a quantized deploy cheap
 /// (well under one batch of serving work) while still exercising every layer.
 constexpr std::size_t kQuantProbes = 8;
 constexpr std::uint64_t kQuantProbeSeed = 0xC0FFEE51u;
 
 /// Run the deploy-time accuracy validation of a freshly built quantized
-/// design: for each probe, the fixed-point model (forward_fixed) provides the
-/// modeled error vs float and the expected scores, and the serving path is
+/// design: the fixed-point model (forward_fixed) provides each probe's
+/// modeled error vs float and its expected scores, and the serving path is
 /// checked against both. The design is not yet published, so no lock is held.
 QuantReport validate_quantized(DeployedDesign& design) {
   QuantReport report;
-  const nn::FixedPointFormat format = nn::serve_precision_format(design.precision);
-  // A scalar float context doubles as the fixed model's parameter cache and,
-  // with track_output_error, runs the float reference once per probe: its
-  // top-1 (reference_predicted) is what the served argmax must agree with.
-  nn::ExecutionContext fixed_ctx(design.net, nn::kernels::Kind::kScalar, nullptr);
-  auto lease = design.contexts.acquire();
   util::Rng rng(kQuantProbeSeed);
+  std::vector<tensor::Tensor> probes(kQuantProbes, tensor::Tensor(design.net.input_shape()));
+  std::vector<const tensor::Tensor*> inputs;
+  for (tensor::Tensor& probe : probes) {
+    probe.fill_uniform(rng, -1.0f, 1.0f);
+    inputs.push_back(&probe);
+  }
+  // One call quantizes the parameters once for all probes and, with
+  // track_output_error, runs the float reference per probe: its top-1
+  // (reference_predicted) is what the served argmax must agree with.
+  const std::vector<nn::FixedForwardResult> fixed =
+      nn::forward_fixed(design.net, inputs, nn::serve_precision_format(design.precision),
+                        /*track_output_error=*/true);
+  auto lease = design.contexts.acquire();
   std::size_t agree = 0;
   for (std::size_t p = 0; p < kQuantProbes; ++p) {
-    tensor::Tensor input(design.net.input_shape());
-    input.fill_uniform(rng, -1.0f, 1.0f);
-    const nn::FixedForwardResult fixed =
-        nn::forward_fixed(design.net, input, format, fixed_ctx, /*track_output_error=*/true);
-    if (fixed.output_error > report.max_abs_error) {
-      report.max_abs_error = fixed.output_error;
-    }
-    const tensor::Tensor& served = design.net.infer(input, *lease);
-    if (served.shape() != fixed.scores.shape() ||
-        std::memcmp(served.data(), fixed.scores.data(), served.size() * sizeof(float)) !=
+    report.max_abs_error = std::max(report.max_abs_error, fixed[p].output_error);
+    const tensor::Tensor& served = design.net.infer(probes[p], *lease);
+    if (served.shape() != fixed[p].scores.shape() ||
+        std::memcmp(served.data(), fixed[p].scores.data(), served.size() * sizeof(float)) !=
             0) {
       report.matches_fixed_model = false;
     }
-    if (served.argmax() == fixed.reference_predicted) ++agree;
+    if (served.argmax() == fixed[p].reference_predicted) ++agree;
   }
   report.probes = kQuantProbes;
   report.top1_agreement =
@@ -103,7 +105,7 @@ DesignRegistry::DesignRegistry(std::size_t capacity, ServeMetrics* metrics,
       faults_(faults) {}
 
 DeployOutcome DesignRegistry::deploy(const core::NetworkDescriptor& descriptor,
-                                     std::vector<std::uint8_t> weights,
+                                     const std::vector<std::uint8_t>& weights,
                                      nn::ServePrecision precision) {
   const std::string key = design_key(descriptor, weights, precision);
   if (metrics_) metrics_->deploys.add();
@@ -136,10 +138,10 @@ DeployOutcome DesignRegistry::deploy(const core::NetworkDescriptor& descriptor,
   nn::deserialize_weights(net, weights);
   core::DesignAnalysis analysis = core::Framework::analyze(descriptor, net);
   auto fresh = std::make_shared<DeployedDesign>(
-      key, std::move(analysis), std::move(net), std::move(weights), precision,
-      breaker_config_, metrics_ != nullptr ? &metrics_->breaker_opens : nullptr);
+      key, std::move(analysis), std::move(net), precision, breaker_config_,
+      metrics_ != nullptr ? &metrics_->breaker_opens : nullptr);
   if (precision != nn::ServePrecision::kFloat32) {
-    // Anchor the quantized instance to the fixed-point accuracy model before
+    // Anchor the quantized instance to the fixed-point reference model before
     // anyone can see it; the report is immutable afterwards.
     fresh->quant = validate_quantized(*fresh);
     LOG_INFO("serve") << format(

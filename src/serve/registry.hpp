@@ -4,11 +4,11 @@
 // network checks, the HLS latency/utilization estimate, fit warnings) and
 // materializing a ready-to-run reference network. Serving reads only the
 // analysis, so a deploy emits no C++ or tcl. All of that is a pure function
-// of (descriptor JSON, weight blob), so the registry keys deployed designs by
-// Framework::cache_key over exactly those inputs: a repeat deploy of the same
-// network is a cache hit that skips the analysis entirely and returns the
-// already-warm instance. Capacity is LRU-bounded; evicted designs stay alive
-// (shared_ptr) until their last in-flight batch completes.
+// of (descriptor JSON, weight blob, serving precision), so the registry keys
+// deployed designs by design_key over exactly those inputs: a repeat deploy
+// of the same network is a cache hit that skips the analysis entirely and
+// returns the already-warm instance. Capacity is LRU-bounded; evicted designs
+// stay alive (shared_ptr) until their last in-flight batch completes.
 #pragma once
 
 #include <atomic>
@@ -29,7 +29,7 @@
 namespace cnn2fpga::serve {
 
 /// Deploy-time validation report of a quantized design against the
-/// fixed-point accuracy model (nn::forward_fixed over seeded probe inputs).
+/// fixed-point reference model (nn::forward_fixed over seeded probe inputs).
 /// Default-initialized (validated == false) for float32 designs.
 struct QuantReport {
   bool validated = false;           ///< probe validation ran at deploy
@@ -47,22 +47,20 @@ struct QuantReport {
 };
 
 /// A design deployed for serving. `net` is the executable reference network
-/// with the deploy weights loaded. Weights are frozen after deploy, so any
-/// number of threads may run Network::infer concurrently — each batch checks
-/// an ExecutionContext out of `contexts` and runs without a lock (at the
-/// design's deployed serving precision). Only the *modeled* accelerator
-/// (invocation_seconds) remains serial: the deployment hardware is one
-/// physical IP core, so a fabric runtime's Executor has a single thread (see
-/// batcher.hpp).
+/// with the deploy weights loaded (the blob itself is not kept). Weights are
+/// frozen after deploy, so any number of threads may run Network::infer
+/// concurrently — each batch checks an ExecutionContext out of `contexts` and
+/// runs without a lock (at the design's deployed serving precision). Only the
+/// *modeled* accelerator (invocation_seconds) remains serial: the deployment
+/// hardware is one physical IP core, so a fabric runtime's Executor has a
+/// single thread (see batcher.hpp).
 struct DeployedDesign {
   DeployedDesign(std::string id_in, core::DesignAnalysis analysis_in, nn::Network net_in,
-                 std::vector<std::uint8_t> weights_in,
                  nn::ServePrecision precision_in = nn::ServePrecision::kFloat32,
                  BreakerConfig breaker_config = {}, Counter* breaker_opens = nullptr)
       : id(std::move(id_in)),
         analysis(std::move(analysis_in)),
         net(std::move(net_in)),
-        weights(std::move(weights_in)),
         precision(precision_in),
         contexts(net, nn::kernels::active(), precision_in),
         breaker(breaker_config, breaker_opens) {
@@ -74,7 +72,6 @@ struct DeployedDesign {
   const std::string id;                      ///< content hash (cache key)
   const core::DesignAnalysis analysis;       ///< descriptor, HLS report, warnings
   const nn::Network net;                     ///< weights loaded, ready to run
-  const std::vector<std::uint8_t> weights;   ///< canonical CNN2FPGAW1 blob
   const nn::ServePrecision precision;        ///< serving arithmetic of every batch
   /// Quantization-quality report; filled by the registry right after a fresh
   /// quantized deploy (before the design is published), then immutable.
@@ -133,24 +130,28 @@ struct RegistryStats {
   }
 };
 
+/// Designs a serving runtime keeps resident (its registry's LRU bound).
+inline constexpr std::size_t kRegistryCapacity = 16;
+
 class DesignRegistry {
  public:
   /// `metrics` and `faults` may be null; when set, deploy/hit/eviction
   /// counters are fed and the `registry.deploy` fault site is live. Every
   /// deployed design gets a circuit breaker built from `breaker_config`.
-  explicit DesignRegistry(std::size_t capacity = 16, ServeMetrics* metrics = nullptr,
+  explicit DesignRegistry(std::size_t capacity = kRegistryCapacity,
+                          ServeMetrics* metrics = nullptr,
                           BreakerConfig breaker_config = {},
                           FaultInjector* faults = nullptr);
 
   /// Deploy from a descriptor and an explicit CNN2FPGAW1 weight blob.
   /// Throws DescriptorError / std::runtime_error on invalid inputs.
-  /// `precision` selects the serving arithmetic (float32 / int16 / int8) and
-  /// is part of the registry key: the same network deployed at two precisions
-  /// is two distinct cache entries. Quantized deploys are probe-validated
-  /// against the fixed-point accuracy model before being published (see
-  /// DeployedDesign::quant).
+  /// `precision` alone selects the serving arithmetic (float32 / int16 /
+  /// int8; parse_deploy_request maps a fixed descriptor onto one) and is part
+  /// of the registry key: the same network at two precisions is two cache
+  /// entries. Quantized deploys are probe-validated against the fixed-point
+  /// reference model before being published (see DeployedDesign::quant).
   DeployOutcome deploy(const core::NetworkDescriptor& descriptor,
-                       std::vector<std::uint8_t> weights,
+                       const std::vector<std::uint8_t>& weights,
                        nn::ServePrecision precision = nn::ServePrecision::kFloat32);
 
   /// Deploy with seed-derived random weights (paper Test 4 style). The seed

@@ -76,8 +76,9 @@ json::Object design_summary(const DeployedDesign& deployed) {
   out["board"] = descriptor.board;
   out["precision"] = descriptor.precision.is_fixed ? descriptor.precision.fixed.name()
                                                    : std::string("float32");
-  // The arithmetic serving actually runs in (the descriptor "precision" above
-  // describes the generated HLS design, not the serving path).
+  // The arithmetic serving runs in. The descriptor "precision" above
+  // describes the generated HLS design; a fixed one serves as the integer
+  // precision that computes its format (Q8.8 as int16, Q4.4 as int8).
   out["serve_precision"] = std::string(nn::serve_precision_name(deployed.precision));
   if (deployed.precision != nn::ServePrecision::kFloat32) {
     const QuantReport& quant = deployed.quant;
@@ -152,7 +153,7 @@ std::uint64_t breaker_retry_after_seconds(std::uint64_t retry_after_ms) {
 
 ServingRuntime::ServingRuntime(ServingConfig config)
     : config_(config),
-      registry_(config.registry_capacity, &metrics_, config.breaker, &faults_),
+      registry_(kRegistryCapacity, &metrics_, config.breaker, &faults_),
       executor_(config.batcher.engine == BackendId::kAccelerator ? 1 : config.worker_threads),
       batcher_(executor_, config.batcher, &metrics_, &faults_) {
   // CNN2FPGA_FAULTS / CNN2FPGA_FAULT_SEED arm injection before any request

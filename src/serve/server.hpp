@@ -57,7 +57,6 @@
 namespace cnn2fpga::serve {
 
 struct ServingConfig {
-  std::size_t registry_capacity = 16;  ///< LRU bound on resident designs
   /// Executor size on the CPU engine. It does not apply to the fabric,
   /// whose executor always has one thread.
   std::size_t worker_threads = 4;

@@ -172,39 +172,50 @@ TEST(ExecutionContext, EmptyNetworkInferCopiesInput) {
 // ----------------------------------------------------------- fixed-point path
 
 TEST(ExecutionContext, FixedInferenceMatchesFreshContextWrapper) {
+  // One call over N images (parameters quantized once) equals N single calls.
   for (int arch = 0; arch < kArchCount; ++arch) {
     const Network net = make_network(arch, 41u + static_cast<std::uint64_t>(arch));
     const FixedPointFormat format{16, 8};
-    ExecutionContext ctx(net);
+    std::vector<tensor::Tensor> images;
     for (std::uint64_t i = 0; i < 4; ++i) {
-      const tensor::Tensor input = random_input(net.input_shape(), 700 + i);
-      const FixedForwardResult fresh = forward_fixed(net, input, format);
-      // Reused context: quantized parameters cached after the first call.
-      const FixedForwardResult reused = forward_fixed(net, input, format, ctx);
-      EXPECT_EQ(fresh.predicted, reused.predicted);
-      expect_bit_identical(fresh.scores, reused.scores,
+      images.push_back(random_input(net.input_shape(), 700 + i));
+    }
+    std::vector<const tensor::Tensor*> inputs;
+    for (const tensor::Tensor& image : images) inputs.push_back(&image);
+    const std::vector<FixedForwardResult> batched = forward_fixed(net, inputs, format);
+    ASSERT_EQ(batched.size(), images.size());
+    for (std::size_t i = 0; i < images.size(); ++i) {
+      const FixedForwardResult single = forward_fixed(net, images[i], format);
+      EXPECT_EQ(single.predicted, batched[i].predicted);
+      expect_bit_identical(single.scores, batched[i].scores,
                            "arch " + std::to_string(arch) + " fixed input " +
                                std::to_string(i));
-      EXPECT_EQ(fresh.output_error, reused.output_error);
+      EXPECT_EQ(single.output_error, batched[i].output_error);
+      EXPECT_EQ(single.reference_predicted, batched[i].reference_predicted);
     }
   }
 }
 
 TEST(ExecutionContext, FixedCacheRebuildsWhenFormatChanges) {
+  // Each call quantizes at its own format: a call at another format in
+  // between leaves a repeat call bit-identical and changes the scores.
   const Network net = make_network(0, 51);
-  ExecutionContext ctx(net);
-  const tensor::Tensor input = random_input(net.input_shape(), 1);
-  const FixedForwardResult q88 = forward_fixed(net, input, FixedPointFormat{16, 8}, ctx);
-  const FixedForwardResult q412 = forward_fixed(net, input, FixedPointFormat{16, 12}, ctx);
-  const FixedForwardResult q88_again = forward_fixed(net, input, FixedPointFormat{16, 8}, ctx);
-  expect_bit_identical(q88.scores, q88_again.scores, "format switch round trip");
-  // Differently-scaled arithmetic virtually never lands on identical scores;
-  // equality here would mean the cache failed to re-key on the format.
-  bool any_difference = false;
-  for (std::size_t i = 0; i < q88.scores.size(); ++i) {
-    any_difference = any_difference || q88.scores[i] != q412.scores[i];
+  const tensor::Tensor a = random_input(net.input_shape(), 1);
+  const tensor::Tensor b = random_input(net.input_shape(), 2);
+  const std::vector<const tensor::Tensor*> inputs = {&a, &b};
+  const auto q88 = forward_fixed(net, inputs, FixedPointFormat{16, 8});
+  const auto q412 = forward_fixed(net, inputs, FixedPointFormat{16, 12});
+  const auto q88_again = forward_fixed(net, inputs, FixedPointFormat{16, 8});
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    expect_bit_identical(q88[i].scores, q88_again[i].scores, "format switch round trip");
+    // Differently-scaled arithmetic virtually never lands on identical
+    // scores; equality here would mean the format was not applied.
+    bool any_difference = false;
+    for (std::size_t k = 0; k < q88[i].scores.size(); ++k) {
+      any_difference = any_difference || q88[i].scores[k] != q412[i].scores[k];
+    }
+    EXPECT_TRUE(any_difference) << "input " << i;
   }
-  EXPECT_TRUE(any_difference);
 }
 
 // ------------------------------------------------------------- context pool
@@ -278,20 +289,26 @@ TEST(ExecutionContext, ConcurrentFixedInferenceIsDeterministic) {
   constexpr std::size_t kThreads = 6;
   const Network net = make_network(1, 81);
   const FixedPointFormat format{16, 8};
-  const tensor::Tensor input = random_input(net.input_shape(), 9);
-  const FixedForwardResult reference = forward_fixed(net, input, format);
+  std::vector<tensor::Tensor> images;
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    images.push_back(random_input(net.input_shape(), 9 + i));
+  }
+  std::vector<const tensor::Tensor*> inputs;
+  for (const tensor::Tensor& image : images) inputs.push_back(&image);
+  const std::vector<FixedForwardResult> reference = forward_fixed(net, inputs, format);
 
   std::atomic<std::size_t> mismatches{0};
   std::vector<std::thread> threads;
   for (std::size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
-      ExecutionContext ctx(net);
       for (int round = 0; round < 4; ++round) {
-        const FixedForwardResult result =
-            forward_fixed(net, input, format, ctx, /*track_output_error=*/false);
-        if (result.predicted != reference.predicted) mismatches.fetch_add(1);
-        for (std::size_t k = 0; k < reference.scores.size(); ++k) {
-          if (result.scores[k] != reference.scores[k]) mismatches.fetch_add(1);
+        const std::vector<FixedForwardResult> results =
+            forward_fixed(net, inputs, format, /*track_output_error=*/false);
+        for (std::size_t i = 0; i < reference.size(); ++i) {
+          if (results[i].predicted != reference[i].predicted) mismatches.fetch_add(1);
+          for (std::size_t k = 0; k < reference[i].scores.size(); ++k) {
+            if (results[i].scores[k] != reference[i].scores[k]) mismatches.fetch_add(1);
+          }
         }
       }
     });

@@ -522,7 +522,7 @@ TEST(Serving, ConcurrentPredictionsMatchSequentialInference) {
   // asserts the engine's contract that batched serving execution is
   // bit-identical to sequential per-image inference.
   nn::Network reference = descriptor.build_network();
-  nn::deserialize_weights(reference, design->weights);
+  nn::deserialize_weights(reference, seeded_weights(descriptor, 3));
   nn::ExecutionContext ref_ctx(reference);
   std::vector<tensor::Tensor> images;
   std::vector<std::size_t> expected_class;
@@ -622,7 +622,7 @@ TEST(ServeApi, DeployPredictRoundTripMatchesDirectInference) {
   const auto design = runtime.registry().find(design_id);
   ASSERT_NE(design, nullptr);
   nn::Network reference = design->descriptor().build_network();
-  nn::deserialize_weights(reference, design->weights);
+  nn::deserialize_weights(reference, seeded_weights(design->descriptor(), 7));
   const tensor::Tensor image = test_image(42, reference.input_shape());
   nn::ExecutionContext ref_ctx(reference);
   const tensor::Tensor expected = reference.infer(image, ref_ctx);
@@ -811,7 +811,7 @@ TEST(ServeApi, QuantizedDeployServesInt8MatchingTheFixedModel) {
   const auto design = runtime.registry().find(design_id);
   ASSERT_NE(design, nullptr);
   nn::Network reference = design->descriptor().build_network();
-  nn::deserialize_weights(reference, design->weights);
+  nn::deserialize_weights(reference, seeded_weights(design->descriptor(), 7));
   const tensor::Tensor image = test_image(11, reference.input_shape());
   const nn::FixedPointFormat format =
       nn::serve_precision_format(nn::ServePrecision::kInt8);
@@ -848,6 +848,114 @@ TEST(ServeApi, QuantizedDeployServesInt8MatchingTheFixedModel) {
   const auto& listed = designs.at("designs").as_array()[0];
   EXPECT_EQ(listed.at("serve_precision").as_string(), "int8");
   EXPECT_TRUE(listed.at("quantization").at("validated").as_bool());
+}
+
+namespace {
+
+/// deploy_body with the descriptor's own fixed-point precision object.
+std::string fixed_deploy_body(const std::string& name, int total_bits, int frac_bits) {
+  json::Value doc = json::parse(deploy_body(name));
+  doc.as_object()["precision"] = json::parse(util::format(
+      R"({"type": "fixed", "total_bits": %d, "frac_bits": %d})", total_bits, frac_bits));
+  return doc.dump();
+}
+
+/// Deploys the 8x8 net with a Q(total_bits - frac_bits).(frac_bits)
+/// descriptor and checks that it serves on the integer engine computing that
+/// format: labelled `serve_precision`, validated against the fixed-point
+/// model, counted under that precision, and every predict's logits bitwise
+/// equal to forward_fixed at the descriptor's format. Returns the reference
+/// network's weights for format-specific checks.
+std::vector<float> expect_fixed_deploy_serves_as(int total_bits, int frac_bits,
+                                                 const std::string& serve_precision) {
+  ServingRuntime runtime;
+  web::HttpRequest deploy;
+  deploy.body = fixed_deploy_body("fixed_" + serve_precision, total_bits, frac_bits);
+  const web::HttpResponse deployed = runtime.handle_deploy(deploy);
+  EXPECT_EQ(deployed.status, 200) << deployed.body;
+  if (deployed.status != 200) return {};
+  const auto doc = json::parse(deployed.body);
+  const std::string design_id = doc.at("design_id").as_string();
+  const nn::FixedPointFormat format{total_bits, frac_bits};
+  EXPECT_EQ(doc.at("precision").as_string(), format.name());
+  EXPECT_EQ(doc.at("serve_precision").as_string(), serve_precision);
+  EXPECT_TRUE(doc.at("quantization").at("validated").as_bool());
+  EXPECT_TRUE(doc.at("quantization").at("matches_fixed_model").as_bool());
+  // The content address carries the serving precision, like a string one's.
+  EXPECT_TRUE(design_id.ends_with("-" + serve_precision)) << design_id;
+
+  const auto design = runtime.registry().find(design_id);
+  EXPECT_NE(design, nullptr);
+  if (design == nullptr) return {};
+  nn::Network reference = design->descriptor().build_network();
+  nn::deserialize_weights(reference, seeded_weights(design->descriptor(), 7));
+  constexpr std::size_t kImages = 3;
+  for (std::size_t n = 0; n < kImages; ++n) {
+    const tensor::Tensor image = test_image(20 + n, reference.input_shape());
+    const nn::FixedForwardResult fixed = nn::forward_fixed(reference, image, format);
+    json::Array pixels;
+    for (std::size_t i = 0; i < image.size(); ++i) pixels.push_back(image[i]);
+    json::Object body;
+    body["design_id"] = design_id;
+    body["image"] = std::move(pixels);
+    web::HttpRequest predict;
+    predict.body = json::Value(std::move(body)).dump();
+    const web::HttpResponse served = runtime.handle_predict(predict);
+    EXPECT_EQ(served.status, 200) << served.body;
+    if (served.status != 200) continue;
+    const auto result = json::parse(served.body);
+    EXPECT_EQ(result.at("precision").as_string(), serve_precision);
+    EXPECT_EQ(static_cast<std::size_t>(result.at("predicted").as_int()), fixed.predicted);
+    const auto& logits = result.at("logits").as_array();
+    EXPECT_EQ(logits.size(), fixed.scores.size());
+    for (std::size_t i = 0; i < logits.size() && i < fixed.scores.size(); ++i) {
+      // %.17g round-trips, so the served float comes back bit for bit.
+      const float got = static_cast<float>(logits[i].as_double());
+      const float want = fixed.scores[i];
+      EXPECT_EQ(std::memcmp(&got, &want, sizeof(float)), 0)
+          << "image " << n << " logit " << i << ": " << got << " vs " << want;
+    }
+  }
+
+  const auto metrics = json::parse(runtime.handle_metrics(web::HttpRequest{}).body);
+  EXPECT_EQ(metrics.at("precisions").at(serve_precision).at("images").as_int(),
+            static_cast<std::int64_t>(kImages));
+  EXPECT_EQ(metrics.at("precisions").at("float32").at("images").as_int(), 0);
+
+  std::vector<float> weights;
+  for (const nn::Param& param : reference.params()) {
+    weights.insert(weights.end(), param.value->data(), param.value->data() + param.value->size());
+  }
+  return weights;
+}
+
+}  // namespace
+
+TEST(ServeApi, FixedQ88DescriptorServesOnInt16) {
+  expect_fixed_deploy_serves_as(16, 8, "int16");
+}
+
+TEST(ServeApi, FixedQ44DescriptorServesOnInt8) {
+  const std::vector<float> weights = expect_fixed_deploy_serves_as(8, 4, "int8");
+  // The int8 engine equals the fixed model only while no weight passes its
+  // clamp, so the bitwise check above holds because the seeded weights stay
+  // inside it.
+  ASSERT_FALSE(weights.empty());
+  const nn::FixedPointFormat q44{8, 4};
+  for (const float w : weights) {
+    EXPECT_LE(std::abs(nn::fixed_quantize(w, q44)), nn::kernels::kInt8WeightClamp) << w;
+  }
+}
+
+TEST(ServeApi, FixedDescriptorWithoutAnEngineIsRefused) {
+  ServingRuntime runtime;
+  web::HttpRequest deploy;
+  deploy.body = fixed_deploy_body("fixed_q16", 32, 16);
+  const web::HttpResponse response = runtime.handle_deploy(deploy);
+  EXPECT_EQ(response.status, 400) << response.body;
+  EXPECT_EQ(error_code(response), "bad_request");
+  EXPECT_NE(response.body.find("Q16.16"), std::string::npos) << response.body;
+  EXPECT_EQ(runtime.registry().size(), 0u);
 }
 
 TEST(Registry, PrecisionIsPartOfTheContentAddress) {

@@ -680,6 +680,41 @@ TEST(Router, ComputeDesignKeyMatchesRegistry) {
   EXPECT_EQ(error.status, 400);
 }
 
+TEST(Router, FixedDescriptorDeploysThroughTheRouterKeepTheWorkersKey) {
+  const auto fixed_body = [](int total_bits, int frac_bits) {
+    json::Value doc = json::parse(deploy_body("routed_fixed", 13));
+    doc.as_object()["precision"] = json::parse(util::format(
+        R"({"type": "fixed", "total_bits": %d, "frac_bits": %d})", total_bits, frac_bits));
+    return doc.dump();
+  };
+  Fleet fleet(2);
+
+  // Q8.8 places and serves as int16: the router's key is the worker's id.
+  const std::string q88 = fixed_body(16, 8);
+  web::HttpResponse error;
+  const auto key = shard::compute_design_key(q88, &error);
+  ASSERT_TRUE(key.has_value()) << error.body;
+  EXPECT_TRUE(key->ends_with("-int16")) << *key;
+  const auto deployed = fleet.router->handle_deploy(post(q88));
+  ASSERT_EQ(deployed.status, 200) << deployed.body;
+  const json::Value doc = json::parse(deployed.body);
+  EXPECT_EQ(doc.at("design_id").as_string(), *key);
+  EXPECT_EQ(doc.at("serve_precision").as_string(), "int16");
+  EXPECT_EQ(fleet.router->key_mismatches(), 0u);
+  const auto routed = fleet.router->handle_predict(post(predict_body(*key)));
+  ASSERT_EQ(routed.status, 200) << routed.body;
+  EXPECT_EQ(json::parse(routed.body).at("precision").as_string(), "int16");
+
+  // Q16.16 has no serving engine: the router answers the worker's 400.
+  const std::string q1616 = fixed_body(32, 16);
+  ServingRuntime worker(InProcWorker::make_config());
+  const web::HttpResponse direct = worker.handle_deploy(post(q1616));
+  ASSERT_EQ(direct.status, 400) << direct.body;
+  const web::HttpResponse refused = fleet.router->handle_deploy(post(q1616));
+  EXPECT_EQ(refused.status, direct.status);
+  EXPECT_EQ(refused.body, direct.body);
+}
+
 TEST(Router, DesignKeyAndWorkerDeployAgreeOnEveryBody) {
   // The router's key and the worker's deploy come from one body parser: each
   // body gets the same design id, or byte for byte the same 400, from both.
@@ -694,6 +729,11 @@ TEST(Router, DesignKeyAndWorkerDeployAgreeOnEveryBody) {
       base,
       with(base, "weights_base64", util::base64_encode(seeded_weights(descriptor, 21))),
       with(base, "precision", "int8"),
+      // Fixed formats the integer engines compute: Q8.8 and Q4.4.
+      with(base, "precision",
+           json::parse(R"({"type": "fixed", "total_bits": 16, "frac_bits": 8})")),
+      with(base, "precision",
+           json::parse(R"({"type": "fixed", "total_bits": 8, "frac_bits": 4})")),
   };
   const std::vector<std::string> rejected = {
       "{not json",
@@ -710,6 +750,9 @@ TEST(Router, DesignKeyAndWorkerDeployAgreeOnEveryBody) {
       with(base, "input", json::parse(R"({"channels": 1e300, "height": 8, "width": 8})")),
       with(base, "precision",
            json::parse(R"({"type": "fixed", "total_bits": 16.5, "frac_bits": 8})")),
+      // A fixed format no serving engine computes.
+      with(base, "precision",
+           json::parse(R"({"type": "fixed", "total_bits": 32, "frac_bits": 16})")),
   };
 
   ServingRuntime runtime(InProcWorker::make_config());
