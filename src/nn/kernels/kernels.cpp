@@ -3,10 +3,10 @@
 // scalar kernels repeat forward()'s expressions, so this file must be built
 // like Network::forward — without FP contraction (top-level CMakeLists.txt)
 // and never with the flags of kernels_avx2.cpp. The AVX2 compute entry
-// points (gemm, linear, pool_plane, activation_apply, logsoftmax) live in
-// kernels_avx2.cpp, which is compiled with -mavx2 -mfma only when the
-// toolchain supports it; without CNN2FPGA_HAVE_AVX2 those symbols become
-// throwing stubs here and active() always resolves to kScalar.
+// points (gemm, linear, pool_plane, activation_apply, logsoftmax; gemm's
+// 512-bit instance is kernels_avx512.cpp) live in kernels_avx2.cpp, built with
+// -mavx2 -mfma only when the toolchain supports it; without CNN2FPGA_HAVE_AVX2
+// those symbols become throwing stubs here and active() resolves to kScalar.
 #include "nn/kernels/kernels.hpp"
 
 #include <algorithm>
@@ -44,6 +44,13 @@ Kind& mutable_active() {
   return kind;
 }
 
+FloatMicrokernel& mutable_float_microkernel() {
+  static FloatMicrokernel mk = float_microkernel_available(FloatMicrokernel::kAvx512)
+                                   ? FloatMicrokernel::kAvx512
+                                   : FloatMicrokernel::kAvx2;
+  return mk;
+}
+
 }  // namespace
 
 Kind active() { return mutable_active(); }
@@ -72,6 +79,30 @@ ScopedKernelOverride::ScopedKernelOverride(Kind kind) : previous_(mutable_active
 }
 
 ScopedKernelOverride::~ScopedKernelOverride() { mutable_active() = previous_; }
+
+const char* float_microkernel_name(FloatMicrokernel mk) {
+  return mk == FloatMicrokernel::kAvx512 ? "avx512" : "avx2";
+}
+
+bool float_microkernel_available(FloatMicrokernel mk) {
+#ifdef CNN2FPGA_HAVE_AVX512
+  if (mk == FloatMicrokernel::kAvx512) return avx2_available() && __builtin_cpu_supports("avx512f");
+#endif
+  return mk == FloatMicrokernel::kAvx2 && avx2_available();
+}
+
+FloatMicrokernel float_microkernel() { return mutable_float_microkernel(); }
+
+ScopedFloatMicrokernel::ScopedFloatMicrokernel(FloatMicrokernel mk)
+    : previous_(mutable_float_microkernel()) {
+  if (!float_microkernel_available(mk)) {
+    throw std::runtime_error(std::string("ScopedFloatMicrokernel: ") +
+                             float_microkernel_name(mk) + " is unavailable on this host");
+  }
+  mutable_float_microkernel() = mk;
+}
+
+ScopedFloatMicrokernel::~ScopedFloatMicrokernel() { mutable_float_microkernel() = previous_; }
 
 void pack_a(const float* w, std::size_t m, std::size_t k, PackedA& out) {
   const std::size_t panels = (m + kPanelRows - 1) / kPanelRows;

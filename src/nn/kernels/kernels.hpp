@@ -12,10 +12,11 @@
 //     Activation::apply. The result is bit-identical to Network::forward and
 //     the generated HLS C++, so the hardware model (axi::CnnIpCore), trainer
 //     evaluation and the fixed-point error signal pin this engine.
-//   - Kind::kAvx2 runs a register-blocked AVX2/FMA GEMM microkernel (6 rows
-//     x 16 columns of C per inner loop, 12 YMM accumulators) with a fused
+//   - Kind::kAvx2 runs a register-blocked FMA GEMM microkernel with a fused
 //     bias + activation epilogue, plus vectorized pooling, tanh/sigmoid and
-//     log-softmax. Outputs stay within 1e-4 relative error of the scalar
+//     log-softmax. The GEMM is one tile loop (gemm_tile.hpp) at the register
+//     width cpuid picks (float_microkernel()); both widths give the same
+//     bits. Outputs stay within 1e-4 relative error of the scalar
 //     engine (FMA contraction + polynomial transcendentals; see
 //     tests/test_kernels.cpp), and the engine is *chunk-invariant*: every
 //     element goes through an identical per-lane instruction sequence
@@ -76,7 +77,31 @@ class ScopedKernelOverride {
   Kind previous_;
 };
 
-/// Microkernel register-block geometry: C is produced in 6x16 tiles.
+/// The register width of gemm on the AVX2 engine: 6x16 tiles of 256-bit
+/// registers, or 6x32 tiles of 512-bit ones over two adjacent B panels (6x16
+/// on an odd last panel); both give bitwise-equal outputs. float_microkernel()
+/// is the width gemm runs, resolved once by cpuid: kAvx512 where available.
+enum class FloatMicrokernel { kAvx2, kAvx512 };
+FloatMicrokernel float_microkernel();
+const char* float_microkernel_name(FloatMicrokernel mk);  ///< "avx2" | "avx512"
+/// True when `mk` is compiled in and this CPU can run it.
+bool float_microkernel_available(FloatMicrokernel mk);
+
+/// Test and bench hook: makes gemm run `mk` until destruction. Throws
+/// std::runtime_error when !float_microkernel_available(mk). Not thread-safe
+/// against concurrent gemm callers, like ScopedKernelOverride.
+class ScopedFloatMicrokernel {
+ public:
+  explicit ScopedFloatMicrokernel(FloatMicrokernel mk);
+  ~ScopedFloatMicrokernel();
+  ScopedFloatMicrokernel(const ScopedFloatMicrokernel&) = delete;
+  ScopedFloatMicrokernel& operator=(const ScopedFloatMicrokernel&) = delete;
+
+ private:
+  FloatMicrokernel previous_;
+};
+
+/// Packed-panel geometry: A in 6-row panels, B in 16-column panels.
 inline constexpr std::size_t kPanelRows = 6;
 inline constexpr std::size_t kPanelCols = 16;
 
@@ -136,12 +161,19 @@ void im2col_pack_avx2(const float* in, std::size_t c_stride, std::size_t channel
 /// Zero the padding lanes of the last panel (columns n..ceil(n/16)*16).
 void zero_pack_tail(float* bpack, std::size_t n, std::size_t k);
 
-/// Fused GEMM + bias + activation epilogue on the AVX2 engine:
+/// Fused GEMM + bias + activation epilogue on the AVX2 engine (at the width
+/// float_microkernel() names):
 ///   C[m][n] = act(bias[m] + sum_k A[m][k] * B[n][k]),  C row stride ldc.
 /// `act` < 0 applies no activation; otherwise it is a nn::ActKind. Requires
 /// avx2_available(); throws std::runtime_error otherwise.
 void gemm(const PackedA& a, const float* bpack, std::size_t n, const float* bias,
           int act, float* c, std::size_t ldc);
+
+namespace detail {
+/// gemm's 512-bit instance (kernels_avx512.cpp, built with CNN2FPGA_HAVE_AVX512).
+void gemm_avx512(const PackedA& a, const float* bpack, std::size_t n, const float* bias,
+                 int act, float* c, std::size_t ldc);
+}  // namespace detail
 
 /// The same GEMM on the scalar engine, over the same packed panels: each
 /// C[m][n] is one accumulator seeded with bias[m] that adds A[m][k] * B[n][k]

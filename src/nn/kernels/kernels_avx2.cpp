@@ -9,22 +9,23 @@
 // batch-fused and per-image execution produce bit-identical floats — while
 // differing from the scalar reference only through FMA contraction and the
 // polynomial transcendentals (~1e-7 relative in practice, 1e-4 documented).
+// gemm runs gemm_tile.hpp's loop on 256-bit registers, or its bitwise-equal
+// 512-bit instance (kernels_avx512.cpp) where float_microkernel() names it.
 #include <immintrin.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 
+#include "nn/kernels/gemm_tile.hpp"
 #include "nn/kernels/kernels.hpp"
 #include "nn/kernels/simd_math.hpp"
 
 namespace cnn2fpga::nn::kernels {
 
 namespace {
-
-// The `#pragma GCC unroll 6` on gemm's row loops spells out kPanelRows.
-static_assert(kPanelRows == 6);
 
 inline __m256 apply_act(int act, __m256 x) {
   switch (act) {
@@ -35,75 +36,51 @@ inline __m256 apply_act(int act, __m256 x) {
   }
 }
 
-/// Store one 16-wide accumulator pair to a C row, honoring the live column
-/// count of the final panel.
-inline void store_row(float* dst, __m256 lo, __m256 hi, std::size_t live_cols) {
-  if (live_cols >= 16) {
-    _mm256_storeu_ps(dst, lo);
-    _mm256_storeu_ps(dst + 8, hi);
-  } else if (live_cols >= 8) {
-    _mm256_storeu_ps(dst, lo);
-    if (live_cols > 8) _mm256_maskstore_ps(dst + 8, tail_mask(live_cols - 8), hi);
-  } else {
-    _mm256_maskstore_ps(dst, tail_mask(live_cols), lo);
+/// gemm's arithmetic for detail::gemm_tiles: 6x16 tiles of 12 YMM
+/// accumulators seeded with the row bias; the epilogue fuses the activation.
+struct FloatYmm {
+  using Vec = __m256;
+  const float* bias;
+  int act;
+  float* c;
+  std::size_t ldc;
+
+  Vec seed(std::size_t row, bool live) const {
+    return bias != nullptr && live ? _mm256_set1_ps(bias[row]) : _mm256_setzero_ps();
   }
-}
+  static Vec load(const std::uint8_t* p) {
+    return _mm256_loadu_ps(reinterpret_cast<const float*>(p));
+  }
+  static Vec broadcast(const std::uint8_t* p) {
+    return _mm256_broadcast_ss(reinterpret_cast<const float*>(p));
+  }
+  static Vec madd(Vec acc, Vec b, Vec a) { return _mm256_fmadd_ps(a, b, acc); }
+  void store(std::size_t row, std::size_t col, const Vec (&acc)[2], std::size_t live) const {
+    float* dst = c + row * ldc + col;
+#pragma GCC unroll 2
+    for (std::size_t j = 0; j < 2; ++j) {
+      const std::size_t lanes = std::min<std::size_t>(8, live > 8 * j ? live - 8 * j : 0);
+      if (lanes == 8) {
+        _mm256_storeu_ps(dst + 8 * j, apply_act(act, acc[j]));
+      } else if (lanes > 0) {
+        _mm256_maskstore_ps(dst + 8 * j, tail_mask(lanes), apply_act(act, acc[j]));
+      }
+    }
+  }
+};
 
 }  // namespace
 
 void gemm(const PackedA& a, const float* bpack, std::size_t n, const float* bias,
           int act, float* c, std::size_t ldc) {
-  const std::size_t m = a.rows;
-  const std::size_t k = a.cols;
-  const std::size_t row_panels = (m + kPanelRows - 1) / kPanelRows;
-  const std::size_t col_panels = (n + kPanelCols - 1) / kPanelCols;
-
-  for (std::size_t q = 0; q < col_panels; ++q) {
-    const float* bp = bpack + q * k * kPanelCols;
-    const std::size_t col0 = q * kPanelCols;
-    const std::size_t live_cols = std::min(kPanelCols, n - col0);
-
-    for (std::size_t p = 0; p < row_panels; ++p) {
-      const float* ap = a.data.data() + p * k * kPanelRows;
-      const std::size_t row0 = p * kPanelRows;
-      const std::size_t live_rows = std::min(kPanelRows, m - row0);
-
-      // 6x16 register block: 12 accumulators seeded with the row bias so the
-      // epilogue only has to apply the activation. Every row loop is fully
-      // unrolled and the epilogue guards dead rows instead of stopping at
-      // live_rows, so no accumulator is ever indexed at run time and the
-      // tile stays in registers at -O2 too.
-      __m256 acc_lo[kPanelRows];
-      __m256 acc_hi[kPanelRows];
-#pragma GCC unroll 6
-      for (std::size_t r = 0; r < kPanelRows; ++r) {
-        const __m256 seed = (bias != nullptr && r < live_rows)
-                                ? _mm256_set1_ps(bias[row0 + r])
-                                : _mm256_setzero_ps();
-        acc_lo[r] = seed;
-        acc_hi[r] = seed;
-      }
-
-      for (std::size_t kk = 0; kk < k; ++kk) {
-        const __m256 b_lo = _mm256_loadu_ps(bp + kk * kPanelCols);
-        const __m256 b_hi = _mm256_loadu_ps(bp + kk * kPanelCols + 8);
-        const float* arow = ap + kk * kPanelRows;
-#pragma GCC unroll 6
-        for (std::size_t r = 0; r < kPanelRows; ++r) {
-          const __m256 av = _mm256_set1_ps(arow[r]);
-          acc_lo[r] = _mm256_fmadd_ps(av, b_lo, acc_lo[r]);
-          acc_hi[r] = _mm256_fmadd_ps(av, b_hi, acc_hi[r]);
-        }
-      }
-
-#pragma GCC unroll 6
-      for (std::size_t r = 0; r < kPanelRows; ++r) {
-        if (r >= live_rows) continue;
-        store_row(c + (row0 + r) * ldc + col0, apply_act(act, acc_lo[r]),
-                  apply_act(act, acc_hi[r]), live_cols);
-      }
-    }
+#ifdef CNN2FPGA_HAVE_AVX512
+  if (float_microkernel() == FloatMicrokernel::kAvx512) {
+    detail::gemm_avx512(a, bpack, n, bias, act, c, ldc);
+    return;
   }
+#endif
+  detail::gemm_tiles(FloatYmm{bias, act, c, ldc}, a.data.data(), bpack, a.rows, n, a.cols,
+                     a.cols);
 }
 
 void linear(const PackedA& a, const float* x, std::size_t batch, const float* bias,

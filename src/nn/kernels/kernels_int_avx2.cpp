@@ -22,8 +22,8 @@
 // int32 arithmetic on exact products, so these kernels are bit-identical to
 // the _ref kernels in kernels_int.cpp.
 //
-// gemm_s8 / gemm_s16 run these only where the CPU has neither AVX-VNNI nor
-// AVX512-VNNI with VL (kernels_int_vnni.cpp: 12 vpdpbusd per 384 int8 MACs,
+// gemm_s8 / gemm_s16 run these only where the CPU has no VNNI
+// (kernels_int_vnni.cpp: 12 vpdpbusd per 384 int8 MACs on 256-bit registers,
 // 1 op per 32 against the 10 per 128 here), or under the ScopedIntMicrokernel
 // hook the tests and bench_kernels use to keep measuring them on VNNI hosts.
 #include "nn/kernels/kernels_int.hpp"

@@ -16,11 +16,13 @@
 namespace cnn2fpga::nn::kernels::detail {
 namespace {
 
-inline __m256i broadcast_dword(const void* p) {
+inline std::int32_t load_dword(const void* p) {
   std::int32_t v;
   std::memcpy(&v, p, sizeof(v));
-  return _mm256_set1_epi32(v);
+  return v;
 }
+
+inline __m256i broadcast_dword(const void* p) { return _mm256_set1_epi32(load_dword(p)); }
 
 /// (acc + half) >> frac on 8 int32 lanes; the add wraps and the shift is
 /// arithmetic, matching the scalar reference's uint32 + srai sequence.

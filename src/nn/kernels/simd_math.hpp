@@ -7,7 +7,8 @@
 // reference.
 //
 // This header must only be included from translation units compiled with
-// -mavx2 -mfma (see src/nn/CMakeLists.txt).
+// -mavx2 -mfma (see src/nn/CMakeLists.txt). Internal linkage: an inline copy
+// built in kernels_avx512.cpp must not stand in for the AVX2 callers' copy.
 #pragma once
 
 #include <immintrin.h>
@@ -15,6 +16,7 @@
 #include <cstddef>
 
 namespace cnn2fpga::nn::kernels {
+namespace {
 
 inline __m256 exp256_ps(__m256 x) {
   const __m256 exp_hi = _mm256_set1_ps(88.3762626647950f);
@@ -83,4 +85,5 @@ inline __m256i tail_mask(std::size_t live) {
   return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(kMask + 8 - live));
 }
 
+}  // namespace
 }  // namespace cnn2fpga::nn::kernels

@@ -28,10 +28,11 @@ struct DeployRequest {
 /// as "weights_base64" or as a "seed" (default 1) expanded by
 /// seeded_weights(). A fixed-point precision object is the descriptor's, and
 /// it also picks the serving precision that computes it: Q8.8 serves as
-/// int16, Q4.4 as int8, any other format is a 400. On a bad body returns
-/// std::nullopt and, if `error` is set, the 400 envelope. Weights that do not
-/// fit the architecture are not detected here: the registry rejects them
-/// when it loads them.
+/// int16, Q4.4 as int8, any other format is a 400, and so is a Q4.4
+/// descriptor with a weight past the int8 engine's +/-1.9375 clamp. On a bad
+/// body returns std::nullopt and, if `error` is set, the 400 envelope.
+/// Weights that do not fit the architecture are detected here only for a
+/// Q4.4 descriptor; otherwise the registry rejects them when it loads them.
 std::optional<DeployRequest> parse_deploy_request(const std::string& body,
                                                   web::HttpResponse* error);
 

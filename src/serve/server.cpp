@@ -4,6 +4,7 @@
 #include <span>
 #include <stdexcept>
 
+#include "nn/kernels/kernels_int.hpp"
 #include "serve/deadline.hpp"
 #include "serve/deploy_request.hpp"
 #include "util/base64.hpp"
@@ -116,9 +117,10 @@ json::Object breaker_summary(const DeployedDesign& deployed, bool include_retry)
   return one;
 }
 
-/// The engine block of readyz and the metrics: which engine serves, how many
-/// batches it runs at once (its executor's threads), and the work waiting
-/// for it.
+/// The engine block of readyz and the metrics: which engine serves, the
+/// microkernels it computes with (hosts of one fleet may differ in register
+/// width), how many batches it runs at once (its executor's threads), and the
+/// work waiting for it.
 json::Object engine_summary(BackendId engine, const Executor& executor) {
   const std::size_t slots = executor.thread_count();
   const std::size_t queued = executor.queued();
@@ -131,6 +133,15 @@ json::Object engine_summary(BackendId engine, const Executor& executor) {
   out["inflight"] = inflight;
   out["pending"] = pending;
   out["saturated"] = pending > slots;  // work queued beyond its capacity
+  // Every serving context runs the process-wide kernel engine.
+  namespace ker = nn::kernels;
+  const bool simd = ker::active() == ker::Kind::kAvx2;
+  json::Object kernels;
+  kernels["float"] =
+      std::string(simd ? ker::float_microkernel_name(ker::float_microkernel()) : "scalar");
+  kernels["int"] =
+      std::string(simd ? ker::int_microkernel_name(ker::int_microkernel()) : "scalar");
+  out["kernels"] = std::move(kernels);
   return out;
 }
 

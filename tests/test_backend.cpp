@@ -9,10 +9,12 @@
 #include <chrono>
 #include <future>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "json/json.hpp"
+#include "nn/kernels/kernels_int.hpp"
 #include "serve/batcher.hpp"
 #include "serve/executor.hpp"
 #include "serve/metrics.hpp"
@@ -90,7 +92,14 @@ TEST(Backends, EngineNamesRoundTripAndRejectGarbage) {
 TEST(Backends, CapabilitiesDescribeTheEngines) {
   // A runtime's engine slots are its executor's threads: worker_threads on
   // the CPU, one on the fabric (one physical IP core), and the runtime
-  // starts no other. Metrics and readyz report them.
+  // starts no other. Metrics and readyz report them, and the microkernels
+  // the process computes with (hosts of one fleet can differ in register
+  // width; a scalar engine computes with neither).
+  namespace ker = nn::kernels;
+  const bool simd = ker::active() == ker::Kind::kAvx2;
+  const std::string want_float =
+      simd ? ker::float_microkernel_name(ker::float_microkernel()) : "scalar";
+  const std::string want_int = simd ? ker::int_microkernel_name(ker::int_microkernel()) : "scalar";
   for (const BackendId engine : {BackendId::kCpu, BackendId::kAccelerator}) {
     ServingConfig config;
     config.worker_threads = 3;  // no effect on the fabric
@@ -107,6 +116,10 @@ TEST(Backends, CapabilitiesDescribeTheEngines) {
     const auto ready = json::parse(runtime.handle_readyz(web::HttpRequest{}).body);
     EXPECT_EQ(ready.at("engine").at("name").as_string(), backend_name(engine));
     EXPECT_EQ(ready.at("engine").at("slots").as_int(), slots);
+    for (const json::Value* block : {&metrics.at("engine"), &ready.at("engine")}) {
+      EXPECT_EQ(block->at("kernels").at("float").as_string(), want_float);
+      EXPECT_EQ(block->at("kernels").at("int").as_string(), want_int);
+    }
     runtime.shutdown();
   }
 }

@@ -14,6 +14,8 @@
 
 #include <atomic>
 #include <cstring>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -128,20 +130,66 @@ TEST(ExecutionContext, PlanFusesActivationsAndCoversAllLayers) {
   EXPECT_EQ(ctx.steps().back().kind, ExecutionContext::Step::Kind::kLogSoftMax);
 }
 
-TEST(ExecutionContext, InferBatchMatchesPerImageForward) {
+namespace {
+
+/// infer_batch through a scalar context equals forward() per image, and
+/// through an AVX2 context (where the host has one) equals that context's
+/// per-image infer, bit for bit.
+void check_infer_batch_matches_per_image() {
   Network net = make_network(0, 21);
-  ExecutionContext ctx = scalar_ctx(net);
   std::vector<tensor::Tensor> images;
   for (std::uint64_t i = 0; i < 6; ++i) {
     images.push_back(random_input(net.input_shape(), 500 + i));
   }
+  ExecutionContext ctx = scalar_ctx(net);
   const std::vector<tensor::Tensor> batched = net.infer_batch(images, ctx);
   ASSERT_EQ(batched.size(), images.size());
   for (std::size_t i = 0; i < images.size(); ++i) {
     expect_bit_identical(net.forward(images[i], /*train=*/false), batched[i],
                          "batch element " + std::to_string(i));
   }
+  if (!kernels::avx2_available()) return;
+  ExecutionContext simd(net, kernels::Kind::kAvx2, nullptr);
+  const std::vector<tensor::Tensor> fused = net.infer_batch(images, simd);
+  ASSERT_EQ(fused.size(), images.size());
+  for (std::size_t i = 0; i < images.size(); ++i) {
+    expect_bit_identical(net.infer(images[i], simd), fused[i],
+                         "avx2 batch element " + std::to_string(i));
+  }
 }
+
+/// Forces kernels::gemm onto one float width for a test; a width the CPU
+/// (or the compiler) lacks is skipped by name.
+class ExecutionContextWidth : public ::testing::TestWithParam<kernels::FloatMicrokernel> {
+ protected:
+  void SetUp() override {
+    if (!kernels::float_microkernel_available(GetParam())) {
+      GTEST_SKIP() << "float microkernel " << kernels::float_microkernel_name(GetParam())
+                   << " is unavailable on this host";
+    }
+    force_.emplace(GetParam());
+  }
+
+ private:
+  std::optional<kernels::ScopedFloatMicrokernel> force_;
+};
+
+}  // namespace
+
+TEST(ExecutionContext, InferBatchMatchesPerImageForward) {
+  check_infer_batch_matches_per_image();
+}
+
+TEST_P(ExecutionContextWidth, InferBatchMatchesPerImageForward) {
+  check_infer_batch_matches_per_image();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FloatWidths, ExecutionContextWidth,
+    ::testing::Values(kernels::FloatMicrokernel::kAvx2, kernels::FloatMicrokernel::kAvx512),
+    [](const ::testing::TestParamInfo<kernels::FloatMicrokernel>& width) {
+      return std::string(kernels::float_microkernel_name(width.param));
+    });
 
 TEST(ExecutionContext, RejectsContextBuiltForAnotherNetwork) {
   Network a = make_network(0, 1);

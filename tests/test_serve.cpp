@@ -947,6 +947,40 @@ TEST(ServeApi, FixedQ44DescriptorServesOnInt8) {
   }
 }
 
+TEST(ServeApi, FixedQ44DescriptorWithAClampedWeightIsRefused) {
+  // A weight past the int8 engine's +/-31 raw clamp (|w| > 1.9375 at Q4.4)
+  // would make the served design compute something other than Q4.4, so the
+  // Q4.4 descriptor is refused; the same weights under "precision": "int8"
+  // ask for the clamped engine and are served, labelled as diverging from
+  // the fixed-point model.
+  const core::NetworkDescriptor descriptor =
+      core::NetworkDescriptor::from_json_text(deploy_body("q44_clamped"));
+  nn::Network net = descriptor.build_network();
+  nn::deserialize_weights(net, seeded_weights(descriptor, 7));
+  for (const nn::Param& param : net.params()) {
+    if (param.name.ends_with(".weights")) (*param.value)[0] = 3.0f;
+  }
+  json::Value doc = json::parse(fixed_deploy_body("q44_clamped", 8, 4));
+  doc.as_object()["weights_base64"] = util::base64_encode(nn::serialize_weights(net));
+
+  ServingRuntime runtime;
+  web::HttpRequest deploy;
+  deploy.body = doc.dump();
+  const web::HttpResponse refused = runtime.handle_deploy(deploy);
+  EXPECT_EQ(refused.status, 400) << refused.body;
+  EXPECT_EQ(error_code(refused), "bad_request");
+  EXPECT_NE(refused.body.find("1.9375"), std::string::npos) << refused.body;
+  EXPECT_EQ(runtime.registry().size(), 0u);
+
+  doc.as_object()["precision"] = "int8";
+  deploy.body = doc.dump();
+  const web::HttpResponse served = runtime.handle_deploy(deploy);
+  ASSERT_EQ(served.status, 200) << served.body;
+  const json::Value quant = json::parse(served.body).at("quantization");
+  EXPECT_TRUE(quant.at("validated").as_bool());
+  EXPECT_FALSE(quant.at("matches_fixed_model").as_bool());
+}
+
 TEST(ServeApi, FixedDescriptorWithoutAnEngineIsRefused) {
   ServingRuntime runtime;
   web::HttpRequest deploy;
