@@ -73,7 +73,8 @@ std::optional<DeployRequest> parse_deploy_request(const std::string& body,
       request.weights = std::move(*bytes);
     } else {
       const std::uint64_t seed = static_cast<std::uint64_t>(doc.get_int("seed", 1));
-      request.weights = seeded_weights(request.descriptor, seed);
+      request.network = seeded_network(request.descriptor, seed);
+      request.weights = nn::serialize_weights(*request.network);
     }
   } catch (const json::JsonError& e) {
     // weights_base64 that is not a string, a seed that is not an integer.
@@ -87,15 +88,18 @@ std::optional<DeployRequest> parse_deploy_request(const std::string& body,
   if (request.descriptor.precision.is_fixed &&
       request.precision == nn::ServePrecision::kInt8) {
     const nn::FixedPointFormat& format = request.descriptor.precision.fixed;
-    nn::Network net = request.descriptor.build_network();
-    try {
-      nn::deserialize_weights(net, request.weights);
-    } catch (const std::runtime_error& e) {
-      return reject(api_error(400, "bad_request", e.what()));  // as the registry answers
+    if (!request.network) {
+      nn::Network net = request.descriptor.build_network();
+      try {
+        nn::deserialize_weights(net, request.weights);
+      } catch (const std::runtime_error& e) {
+        return reject(api_error(400, "bad_request", e.what()));  // as the registry answers
+      }
+      request.network = std::move(net);
     }
     const double bound = static_cast<double>(nn::kernels::kInt8WeightClamp) /
                          static_cast<double>(1 << format.frac_bits);
-    for (const nn::Param& param : net.params()) {
+    for (const nn::Param& param : request.network->params()) {
       if (!param.name.ends_with(".weights")) continue;  // biases are not clamped
       for (std::size_t i = 0; i < param.value->size(); ++i) {
         const float w = (*param.value)[i];

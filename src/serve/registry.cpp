@@ -89,11 +89,16 @@ std::string design_key(const core::NetworkDescriptor& descriptor,
   return key;
 }
 
-std::vector<std::uint8_t> seeded_weights(const core::NetworkDescriptor& descriptor,
-                                         std::uint64_t seed) {
+nn::Network seeded_network(const core::NetworkDescriptor& descriptor, std::uint64_t seed) {
   nn::Network net = descriptor.build_network();
   util::Rng rng(seed);
   net.init_weights(rng);
+  return net;
+}
+
+std::vector<std::uint8_t> seeded_weights(const core::NetworkDescriptor& descriptor,
+                                         std::uint64_t seed) {
+  nn::Network net = seeded_network(descriptor, seed);
   return nn::serialize_weights(net);
 }
 
@@ -106,7 +111,8 @@ DesignRegistry::DesignRegistry(std::size_t capacity, ServeMetrics* metrics,
 
 DeployOutcome DesignRegistry::deploy(const core::NetworkDescriptor& descriptor,
                                      const std::vector<std::uint8_t>& weights,
-                                     nn::ServePrecision precision) {
+                                     nn::ServePrecision precision,
+                                     std::optional<nn::Network> network) {
   const std::string key = design_key(descriptor, weights, precision);
   if (metrics_) metrics_->deploys.add();
 
@@ -131,14 +137,16 @@ DeployOutcome DesignRegistry::deploy(const core::NetworkDescriptor& descriptor,
     }
   }
 
-  // Build and analyze outside the lock: concurrent deploys of *different*
-  // designs should not serialize on it. A racing deploy of the same key is
-  // resolved below.
-  nn::Network net = descriptor.build_network();
-  nn::deserialize_weights(net, weights);
-  core::DesignAnalysis analysis = core::Framework::analyze(descriptor, net);
+  // Build (unless the caller did) and analyze outside the lock: concurrent
+  // deploys of *different* designs should not serialize on it. A racing
+  // deploy of the same key is resolved below.
+  if (!network) {
+    network = descriptor.build_network();
+    nn::deserialize_weights(*network, weights);
+  }
+  core::DesignAnalysis analysis = core::Framework::analyze(descriptor, *network);
   auto fresh = std::make_shared<DeployedDesign>(
-      key, std::move(analysis), std::move(net), precision, breaker_config_,
+      key, std::move(analysis), std::move(*network), precision, breaker_config_,
       metrics_ != nullptr ? &metrics_->breaker_opens : nullptr);
   if (precision != nn::ServePrecision::kFloat32) {
     // Anchor the quantized instance to the fixed-point reference model before
@@ -179,7 +187,9 @@ DeployOutcome DesignRegistry::deploy(const core::NetworkDescriptor& descriptor,
 DeployOutcome DesignRegistry::deploy_random(const core::NetworkDescriptor& descriptor,
                                             std::uint64_t seed,
                                             nn::ServePrecision precision) {
-  return deploy(descriptor, seeded_weights(descriptor, seed), precision);
+  nn::Network net = seeded_network(descriptor, seed);
+  const std::vector<std::uint8_t> weights = nn::serialize_weights(net);
+  return deploy(descriptor, weights, precision, std::move(net));
 }
 
 std::shared_ptr<DeployedDesign> DesignRegistry::find(const std::string& id) const {

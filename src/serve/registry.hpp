@@ -16,6 +16,7 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -109,9 +110,12 @@ struct DeployedDesign {
 std::string design_key(const core::NetworkDescriptor& descriptor,
                        const std::vector<std::uint8_t>& weights, nn::ServePrecision precision);
 
-/// The CNN2FPGAW1 blob a seed stands for: the descriptor's network with
-/// init_weights(Rng(seed)) (paper Test 4's random weights). Deploying the
-/// seed and deploying this blob explicitly are the same design.
+/// The network a seed stands for: the descriptor's network with
+/// init_weights(Rng(seed)) (paper Test 4's random weights).
+nn::Network seeded_network(const core::NetworkDescriptor& descriptor, std::uint64_t seed);
+
+/// The CNN2FPGAW1 blob of seeded_network. Deploying the seed and deploying
+/// this blob explicitly are the same design.
 std::vector<std::uint8_t> seeded_weights(const core::NetworkDescriptor& descriptor,
                                          std::uint64_t seed);
 
@@ -150,12 +154,16 @@ class DesignRegistry {
   /// of the registry key: the same network at two precisions is two cache
   /// entries. Quantized deploys are probe-validated against the fixed-point
   /// reference model before being published (see DeployedDesign::quant).
+  /// `network`, when set, is the descriptor's network already holding
+  /// `weights` (DeployRequest::network): a miss serves it instead of
+  /// building and loading its own copy; a hit drops it.
   DeployOutcome deploy(const core::NetworkDescriptor& descriptor,
                        const std::vector<std::uint8_t>& weights,
-                       nn::ServePrecision precision = nn::ServePrecision::kFloat32);
+                       nn::ServePrecision precision = nn::ServePrecision::kFloat32,
+                       std::optional<nn::Network> network = std::nullopt);
 
   /// Deploy with seed-derived random weights (paper Test 4 style). The seed
-  /// is expanded by seeded_weights() first, so the same seed is
+  /// is expanded by seeded_network() first, so the same seed is
   /// content-identical to — and cache-hits against — an explicit-weights
   /// deploy of those values.
   DeployOutcome deploy_random(const core::NetworkDescriptor& descriptor, std::uint64_t seed,

@@ -189,8 +189,8 @@ web::HttpResponse ServingRuntime::handle_deploy(const web::HttpRequest& request)
 
   DeployOutcome outcome;
   try {
-    outcome =
-        registry_.deploy(parsed->descriptor, std::move(parsed->weights), parsed->precision);
+    outcome = registry_.deploy(parsed->descriptor, parsed->weights, parsed->precision,
+                               std::move(parsed->network));
   } catch (const InjectedFault& e) {
     return api_error(500, "internal", e.what());
   } catch (const std::bad_alloc&) {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
+#include <type_traits>
 
 #include "serve/deadline.hpp"
 #include "serve/deploy_request.hpp"
@@ -22,6 +24,42 @@ constexpr const char* kPredictPath = "/api/v1/predict";
 constexpr const char* kDesignsPath = "/api/v1/designs";
 constexpr const char* kMetricsPath = "/api/v1/metrics";
 constexpr const char* kReadyzPath = "/api/v1/readyz";
+
+/// Runs call(0) .. call(n - 1) at once and returns their answers in index
+/// order: the calling thread takes index 0 and one short-lived thread takes
+/// each other index, so a round trip to every worker costs the slowest one,
+/// not the sum. An index whose thread cannot start runs inline. An exception
+/// a call throws reaches the caller, the first in index order, once every
+/// call has returned.
+template <class Call>
+auto fan_out(std::size_t n, const Call& call) {
+  using Answer = std::invoke_result_t<const Call&, std::size_t>;
+  static_assert(!std::is_same_v<Answer, bool>, "vector<bool> elements share words");
+  std::vector<Answer> answers(n);
+  std::vector<std::exception_ptr> errors(n);
+  const auto run = [&](std::size_t i) {
+    try {
+      answers[i] = call(i);
+    } catch (...) {
+      errors[i] = std::current_exception();
+    }
+  };
+  std::vector<std::thread> threads;
+  threads.reserve(n);
+  for (std::size_t i = 1; i < n; ++i) {
+    try {
+      threads.emplace_back(run, i);
+    } catch (const std::exception&) {  // std::system_error, or std::bad_alloc
+      run(i);
+    }
+  }
+  if (n > 0) run(0);
+  for (std::thread& thread : threads) thread.join();
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
+  return answers;
+}
 
 std::uint64_t u64_field(const json::Value& doc, const std::string& key) {
   try {
@@ -272,22 +310,36 @@ std::vector<Router::Repair> Router::restore_worker_locked(const std::string& id)
 }
 
 void Router::execute_repairs(std::vector<Repair> repairs) {
+  // Each target worker's repairs in plan order; the workers replay theirs at
+  // once, one thread per worker.
+  std::map<std::string, std::vector<const Repair*>> by_target;
   for (const Repair& repair : repairs) {
-    for (const std::string& target : repair.targets) {
-      WorkerClient* client = worker(target);
-      if (client == nullptr) continue;
-      const auto response = client->request("POST", kDeployPath, repair.deploy_body);
+    for (const std::string& target : repair.targets) by_target[target].push_back(&repair);
+  }
+  const std::vector<std::pair<std::string, std::vector<const Repair*>>> queues(
+      by_target.begin(), by_target.end());
+  const std::vector<std::size_t> accepted = fan_out(queues.size(), [&](std::size_t q) {
+    const auto& [target, queue] = queues[q];
+    std::size_t placed = 0;
+    WorkerClient* client = worker(target);
+    if (client == nullptr) return placed;
+    for (const Repair* repair : queue) {
+      const auto response = client->request("POST", kDeployPath, repair->deploy_body);
       if (response && response->status == 200) {
-        repairs_.fetch_add(1, std::memory_order_relaxed);
+        ++placed;
         std::lock_guard<std::mutex> lock(mutex_);
-        if (const auto it = catalog_.find(repair.design_id); it != catalog_.end()) {
+        if (const auto it = catalog_.find(repair->design_id); it != catalog_.end()) {
           it->second.holders.insert(target);
         }
       } else {
         LOG_WARN("shard") << format("replication repair of %s to %s failed",
-                                    repair.design_id.c_str(), target.c_str());
+                                    repair->design_id.c_str(), target.c_str());
       }
     }
+    return placed;
+  });
+  for (const std::size_t placed : accepted) {
+    repairs_.fetch_add(placed, std::memory_order_relaxed);
   }
 }
 
@@ -335,9 +387,12 @@ void Router::probe_now() {
     std::lock_guard<std::mutex> lock(mutex_);
     for (const auto& [id, client] : workers_) fleet.emplace_back(id, client.get());
   }
+  const std::vector<WorkerState> states =
+      fan_out(fleet.size(), [&](std::size_t w) { return fleet[w].second->probe(); });
   std::vector<Repair> repairs;
-  for (const auto& [id, client] : fleet) {
-    const WorkerState state = client->probe();
+  for (std::size_t w = 0; w < fleet.size(); ++w) {
+    const std::string& id = fleet[w].first;
+    const WorkerState state = states[w];
     const bool usable = state == WorkerState::kUp || state == WorkerState::kSaturated;
     std::lock_guard<std::mutex> lock(mutex_);
     if (ring_.contains(id) && !usable) {
@@ -425,13 +480,19 @@ web::HttpResponse Router::handle_deploy(const web::HttpRequest& request) {
     return api_error(503, "no_workers", "shard router has no workers on the ring");
   }
 
+  // Every replica deploys at once; the answers are read in ring order, so the
+  // first 200 in that order is the body the client gets.
+  const auto answers = fan_out(targets.size(), [&](std::size_t t) {
+    WorkerClient* client = worker(targets[t]);
+    return client == nullptr ? std::nullopt
+                             : client->request("POST", kDeployPath, request.body);
+  });
   std::optional<web::HttpResponse> success;
   std::optional<web::HttpResponse> failure;
   std::vector<std::string> holders;
-  for (const std::string& id : targets) {
-    WorkerClient* client = worker(id);
-    if (client == nullptr) continue;
-    const auto response = client->request("POST", kDeployPath, request.body);
+  for (std::size_t t = 0; t < targets.size(); ++t) {
+    const std::string& id = targets[t];
+    const std::optional<web::HttpResponse>& response = answers[t];
     if (!response) continue;
     if (response->status == 200) {
       holders.push_back(id);
@@ -644,8 +705,12 @@ web::HttpResponse Router::handle_designs(const web::HttpRequest&) {
   std::map<std::string, json::Value> designs;
   std::map<std::string, json::Array> held_by;
   json::Object per_worker;
-  for (const auto& [id, client] : fleet) {
-    const auto response = client->request("GET", kDesignsPath);
+  const auto answers = fan_out(fleet.size(), [&](std::size_t w) {
+    return fleet[w].second->request("GET", kDesignsPath);
+  });
+  for (std::size_t w = 0; w < fleet.size(); ++w) {
+    const std::string& id = fleet[w].first;
+    const std::optional<web::HttpResponse>& response = answers[w];
     if (!response || response->status != 200) continue;
     try {
       const json::Value doc = json::parse(response->body);
@@ -660,7 +725,7 @@ web::HttpResponse Router::handle_designs(const web::HttpRequest&) {
           designs[key] = design;
           order.push_back(key);
         }
-        held_by[key].push_back(id);
+        held_by[key].emplace_back(id);
       }
     } catch (const json::JsonError&) {
     }
@@ -693,8 +758,12 @@ web::HttpResponse Router::handle_metrics(const web::HttpRequest&) {
 
   json::Object workers_block;
   std::optional<json::Value> merged;
-  for (const auto& [id, client] : fleet) {
-    const auto response = client->request("GET", kMetricsPath);
+  const auto answers = fan_out(fleet.size(), [&](std::size_t w) {
+    return fleet[w].second->request("GET", kMetricsPath);
+  });
+  for (std::size_t w = 0; w < fleet.size(); ++w) {
+    const std::string& id = fleet[w].first;
+    const std::optional<web::HttpResponse>& response = answers[w];
     if (!response || response->status != 200) continue;
     try {
       json::Value doc = json::parse(response->body);
@@ -753,9 +822,13 @@ web::HttpResponse Router::handle_readyz(const web::HttpRequest&) {
   json::Object workers_block;
   std::size_t answering = 0;
   std::size_t degraded = 0;
-  for (const auto& [id, client] : fleet) {
+  const auto answers = fan_out(fleet.size(), [&](std::size_t w) {
+    return fleet[w].second->request("GET", kReadyzPath);
+  });
+  for (std::size_t w = 0; w < fleet.size(); ++w) {
+    const auto& [id, client] = fleet[w];
+    const std::optional<web::HttpResponse>& response = answers[w];
     json::Object one;
-    const auto response = client->request("GET", kReadyzPath);
     if (response) {
       ++answering;
       try {

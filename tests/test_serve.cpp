@@ -22,6 +22,7 @@
 #include "core/framework.hpp"
 #include "json/json.hpp"
 #include "nn/fixed_inference.hpp"
+#include "serve/deploy_request.hpp"
 #include "serve/server.hpp"
 #include "util/base64.hpp"
 #include "util/strings.hpp"
@@ -979,6 +980,58 @@ TEST(ServeApi, FixedQ44DescriptorWithAClampedWeightIsRefused) {
   const json::Value quant = json::parse(served.body).at("quantization");
   EXPECT_TRUE(quant.at("validated").as_bool());
   EXPECT_FALSE(quant.at("matches_fixed_model").as_bool());
+}
+
+TEST(ServeApi, SeedDeployServesTheNetworkItsParseBuiltBitForBit) {
+  // A "seed" body's parse builds the network, and the registry serves that
+  // network; a "weights_base64" body of the same weights is loaded from the
+  // blob instead, unless its Q4.4 clamp check built it. Both serve the same
+  // bits, because the blob keeps raw float32.
+  for (const std::string& seeded : {deploy_body("carried", 9),
+                                    fixed_deploy_body("carried_q44", 8, 4)}) {
+    const std::optional<DeployRequest> parsed = parse_deploy_request(seeded, nullptr);
+    ASSERT_TRUE(parsed.has_value());
+    EXPECT_TRUE(parsed->network.has_value());
+    json::Value doc = json::parse(seeded);
+    doc.as_object().erase("seed");
+    doc.as_object()["weights_base64"] = util::base64_encode(parsed->weights);
+    const std::string blob = doc.dump();
+    const bool q44 = parsed->descriptor.precision.is_fixed;
+    EXPECT_EQ(parse_deploy_request(blob, nullptr)->network.has_value(), q44);
+
+    ServingRuntime from_seed;
+    ServingRuntime from_blob;
+    web::HttpRequest deploy;
+    deploy.body = seeded;
+    const web::HttpResponse a = from_seed.handle_deploy(deploy);
+    deploy.body = blob;
+    const web::HttpResponse b = from_blob.handle_deploy(deploy);
+    ASSERT_EQ(a.status, 200) << a.body;
+    ASSERT_EQ(b.status, 200) << b.body;
+    const std::string design_id = json::parse(a.body).at("design_id").as_string();
+    ASSERT_EQ(json::parse(b.body).at("design_id").as_string(), design_id);
+    if (q44) {
+      EXPECT_EQ(json::parse(a.body).at("quantization").dump(),
+                json::parse(b.body).at("quantization").dump());
+    }
+
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      const tensor::Tensor image = test_image(seed, nn::Shape{1, 8, 8});
+      std::vector<std::uint8_t> raw(image.size() * sizeof(float));
+      std::memcpy(raw.data(), image.data(), raw.size());
+      web::HttpRequest predict;
+      predict.body = json::Value(json::Object{{"design_id", design_id},
+                                              {"image_base64", util::base64_encode(raw)}})
+                         .dump();
+      const web::HttpResponse served_a = from_seed.handle_predict(predict);
+      const web::HttpResponse served_b = from_blob.handle_predict(predict);
+      ASSERT_EQ(served_a.status, 200) << served_a.body;
+      ASSERT_EQ(served_b.status, 200) << served_b.body;
+      EXPECT_EQ(json::parse(served_a.body).at("logits").dump(),
+                json::parse(served_b.body).at("logits").dump())
+          << seeded;
+    }
+  }
 }
 
 TEST(ServeApi, FixedDescriptorWithoutAnEngineIsRefused) {

@@ -408,6 +408,25 @@ TEST(Router, DeployReplicatesToDistinctWorkersAndPredictIsBitExact) {
   }
 }
 
+TEST(Router, DeployReachesEveryReplicaAtOnce) {
+  // Each worker's registry stalls 200 ms on a deploy miss. The router sends
+  // the deploy to both replicas at once, so it waits out one stall, not two.
+  Fleet fleet(2);
+  for (const auto& worker : fleet.workers) {
+    ASSERT_TRUE(worker->runtime->faults().configure("registry.deploy=latency:200000"));
+  }
+  const auto asked = std::chrono::steady_clock::now();
+  const auto deployed = fleet.router->handle_deploy(post(deploy_body("fan_out_net")));
+  const auto took = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - asked);
+  ASSERT_EQ(deployed.status, 200) << deployed.body;
+  EXPECT_LT(took.count(), 300);
+  EXPECT_EQ(deployed.headers.at("X-Shard-Replication"), "2");
+  const std::string design_id = json::parse(deployed.body).at("design_id").as_string();
+  EXPECT_NE(fleet.workers[0]->runtime->registry().find(design_id), nullptr);
+  EXPECT_NE(fleet.workers[1]->runtime->registry().find(design_id), nullptr);
+}
+
 TEST(Router, ConcurrentPredictsToOneWorkerAllAnswerPromptly) {
   // The router keeps up to 8 kept-alive connections per worker. Eight
   // predicts at once open about that many, and the worker must serve each
