@@ -5,13 +5,15 @@
 //   1. Conv GEMM, per case-study conv layer. The seed path is a frozen copy
 //      of the conv fast path the kernel engine replaced (seed_blocked_conv
 //      in seed_conv.cpp: im2col + the pixel-blocked scalar GEMM), so the
-//      gate's baseline never moves. The SIMD path is exactly what the plan executor
-//      runs: weights packed once (the PackCache amortizes packing across
-//      calls), then per-image im2col_pack straight into packed-B panels and
-//      the fused SIMD GEMM epilogue. Parity (<= 1e-4 relative) is
+//      gate's baseline never moves. The SIMD path is exactly what the plan
+//      executor runs: weights packed once (the PackCache amortizes packing
+//      across calls), then the conv step kernels::conv_step, which packs one
+//      kConvBlockCols-column block at a time into an L1-sized arena and runs
+//      the fused SIMD GEMM epilogue over it. Parity (<= 1e-4 relative) is
 //      checked on the outputs being timed. The scalar engine's conv step
-//      (same packing, per-element gemm_scalar) is reported beside them, and
-//      so is the SIMD GEMM alone on the packed panels, as GFLOP/s and as a
+//      (same blocks, per-element gemm_scalar) is reported beside them, and
+//      so is the SIMD GEMM alone on the whole image's packed panels, as
+//      GFLOP/s and as a
 //      share of the host's single-thread FMA peak (12 independent FMA
 //      chains on the float microkernel's register width, the roof a
 //      register-resident tile can reach). A GEMM whose accumulators spill
@@ -23,12 +25,13 @@
 //      the float GEMM alone, with their ratios to it: what an integer
 //      pipeline could reach over float once both im2cols cost nothing.
 //   2. Whole-network inference on the paper's Test-4 CIFAR network: seed
-//      forward(), scalar-pinned infer(), avx2 infer(), and fused
-//      infer_batch(8) per-image cost, plus argmax agreement; and the
-//      network's 900->36 linear step alone (the unpacked linear kernel of
-//      the active engine) at batch 1 and 8.
+//      forward(), scalar-pinned infer(), avx2 infer() at float, int8 and
+//      int16, and fused infer_batch(8) per-image cost, plus argmax
+//      agreement; the network's 900->36 linear step alone (the unpacked
+//      linear kernel of the active engine) at batch 1 and 8; and its two
+//      pool steps alone (the pool pass of each precision), none gated.
 //
-//   The int8 and int16 pipelines (integer im2col, finish, GEMM) are timed on
+//   The int8 and int16 conv steps (conv_step_s8 / _s16) are timed on
 //   the integer microkernel gemm_s8/gemm_s16 pick by cpuid ("microkernel":
 //   avx2, avxvnni or avx512vnni), and on a VNNI host again on the AVX2
 //   microkernel, reported beside them ("*_avx2_*", "avx2_microkernel") and
@@ -73,8 +76,11 @@
 //     "int16": {... the same fields, "gate_min_speedup": 1.0 ...},
 //     "conv_gemm_speedup_geomean": float, "host_peak_gflops": float,
 //     "test4_linear": {"m": int, "k": int, "b1_us": float, "b8_us": float},
+//     "test4_pool": [{"name": str, "planes": int, "in": int, "float_us": float,
+//                     "int8_us": float, "int16_us": float}, ...],
 //     "net_forward_us": float, "net_infer_scalar_us": float,
-//     "net_infer_simd_us": float, "net_batch8_us_per_image": float,
+//     "net_infer_simd_us": float, "net_infer_int8_us": float,
+//     "net_infer_int16_us": float, "net_batch8_us_per_image": float,
 //     "net_speedup": float, "batch_fusion_speedup": float,
 //     "argmax_match": bool, "gate_min_speedup": 3.0, "pass": bool
 //   }
@@ -131,7 +137,7 @@ struct ConvResult {
   std::string name;
   std::size_t m = 0, k = 0, n = 0;
   double seed_us = 0.0;
-  double scalar_us = 0.0;  ///< scalar engine: im2col_pack + gemm_scalar
+  double scalar_us = 0.0;  ///< scalar engine: conv_step with gemm_scalar
   double simd_us = 0.0;
   double speedup = 0.0;
   double gemm_us = 0.0;      ///< the SIMD GEMM alone on packed panels
@@ -141,7 +147,7 @@ struct ConvResult {
   double gemm_gflops = 0.0;
   double peak_share = 0.0;   ///< gemm_gflops / host FMA peak
   double max_rel_err = 0.0;
-  double int8_us = 0.0;   ///< quantized pipeline per call (pack, finish, gemm)
+  double int8_us = 0.0;   ///< quantized conv step per call (blocked pack + gemm)
   double int16_us = 0.0;
   double int8_speedup = 0.0;   ///< vs the float SIMD pipeline (simd_us)
   double int16_speedup = 0.0;
@@ -160,8 +166,8 @@ struct ConvResult {
   bool int8_bit_exact = true, int16_bit_exact = true;
 };
 
-/// One integer precision's timings on one microkernel: the pipeline (pack,
-/// finish, GEMM) and the GEMM alone on the panels it left.
+/// One integer precision's timings on one microkernel: the conv step and the
+/// GEMM alone on the whole image's packed panels.
 struct QuantTimes {
   double pipeline_us = 0.0, gemm_us = 0.0;
 };
@@ -190,34 +196,34 @@ ConvResult measure_conv(const ConvCase& c, int samples) {
   // Pack weights once — the engine's PackCache does this once per deploy.
   ker::PackedA wp;
   ker::pack_a(conv.weights().data(), r.m, r.k, wp);
-  util::aligned_vector<float> bpack(ker::packed_b_size(r.n, r.k));
+  const ker::ConvShape shape{c.ih * c.iw, c.in_c, c.ih, c.iw, c.kernel, c.kernel, oh, ow};
+  util::aligned_vector<float> block(ker::conv_block_size(r.k));
   tensor::Tensor scalar_out(out_shape);
   r.scalar_us = time_us(
       [&] {
-        ker::im2col_pack(x.data(), c.ih * c.iw, c.in_c, c.ih, c.iw, c.kernel, c.kernel, oh,
-                         ow, bpack.data(), /*col0=*/0, r.n);
-        ker::zero_pack_tail(bpack.data(), r.n, r.k);
-        ker::gemm_scalar(wp, bpack.data(), r.n, conv.bias().data(), /*act=*/-1,
-                         scalar_out.data(), r.n);
+        ker::conv_step(ker::Kind::kScalar, wp, conv.bias().data(), /*act=*/-1, x.data(),
+                       x.size(), 1, shape, block.data(), scalar_out.data());
       },
       samples);
 
   if (!ker::avx2_available()) return r;
 
   tensor::Tensor simd_out(out_shape);
-  const auto simd_once = [&] {
-    ker::im2col_pack(x.data(), c.ih * c.iw, c.in_c, c.ih, c.iw, c.kernel, c.kernel, oh,
-                     ow, bpack.data(), /*col0=*/0, r.n);
-    ker::zero_pack_tail(bpack.data(), r.n, r.k);
-    ker::gemm(wp, bpack.data(), r.n, conv.bias().data(), /*act=*/-1, simd_out.data(),
-              r.n);
-  };
-  r.simd_us = time_us(simd_once, samples);
+  r.simd_us = time_us(
+      [&] {
+        ker::conv_step(ker::Kind::kAvx2, wp, conv.bias().data(), /*act=*/-1, x.data(),
+                       x.size(), 1, shape, block.data(), simd_out.data());
+      },
+      samples);
   r.speedup = r.seed_us / r.simd_us;
-  // simd_once left the packed panels in bpack.
+  // The GEMM alone over the whole image's packed panels.
+  util::aligned_vector<float> bpack(ker::packed_b_size(r.n, r.k));
+  ker::im2col_pack(x.data(), shape, 0, r.n, bpack.data(), 0);
+  ker::zero_pack_tail(bpack.data(), r.n, r.k);
+  tensor::Tensor gemm_out(out_shape);
   r.gemm_us = time_us(
       [&] {
-        ker::gemm(wp, bpack.data(), r.n, conv.bias().data(), /*act=*/-1, simd_out.data(),
+        ker::gemm(wp, bpack.data(), r.n, conv.bias().data(), /*act=*/-1, gemm_out.data(),
                   r.n);
       },
       samples);
@@ -227,15 +233,15 @@ ConvResult measure_conv(const ConvCase& c, int samples) {
     const ker::ScopedFloatMicrokernel narrow(ker::FloatMicrokernel::kAvx2);
     r.gemm_avx2_us = time_us(
         [&] {
-          ker::gemm(wp, bpack.data(), r.n, conv.bias().data(), /*act=*/-1, simd_out.data(),
+          ker::gemm(wp, bpack.data(), r.n, conv.bias().data(), /*act=*/-1, gemm_out.data(),
                     r.n);
         },
         samples);
   }
 
-  // Quantized pipelines on the same layer: activations arrive as raw fixed
+  // Quantized conv steps on the same layer: activations arrive as raw fixed
   // values (as they do between layers of the quantized runner), so the timed
-  // path is the serving path — integer im2col into packed panels + the fused
+  // path is the serving path — the blocked integer conv step with the fused
   // requantizing GEMM. Weight packing is deploy-time (QuantPackCache) and is
   // excluded, matching the float measurement above. Each precision is timed
   // on the microkernel gemm_s8/gemm_s16 pick (the gated one) and, on a VNNI
@@ -259,24 +265,21 @@ ConvResult measure_conv(const ConvCase& c, int samples) {
     ker::PackedWeightsS8 w8;
     ker::pack_weights_s8(conv.weights().data(), conv.bias().data(), r.m, r.k, f8, w8);
     util::aligned_vector<std::uint8_t> b8(ker::packed_b_size_s8(r.n, r.k));
+    util::aligned_vector<std::uint8_t> block8(ker::conv_block_size_s8(r.k));
     util::aligned_vector<std::int8_t> c8(r.m * r.n), ref8(r.m * r.n);
-    ker::detail::im2col_pack_s8_ref(x8.data(), c.ih * c.iw, c.in_c, c.ih, c.iw, c.kernel,
-                                    c.kernel, oh, ow, b8.data(), /*col0=*/0, r.n);
+    ker::detail::im2col_pack_s8_ref(x8.data(), shape, 0, r.n, b8.data(), 0);
     ker::finish_pack_s8(b8.data(), r.n, r.k);
     ker::gemm_s8(ker::Kind::kScalar, w8, b8.data(), r.n, f8, /*act=*/-1, ref8.data(), r.n);
     const auto measure8 = [&] {
       QuantTimes t;
       t.pipeline_us = time_us(
           [&] {
-            ker::im2col_pack_s8(x8.data(), c.ih * c.iw, c.in_c, c.ih, c.iw, c.kernel,
-                                c.kernel, oh, ow, b8.data(), /*col0=*/0, r.n);
-            ker::finish_pack_s8(b8.data(), r.n, r.k);
-            ker::gemm_s8(ker::Kind::kAvx2, w8, b8.data(), r.n, f8, /*act=*/-1, c8.data(),
-                         r.n);
+            ker::conv_step_s8(ker::Kind::kAvx2, w8, f8, /*act=*/-1, x8.data(), x8.size(), 1,
+                              shape, block8.data(), c8.data());
           },
           samples);
       r.int8_bit_exact = r.int8_bit_exact && c8 == ref8;
-      // The pipeline left the packed panels in b8.
+      // b8 holds the reference packer's panels, which every packer writes.
       t.gemm_us = time_us(
           [&] {
             ker::gemm_s8(ker::Kind::kAvx2, w8, b8.data(), r.n, f8, /*act=*/-1, c8.data(),
@@ -302,9 +305,9 @@ ConvResult measure_conv(const ConvCase& c, int samples) {
     ker::PackedWeightsS16 w16;
     ker::pack_weights_s16(conv.weights().data(), conv.bias().data(), r.m, r.k, f16, w16);
     util::aligned_vector<std::int16_t> b16(ker::packed_b_size_s16(r.n, r.k));
+    util::aligned_vector<std::int16_t> block16(ker::conv_block_size_s16(r.k));
     util::aligned_vector<std::int16_t> c16(r.m * r.n), ref16(r.m * r.n);
-    ker::detail::im2col_pack_s16_ref(x16.data(), c.ih * c.iw, c.in_c, c.ih, c.iw, c.kernel,
-                                     c.kernel, oh, ow, b16.data(), /*col0=*/0, r.n);
+    ker::detail::im2col_pack_s16_ref(x16.data(), shape, 0, r.n, b16.data(), 0);
     ker::finish_pack_s16(b16.data(), r.n, r.k);
     ker::gemm_s16(ker::Kind::kScalar, w16, b16.data(), r.n, f16, /*act=*/-1, ref16.data(),
                   r.n);
@@ -312,11 +315,8 @@ ConvResult measure_conv(const ConvCase& c, int samples) {
       QuantTimes t;
       t.pipeline_us = time_us(
           [&] {
-            ker::im2col_pack_s16(x16.data(), c.ih * c.iw, c.in_c, c.ih, c.iw, c.kernel,
-                                 c.kernel, oh, ow, b16.data(), /*col0=*/0, r.n);
-            ker::finish_pack_s16(b16.data(), r.n, r.k);
-            ker::gemm_s16(ker::Kind::kAvx2, w16, b16.data(), r.n, f16, /*act=*/-1,
-                          c16.data(), r.n);
+            ker::conv_step_s16(ker::Kind::kAvx2, w16, f16, /*act=*/-1, x16.data(), x16.size(),
+                               1, shape, block16.data(), c16.data());
           },
           samples);
       r.int16_bit_exact = r.int16_bit_exact && c16 == ref16;
@@ -443,6 +443,48 @@ LinearResult measure_linear(const nn::Network& net, nn::kernels::Kind kind, int 
     break;
   }
   return r;
+}
+
+struct PoolResult {
+  std::string name;
+  std::size_t planes = 0, in = 0;
+  double float_us = 0.0, int8_us = 0.0, int16_us = 0.0;
+};
+
+/// The network's pool steps as the plan executor runs them on one image: the
+/// pool pass of each precision over all the step's planes.
+std::vector<PoolResult> measure_pools(const nn::Network& net, int samples) {
+  namespace ker = nn::kernels;
+  const nn::ExecutionContext plan(net, ker::Kind::kScalar, nullptr);
+  const nn::FixedPointFormat f8 = nn::serve_precision_format(nn::ServePrecision::kInt8);
+  const nn::FixedPointFormat f16 = nn::serve_precision_format(nn::ServePrecision::kInt16);
+  std::vector<PoolResult> results;
+  for (const nn::ExecutionContext::Step& step : plan.steps()) {
+    if (step.kind != nn::ExecutionContext::Step::Kind::kPool) continue;
+    const auto* pool = static_cast<const nn::Pool2D*>(step.layer);
+    const bool is_max = pool->pool_kind() == nn::PoolKind::kMax;
+    const ker::PoolShape s{step.in_shape.channels(), step.in_shape.height(),
+                           step.in_shape.width(),    pool->kernel_h(),
+                           pool->kernel_w(),         pool->step(),
+                           step.out_shape.height(),  step.out_shape.width()};
+    PoolResult r;
+    r.name = "pool" + std::to_string(results.size() + 1);
+    r.planes = s.planes;
+    r.in = s.ih;
+    const tensor::Tensor x = bench::random_tensor(step.in_shape, 40 + results.size());
+    std::vector<float> out(step.out_shape.elements());
+    r.float_us = time_us([&] { ker::pool_layer(is_max, x.data(), s, out.data()); }, samples);
+    std::vector<std::int8_t> x8(x.size()), out8(out.size());
+    ker::quantize_input_s8(x.data(), x.size(), f8, x8.data());
+    r.int8_us = time_us(
+        [&] { ker::pool_layer_s8(is_max, x8.data(), s, out8.data(), f8); }, samples);
+    std::vector<std::int16_t> x16(x.size()), out16(out.size());
+    ker::quantize_input_s16(x.data(), x.size(), f16, x16.data());
+    r.int16_us = time_us(
+        [&] { ker::pool_layer_s16(is_max, x16.data(), s, out16.data(), f16); }, samples);
+    results.push_back(r);
+  }
+  return results;
 }
 
 }  // namespace
@@ -584,7 +626,8 @@ int main(int argc, char** argv) {
   std::printf("  forward() (seed, allocating): %9.2f us\n", forward_us);
   std::printf("  infer()   scalar engine:      %9.2f us\n", infer_scalar_us);
 
-  double infer_simd_us = 0.0, batch_us_per_image = 0.0;
+  double infer_simd_us = 0.0, infer_int8_us = 0.0, infer_int16_us = 0.0;
+  double batch_us_per_image = 0.0;
   double net_speedup = 0.0, fusion_speedup = 0.0;
   bool argmax_match = true;
   if (avx2) {
@@ -601,6 +644,16 @@ int main(int argc, char** argv) {
     fusion_speedup = infer_simd_us / batch_us_per_image;
     std::printf("  infer()   avx2 engine:        %9.2f us  (%.2fx vs scalar)\n",
                 infer_simd_us, net_speedup);
+    const auto infer_at = [&](nn::ServePrecision precision) {
+      nn::ExecutionContext ctx(net, ker::Kind::kAvx2, nullptr, precision, nullptr);
+      return time_us([&] { (void)net.infer(x, ctx); }, samples);
+    };
+    infer_int8_us = infer_at(nn::ServePrecision::kInt8);
+    infer_int16_us = infer_at(nn::ServePrecision::kInt16);
+    std::printf("  infer()   avx2 engine, int8:  %9.2f us  (%.2fx vs float, not gated)\n",
+                infer_int8_us, infer_simd_us / infer_int8_us);
+    std::printf("  infer()   avx2 engine, int16: %9.2f us  (%.2fx vs float, not gated)\n",
+                infer_int16_us, infer_simd_us / infer_int16_us);
     std::printf("  infer_batch(8) per image:     %9.2f us  (%.2fx vs per-image avx2)\n",
                 batch_us_per_image, fusion_speedup);
     for (const tensor::Tensor& image : images) {
@@ -615,6 +668,13 @@ int main(int argc, char** argv) {
   const LinearResult linear = measure_linear(net, linear_kind, samples);
   std::printf("  linear %zu->%zu step (%s):  %9.2f us at batch 1, %.2f us at batch 8\n",
               linear.k, linear.m, ker::kind_name(linear_kind), linear.b1_us, linear.b8_us);
+  const std::vector<PoolResult> pools = avx2 ? measure_pools(net, samples)
+                                             : std::vector<PoolResult>{};
+  for (const PoolResult& p : pools) {
+    std::printf("  %s step, %zu planes of %zux%zu:  float %.2f us, int8 %.2f us, int16 %.2f us"
+                " (not gated)\n",
+                p.name.c_str(), p.planes, p.in, p.in, p.float_us, p.int8_us, p.int16_us);
+  }
 
   constexpr double kGate = 3.0;
   constexpr double kInt8Gate = 2.0;   ///< int8 must at least halve float SIMD time
@@ -677,14 +737,23 @@ int main(int argc, char** argv) {
       ", \"host_peak_gflops\": %.3f, \"test4_linear\": {\"m\": %zu, \"k\": %zu, "
       "\"b1_us\": %.3f, \"b8_us\": %.3f}",
       peak_gflops, linear.m, linear.k, linear.b1_us, linear.b8_us);
+  json += ", \"test4_pool\": [";
+  for (std::size_t i = 0; i < pools.size(); ++i) {
+    const PoolResult& p = pools[i];
+    json += util::format(
+        "%s{\"name\": \"%s\", \"planes\": %zu, \"in\": %zu, \"float_us\": %.3f, "
+        "\"int8_us\": %.3f, \"int16_us\": %.3f}",
+        i == 0 ? "" : ", ", p.name.c_str(), p.planes, p.in, p.float_us, p.int8_us, p.int16_us);
+  }
   json += util::format(
-      ", \"conv_gemm_speedup_geomean\": %.3f, \"net_forward_us\": %.3f, "
+      "], \"conv_gemm_speedup_geomean\": %.3f, \"net_forward_us\": %.3f, "
       "\"net_infer_scalar_us\": %.3f, \"net_infer_simd_us\": %.3f, "
+      "\"net_infer_int8_us\": %.3f, \"net_infer_int16_us\": %.3f, "
       "\"net_batch8_us_per_image\": %.3f, \"net_speedup\": %.3f, "
       "\"batch_fusion_speedup\": %.3f, \"argmax_match\": %s, "
       "\"gate_min_speedup\": %.1f, \"pass\": %s}",
-      geomean, forward_us, infer_scalar_us, infer_simd_us, batch_us_per_image,
-      net_speedup, fusion_speedup, argmax_match ? "true" : "false", kGate,
+      geomean, forward_us, infer_scalar_us, infer_simd_us, infer_int8_us, infer_int16_us,
+      batch_us_per_image, net_speedup, fusion_speedup, argmax_match ? "true" : "false", kGate,
       pass ? "true" : "false");
 
   std::ofstream out(out_path);

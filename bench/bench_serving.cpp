@@ -917,9 +917,11 @@ int main(int argc, char** argv) {
   const Spread host_speedup = ratio_row(report, duels, "host_speedup", "host_batching",
                                         batching.ratio(&Throughput::host_ips));
 
-  // Worker scaling on the Test-2 USPS network (heavier per-image work, so the
-  // concurrent-batch engine — not dispatch overhead — dominates). max_batch=1:
-  // one image per batch makes the available parallelism explicit. Each side
+  // Worker scaling on the Test-2 USPS network. Test-2 computes in about 2 us
+  // per image on an AVX-512 host, so the per-image hand-off through the
+  // batcher and the executor, not the compute, bounds this ratio there (see
+  // ROADMAP). max_batch=1: one image per batch makes the available
+  // parallelism explicit. Each side
   // of a round serves about 100 ms of compute (25 ms in --quick), as timed
   // on the running host, so a round times the executors, not thread start-up.
   const core::NetworkDescriptor test2 = usps_test1_descriptor(/*optimize=*/true);

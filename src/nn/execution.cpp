@@ -58,7 +58,6 @@ ExecutionContext::ExecutionContext(const Network& net, kernels::Kind kind,
           "ExecutionContext: shared QuantPackCache precision mismatch");
     }
   }
-  std::size_t max_pool_row = 0;
   max_image_elems_ = net.input_shape().elements();
   std::size_t l = 0;
   while (l < count) {
@@ -73,7 +72,6 @@ ExecutionContext::ExecutionContext(const Network& net, kernels::Kind kind,
       step.kind = Step::Kind::kLinear;
     } else if (dynamic_cast<const Pool2D*>(step.layer) != nullptr) {
       step.kind = Step::Kind::kPool;
-      max_pool_row = std::max(max_pool_row, step.in_shape.width());
     } else if (dynamic_cast<const Activation*>(step.layer) != nullptr) {
       step.kind = Step::Kind::kActivation;
     } else if (dynamic_cast<const LogSoftMax*>(step.layer) != nullptr) {
@@ -96,7 +94,6 @@ ExecutionContext::ExecutionContext(const Network& net, kernels::Kind kind,
     max_image_elems_ = std::max(max_image_elems_, step.out_shape.elements());
     steps_.push_back(step);
   }
-  pool_row_.resize(max_pool_row);
 }
 
 const Tensor& Network::infer(const Tensor& input, ExecutionContext& ctx) const {

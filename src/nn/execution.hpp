@@ -34,10 +34,10 @@
 // contexts. Every context caches packed or quantized weights, so callers that
 // mutate weights must build fresh contexts afterwards.
 //
-// `Network::infer_batch` runs a whole micro-batch through ONE im2col + GEMM
-// per conv step (weights stream from cache once per layer instead of once per
-// image) and one kernel call per linear step, bit-identical to per-image
-// `infer` in every mode.
+// `Network::infer_batch` runs a whole micro-batch through ONE blocked
+// im2col + GEMM per conv step (weights stream from cache once per block of
+// columns instead of once per image), one pass per pool step and one kernel
+// call per linear step, bit-identical to per-image `infer` in every mode.
 //
 // Training keeps the mutable path: TrainContext wraps forward(train=true) +
 // backward so the train/infer split is explicit at every call site.
@@ -118,9 +118,11 @@ class ExecutionContext {
   void with_arithmetic(Fn&& fn);
 
   /// Grows the batch scratch to hold `batch` images of `elem`-byte values,
-  /// with packed-B panels of `packed_b_size(n, k)` elements for every conv
-  /// step, and for every linear step when `packs_linear`.
+  /// with a packed-B arena of `conv_block_size(k)` elements for every conv
+  /// step (one block, whatever the batch), and of `packed_b_size(batch, k)`
+  /// for every linear step when `packs_linear`.
   void ensure_batch(std::size_t batch, std::size_t elem,
+                    std::size_t (*conv_block_size)(std::size_t),
                     std::size_t (*packed_b_size)(std::size_t, std::size_t),
                     bool packs_linear);
 
@@ -138,11 +140,10 @@ class ExecutionContext {
   // Batch scratch, grown by the plan executor to hold `batch_capacity_`
   // images. The byte buffers hold float, int16 or int8 values depending on
   // precision_, so one set of buffers serves every arithmetic.
-  util::aligned_vector<std::uint8_t> bpack_;     ///< packed-B panels
+  util::aligned_vector<std::uint8_t> bpack_;     ///< packed-B panels (one conv block)
   util::aligned_vector<std::uint8_t> ping_;      ///< activation buffers
   util::aligned_vector<std::uint8_t> pong_;
   util::aligned_vector<std::uint8_t> rows_;      ///< quantized pack_b row pointers
-  util::aligned_vector<float> pool_row_;         ///< avx2 pool_plane row scratch
   std::size_t batch_capacity_ = 0;
   std::size_t max_image_elems_ = 0;  ///< max elements of any per-image buffer
 };

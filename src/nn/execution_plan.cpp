@@ -1,10 +1,14 @@
 // The plan executor: one walker for every kernel engine x precision pair.
 //
-// One invocation runs a whole micro-batch through the context's plan with a
-// single im2col + packed GEMM per conv step, so each conv layer's weight
-// panels stream from cache once per *batch* instead of once per image.
-// Linear steps make one kernel call per batch: quantized ones pack the rows
-// for one GEMM, float ones stream the weights against each image row.
+// One invocation runs a whole micro-batch through the context's plan. A conv
+// step is one blocked pack + GEMM over the batch's im2col matrix
+// (kernels::conv_step and its integer twins): each kConvBlockCols-column
+// block is packed into an L1-sized arena and multiplied at once, and each
+// conv layer's weight panels stream from cache once per block, whichever
+// images the block holds. A pool step is one vector pass over all the
+// batch's planes. Linear steps make one kernel call per batch: quantized
+// ones pack the rows for one GEMM, float ones stream the weights against
+// each image row.
 // Activations between steps live in the context's ping/pong buffers in one of
 // two layouts, tracked per step:
 //
@@ -12,24 +16,25 @@
 //                  [b*pixels, (b+1)*pixels) of row c in a (C x B*pixels)
 //                  buffer. This is exactly what a batched conv GEMM produces
 //                  when image b's im2col patches sit at packed columns
-//                  b*pixels..; pooling preserves it via strided plane
-//                  pointers, and a following conv consumes it directly with
-//                  channel stride B*pixels — no reshuffling between
-//                  conv/pool/conv chains.
+//                  b*pixels..; pooling preserves it (its planes are
+//                  consecutive in either layout), and a following conv
+//                  consumes it directly with channel stride B*pixels — no
+//                  reshuffling between conv/pool/conv chains.
 //   kImageMajor  — image b's flat activations at [b*elems, (b+1)*elems);
 //                  how inputs are loaded, what linear layers read and write,
 //                  and what log-softmax and the final store read.
 //
 // The walker is written once against an *arithmetic*: the value type kept
-// between steps plus the kernels that load, pack, multiply, pool and activate
-// it. FloatArith runs float32 on either engine, and its linear steps stream
-// the weight panels against the image rows in place; QuantArith<int16_t> and
-// QuantArith<int8_t> run the raw fixed-point values of kernels_int.hpp
-// (Q8.8 / Q4.4) with the fixed-point renormalize + saturate in the GEMM
-// epilogue. Loading quantizes the float inputs and storing dequantizes the
-// scores, and a trailing LogSoftMax always runs the seed float loop on the
-// stored scores, exactly as forward_fixed does, so quantized scores agree
-// with the fixed-point model bit-for-bit (int8 modulo the weight clamp).
+// between steps plus the kernels that load, convolve, multiply, pool and
+// activate it. FloatArith runs float32 on either engine, and its linear steps
+// stream the weight panels against the image rows in place;
+// QuantArith<int16_t> and QuantArith<int8_t> run the raw fixed-point values
+// of kernels_int.hpp (Q8.8 / Q4.4) with the fixed-point renormalize +
+// saturate in the GEMM epilogue. Loading quantizes the float inputs and
+// storing dequantizes the scores, and a trailing LogSoftMax always runs the
+// seed float loop on the stored scores, exactly as forward_fixed does, so
+// quantized scores agree with the fixed-point model bit-for-bit (int8 modulo
+// the weight clamp).
 //
 // Numerical contract: every output element is produced by the same
 // per-element operation sequence whatever the batch size (see kernels.hpp and
@@ -88,10 +93,10 @@ struct FloatArith {
   static std::size_t packed_b_size(std::size_t n, std::size_t k) {
     return ker::packed_b_size(n, k);
   }
+  static std::size_t conv_block_size(std::size_t k) { return ker::conv_block_size(k); }
 
   bool avx2;
   ker::PackCache& packs;
-  float* pool_row;
 
   void load(const float* in, std::size_t n, Raw* out) const {
     std::memcpy(out, in, n * sizeof(float));
@@ -99,24 +104,13 @@ struct FloatArith {
   void store(const Raw* in, std::size_t n, float* out) const {
     std::memcpy(out, in, n * sizeof(float));
   }
-  void im2col(const Raw* in, std::size_t cstride, std::size_t channels, std::size_t ih,
-              std::size_t iw, std::size_t kh, std::size_t kw, std::size_t oh, std::size_t ow,
-              Pack* bpack, std::size_t col0, std::size_t n) const {
-    ker::im2col_pack(in, cstride, channels, ih, iw, kh, kw, oh, ow, bpack, col0, n);
-  }
-  void finish(Pack* bpack, std::size_t n, std::size_t k) const {
-    ker::zero_pack_tail(bpack, n, k);
-  }
   const ker::PackedA& weights(std::size_t layer, const Gemm& g) const {
     return packs.get(layer, g.w, g.m, g.k);
   }
-  void gemm(std::size_t layer, const Gemm& g, const Pack* bpack, std::size_t n, int act,
-            Raw* c) const {
-    if (avx2) {
-      ker::gemm(weights(layer, g), bpack, n, g.bias, act, c, n);
-    } else {
-      ker::gemm_scalar(weights(layer, g), bpack, n, g.bias, act, c, n);
-    }
+  void conv(std::size_t layer, const Gemm& g, int act, const Raw* in, std::size_t image_stride,
+            std::size_t count, const ker::ConvShape& s, Pack* block, Raw* c) const {
+    ker::conv_step(avx2 ? ker::Kind::kAvx2 : ker::Kind::kScalar, weights(layer, g), g.bias,
+                   act, in, image_stride, count, s, block, c);
   }
   /// Linear step over `count` image-major rows, without packing them.
   void linear(std::size_t layer, const Gemm& g, const Raw* in, std::size_t count, int act,
@@ -127,13 +121,14 @@ struct FloatArith {
       ker::linear_scalar(weights(layer, g), in, count, g.bias, act, out);
     }
   }
-  void pool(bool is_max, const Raw* in, std::size_t ih, std::size_t iw, std::size_t kh,
-            std::size_t kw, std::size_t step, std::size_t oh, std::size_t ow,
-            Raw* out) const {
+  void pool(bool is_max, const Raw* in, const ker::PoolShape& s, Raw* out) const {
     if (avx2) {
-      ker::pool_plane(is_max, in, ih, iw, kh, kw, step, oh, ow, out, pool_row);
-    } else {
-      ker::pool_plane_scalar(is_max, in, ih, iw, kh, kw, step, oh, ow, out);
+      ker::pool_layer(is_max, in, s, out);
+      return;
+    }
+    for (std::size_t p = 0; p < s.planes; ++p) {
+      ker::pool_plane_scalar(is_max, in + p * s.ih * s.iw, s.ih, s.iw, s.kh, s.kw, s.step,
+                             s.oh, s.ow, out + p * s.oh * s.ow);
     }
   }
   const Raw* lut(ActKind) const { return nullptr; }  // float needs no tables
@@ -165,6 +160,9 @@ struct QuantArith {
   static std::size_t packed_b_size(std::size_t n, std::size_t k) {
     return k8 ? ker::packed_b_size_s8(n, k) : ker::packed_b_size_s16(n, k);
   }
+  static std::size_t conv_block_size(std::size_t k) {
+    return k8 ? ker::conv_block_size_s8(k) : ker::conv_block_size_s16(k);
+  }
 
   ker::Kind kind;
   ker::QuantPackCache& packs;
@@ -180,27 +178,11 @@ struct QuantArith {
   void store(const Raw* in, std::size_t n, float* out) const {
     for (std::size_t i = 0; i < n; ++i) out[i] = fixed_dequantize(in[i], fmt);
   }
-  void im2col(const Raw* in, std::size_t cstride, std::size_t channels, std::size_t ih,
-              std::size_t iw, std::size_t kh, std::size_t kw, std::size_t oh, std::size_t ow,
-              Pack* bpack, std::size_t col0, std::size_t n) const {
-    if constexpr (k8) {
-      ker::im2col_pack_s8(in, cstride, channels, ih, iw, kh, kw, oh, ow, bpack, col0, n);
-    } else {
-      ker::im2col_pack_s16(in, cstride, channels, ih, iw, kh, kw, oh, ow, bpack, col0, n);
-    }
-  }
   void pack_rows(const void* const* rows, std::size_t n, std::size_t k, Pack* bpack) const {
     if constexpr (k8) {
       ker::pack_b_s8(rows, n, k, bpack);
     } else {
       ker::pack_b_s16(rows, n, k, bpack);
-    }
-  }
-  void finish(Pack* bpack, std::size_t n, std::size_t k) const {
-    if constexpr (k8) {
-      ker::finish_pack_s8(bpack, n, k);
-    } else {
-      ker::finish_pack_s16(bpack, n, k);
     }
   }
   const auto& weights(std::size_t layer, const Gemm& g) const {
@@ -210,25 +192,37 @@ struct QuantArith {
       return packs.get16(layer, g.w, g.bias, g.m, g.k);
     }
   }
+  // Only ReLU fuses into the integer epilogue; tanh/sigmoid go through the
+  // activation table afterwards.
+  static int fused_act(int act) { return act == static_cast<int>(ActKind::kReLU) ? act : -1; }
+  void lut_act(int act, Raw* c, std::size_t n) const {
+    if (act >= 0 && fused_act(act) < 0) activation(static_cast<ActKind>(act), c, n);
+  }
+  void conv(std::size_t layer, const Gemm& g, int act, const Raw* in, std::size_t image_stride,
+            std::size_t count, const ker::ConvShape& s, Pack* block, Raw* c) const {
+    if constexpr (k8) {
+      ker::conv_step_s8(kind, weights(layer, g), fmt, fused_act(act), in, image_stride, count,
+                        s, block, c);
+    } else {
+      ker::conv_step_s16(kind, weights(layer, g), fmt, fused_act(act), in, image_stride, count,
+                         s, block, c);
+    }
+    lut_act(act, c, g.m * count * s.cols());
+  }
   void gemm(std::size_t layer, const Gemm& g, const Pack* bpack, std::size_t n, int act,
             Raw* c) const {
-    // Only ReLU fuses into the integer epilogue; tanh/sigmoid go through the
-    // activation table afterwards.
-    const bool relu = act == static_cast<int>(ActKind::kReLU);
     if constexpr (k8) {
-      ker::gemm_s8(kind, weights(layer, g), bpack, n, fmt, relu ? act : -1, c, n);
+      ker::gemm_s8(kind, weights(layer, g), bpack, n, fmt, fused_act(act), c, n);
     } else {
-      ker::gemm_s16(kind, weights(layer, g), bpack, n, fmt, relu ? act : -1, c, n);
+      ker::gemm_s16(kind, weights(layer, g), bpack, n, fmt, fused_act(act), c, n);
     }
-    if (act >= 0 && !relu) activation(static_cast<ActKind>(act), c, g.m * n);
+    lut_act(act, c, g.m * n);
   }
-  void pool(bool is_max, const Raw* in, std::size_t ih, std::size_t iw, std::size_t kh,
-            std::size_t kw, std::size_t step, std::size_t oh, std::size_t ow,
-            Raw* out) const {
+  void pool(bool is_max, const Raw* in, const ker::PoolShape& s, Raw* out) const {
     if constexpr (k8) {
-      ker::pool_plane_s8(is_max, in, ih, iw, kh, kw, step, oh, ow, out, fmt);
+      ker::pool_layer_s8(is_max, in, s, out, fmt);
     } else {
-      ker::pool_plane_s16(is_max, in, ih, iw, kh, kw, step, oh, ow, out, fmt);
+      ker::pool_layer_s16(is_max, in, s, out, fmt);
     }
   }
   const Raw* lut(ActKind act) const {
@@ -267,18 +261,21 @@ void run_steps(const Step* steps, std::size_t stop, const Shape& input_shape,
   // The buffer the next producing step should write to.
   const auto free_buf = [&]() { return cur == ping ? pong : ping; };
 
-  // Base pointer and channel stride of image b's activations for plane-wise
-  // consumers (conv im2col, pooling), given the current domain.
-  const auto image_plane = [&](const Shape& in_shape,
-                               std::size_t b) -> std::pair<const Raw*, std::size_t> {
+  // The distance between images and between one image's channel planes in
+  // the current domain, for a conv's im2col.
+  const auto plane_strides = [&](const Shape& in_shape) -> std::pair<std::size_t, std::size_t> {
     const std::size_t pixels = in_shape.height() * in_shape.width();
-    if (domain == Domain::kInterleaved) return {cur + b * pixels, count * pixels};
-    return {cur + b * in_shape.elements(), pixels};
+    if (domain == Domain::kInterleaved) return {pixels, count * pixels};
+    return {in_shape.elements(), pixels};
   };
 
-  // Materialize the current activations as kImageMajor (no-op if they are).
+  // Materialize the current activations as kImageMajor (no-op if they are,
+  // and for one image, whose two layouts coincide).
   const auto to_image_major = [&](const Shape& shape) {
-    if (domain == Domain::kImageMajor) return;
+    if (domain == Domain::kImageMajor || count == 1) {
+      domain = Domain::kImageMajor;
+      return;
+    }
     const std::size_t elems = shape.elements();
     const std::size_t pixels = shape.height() * shape.width();
     Raw* dst = free_buf();
@@ -299,36 +296,36 @@ void run_steps(const Step* steps, std::size_t stop, const Shape& input_shape,
     switch (step.kind) {
       case Step::Kind::kConv: {
         const auto* conv = static_cast<const Conv2D*>(step.layer);
-        const Gemm g = gemm_of(step);
-        const std::size_t n = count * g.cols;
-        for (std::size_t b = 0; b < count; ++b) {
-          const auto [base, cstride] = image_plane(step.in_shape, b);
-          ar.im2col(base, cstride, conv->in_channels(), step.in_shape.height(),
-                    step.in_shape.width(), conv->kernel_h(), conv->kernel_w(),
-                    step.out_shape.height(), step.out_shape.width(), bpack, b * g.cols, n);
-        }
-        ar.finish(bpack, n, g.k);
+        const auto [image_stride, c_stride] = plane_strides(step.in_shape);
+        const ker::ConvShape shape{c_stride,
+                                   conv->in_channels(),
+                                   step.in_shape.height(),
+                                   step.in_shape.width(),
+                                   conv->kernel_h(),
+                                   conv->kernel_w(),
+                                   step.out_shape.height(),
+                                   step.out_shape.width()};
         Raw* dst = free_buf();
-        ar.gemm(step.layer_index, g, bpack, n, act, dst);
+        ar.conv(step.layer_index, gemm_of(step), act, cur, image_stride, count, shape, bpack,
+                dst);
         cur = dst;
         domain = Domain::kInterleaved;
         break;
       }
       case Step::Kind::kPool: {
+        // The planes are consecutive in either domain, and stay so.
         const auto* pool = static_cast<const Pool2D*>(step.layer);
-        const std::size_t opix = step.out_shape.height() * step.out_shape.width();
+        const ker::PoolShape shape{count * step.in_shape.channels(),
+                                   step.in_shape.height(),
+                                   step.in_shape.width(),
+                                   pool->kernel_h(),
+                                   pool->kernel_w(),
+                                   pool->step(),
+                                   step.out_shape.height(),
+                                   step.out_shape.width()};
         Raw* dst = free_buf();
-        for (std::size_t b = 0; b < count; ++b) {
-          const auto [base, cstride] = image_plane(step.in_shape, b);
-          for (std::size_t c = 0; c < step.in_shape.channels(); ++c) {
-            ar.pool(pool->pool_kind() == PoolKind::kMax, base + c * cstride,
-                    step.in_shape.height(), step.in_shape.width(), pool->kernel_h(),
-                    pool->kernel_w(), pool->step(), step.out_shape.height(),
-                    step.out_shape.width(), dst + c * count * opix + b * opix);
-          }
-        }
+        ar.pool(pool->pool_kind() == PoolKind::kMax, cur, shape, dst);
         cur = dst;
-        domain = Domain::kInterleaved;
         break;
       }
       case Step::Kind::kLinear: {
@@ -397,22 +394,23 @@ void ExecutionContext::with_arithmetic(Fn&& fn) {
       fn(QuantArith<std::int16_t>{kernel_, *qpacks_, qformat_});
       return;
     case ServePrecision::kFloat32:
-      fn(FloatArith{kernel_ == kernels::Kind::kAvx2, *packs_, pool_row_.data()});
+      fn(FloatArith{kernel_ == kernels::Kind::kAvx2, *packs_});
       return;
   }
 }
 
 void ExecutionContext::ensure_batch(std::size_t batch, std::size_t elem,
+                                    std::size_t (*conv_block_size)(std::size_t),
                                     std::size_t (*packed_b_size)(std::size_t, std::size_t),
                                     bool packs_linear) {
   if (batch <= batch_capacity_) return;
   std::size_t need_bpack = 0;
   for (const Step& step : steps_) {
-    const bool packs = step.kind == Step::Kind::kConv ||
-                       (packs_linear && step.kind == Step::Kind::kLinear);
-    if (!packs) continue;
-    const Gemm g = gemm_of(step);
-    need_bpack = std::max(need_bpack, packed_b_size(batch * g.cols, g.k));
+    if (step.kind == Step::Kind::kConv) {
+      need_bpack = std::max(need_bpack, conv_block_size(gemm_of(step).k));
+    } else if (packs_linear && step.kind == Step::Kind::kLinear) {
+      need_bpack = std::max(need_bpack, packed_b_size(batch, gemm_of(step).k));
+    }
   }
   bpack_.resize(need_bpack * elem);
   ping_.resize(batch * max_image_elems_ * elem);
@@ -445,7 +443,8 @@ void Network::run_plan(const Tensor* const* inputs, std::size_t count, Execution
     using A = std::decay_t<decltype(ar)>;
     using Raw = typename A::Raw;
     // The byte buffers hold this arithmetic's element type.
-    ctx.ensure_batch(count, sizeof(Raw), &A::packed_b_size, A::kPacksLinear);
+    ctx.ensure_batch(count, sizeof(Raw), &A::conv_block_size, &A::packed_b_size,
+                     A::kPacksLinear);
     run_steps(ctx.steps_.data(), stop, input_shape_, inputs, count, ar,
               reinterpret_cast<typename A::Pack*>(ctx.bpack_.data()),
               reinterpret_cast<Raw*>(ctx.ping_.data()), reinterpret_cast<Raw*>(ctx.pong_.data()),

@@ -9,7 +9,8 @@
 // build each row in registers and store it whole, walking the panels of an
 // image in order and each panel's rows in k order: the writes are
 // sequential, where the element loops (the _ref packers) scatter single
-// elements 64 bytes apart.
+// elements 64 bytes apart. A call packs a range of one image's columns, as a
+// conv step's block may hold part of an image.
 //
 // A row gathers, for each k of its group, the 16 input elements its columns
 // read. A panel's columns split into runs that lie in one output row; a run's
@@ -236,6 +237,19 @@ struct Tap {
   std::ptrdiff_t src, kb;
 };
 
+/// The taps of one geometry, G per k-group (see pack_panels).
+struct TapTable {
+  ConvShape shape{};
+  std::size_t group = 0;
+  std::vector<Tap> taps;
+
+  bool for_shape(const ConvShape& s, std::size_t g) const {
+    return !taps.empty() && group == g && shape.c_stride == s.c_stride &&
+           shape.channels == s.channels && shape.iw == s.iw && shape.kh == s.kh &&
+           shape.kw == s.kw;
+  }
+};
+
 /// How a panel's rows are gathered: one plain load per k (one run, every k
 /// in bounds), one shuffled load per k (int8, several runs, every k in
 /// bounds), loads blended by run (every k in bounds), or with a bounds test
@@ -282,53 +296,55 @@ template <typename T, Gather kGather>
   }
 }
 
-/// Pack one image's oh*ow columns, starting at global column col0, into
-/// panels of `panel_groups` 64-byte rows (k-groups, padding included).
+/// Pack one image's columns [first, last), column `first` landing at global
+/// column col0, into panels of `panel_groups` 64-byte rows (k-groups,
+/// padding included).
 template <typename T>
-void pack_panels(const T* in, std::size_t c_stride, std::size_t channels, std::size_t ih,
-                 std::size_t iw, std::size_t kh, std::size_t kw, std::size_t oh,
-                 std::size_t ow, void* bpack, std::size_t col0, std::size_t panel_groups) {
+void pack_panels(const T* in, const ConvShape& s, std::size_t first, std::size_t last,
+                 void* bpack, std::size_t col0, std::size_t panel_groups) {
   constexpr std::size_t G = 4 / sizeof(T);
-  const std::size_t k_total = channels * kh * kw;
-  const std::size_t n_img = oh * ow;
+  const std::size_t c_stride = s.c_stride, channels = s.channels, iw = s.iw, kh = s.kh,
+                    kw = s.kw, ow = s.ow;
+  const std::size_t k_total = s.k();
+  const std::size_t n_img = last - first;
   if (n_img == 0 || k_total == 0) return;
-  const auto pixels = static_cast<std::ptrdiff_t>(ih * iw);
+  const auto pixels = static_cast<std::ptrdiff_t>(s.ih * iw);
   // The largest in-plane offset ky*iw + kx of any k.
   const auto kb_max = static_cast<std::ptrdiff_t>((kh - 1) * iw + kw - 1);
 
   // Taps for every k, padded to whole groups: the padding k of a partial
   // last group repeat the group's first k, as the element loops do, and
-  // finish_pack_* zeroes them.
+  // finish_pack_* zeroes them. A conv step packs its geometry once per block
+  // of columns, so each thread keeps the table of the last one it packed.
   const std::size_t rows = (k_total + G - 1) / G;
-  constexpr std::size_t kStackTaps = 512;
-  Tap stack_taps[kStackTaps];
-  std::vector<Tap> heap_taps;
-  Tap* taps = stack_taps;
-  if (rows * G > kStackTaps) {
-    heap_taps.resize(rows * G);
-    taps = heap_taps.data();
-  }
-  std::size_t k = 0;
-  for (std::size_t c = 0; c < channels; ++c) {
-    for (std::size_t ky = 0; ky < kh; ++ky) {
-      for (std::size_t kx = 0; kx < kw; ++kx, ++k) {
-        const auto kb = static_cast<std::ptrdiff_t>(ky * iw + kx);
-        taps[k] = {static_cast<std::ptrdiff_t>(c * c_stride) + kb, kb};
+  thread_local TapTable table;
+  if (!table.for_shape(s, G)) {
+    table.shape = s;
+    table.group = G;
+    table.taps.resize(rows * G);
+    std::size_t k = 0;
+    for (std::size_t c = 0; c < channels; ++c) {
+      for (std::size_t ky = 0; ky < kh; ++ky) {
+        for (std::size_t kx = 0; kx < kw; ++kx, ++k) {
+          const auto kb = static_cast<std::ptrdiff_t>(ky * iw + kx);
+          table.taps[k] = {static_cast<std::ptrdiff_t>(c * c_stride) + kb, kb};
+        }
       }
     }
+    for (; k < rows * G; ++k) table.taps[k] = table.taps[k - k % G];
   }
-  for (; k < rows * G; ++k) taps[k] = taps[k - k % G];
+  const Tap* taps = table.taps.data();
 
   auto* out = static_cast<std::uint8_t*>(bpack);
   const __m256i lane_idx = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
   const __m256i lane_idx_hi = _mm256_add_epi32(lane_idx, _mm256_set1_epi32(8));
 
   Panel<T> p;
-  std::size_t y = 0, x = 0;  // output pixel of the next column
+  std::size_t y = first / ow, x = first % ow;  // output pixel of the next column
   for (std::size_t q = col0 / kPanelCols; q * kPanelCols < col0 + n_img; ++q) {
-    const std::size_t first = q * kPanelCols;
-    const int l0 = static_cast<int>(std::max(col0, first) - first);
-    const int l1 = static_cast<int>(std::min(col0 + n_img, first + kPanelCols) - first);
+    const std::size_t panel0 = q * kPanelCols;
+    const int l0 = static_cast<int>(std::max(col0, panel0) - panel0);
+    const int l1 = static_cast<int>(std::min(col0 + n_img, panel0 + kPanelCols) - panel0);
     p.nruns = 0;
     for (int lane = l0; lane < l1; ++p.nruns) {
       const int len = std::min(l1 - lane, static_cast<int>(ow - x));
@@ -375,31 +391,19 @@ void pack_panels(const T* in, std::size_t c_stride, std::size_t channels, std::s
 
 }  // namespace
 
-void im2col_pack_avx2(const float* in, std::size_t c_stride, std::size_t channels,
-                      std::size_t ih, std::size_t iw, std::size_t kh, std::size_t kw,
-                      std::size_t oh, std::size_t ow, float* bpack, std::size_t col0,
-                      std::size_t n_total) {
-  (void)n_total;
-  pack_panels(in, c_stride, channels, ih, iw, kh, kw, oh, ow, bpack, col0,
-              channels * kh * kw);
+void im2col_pack_avx2(const float* in, const ConvShape& s, std::size_t first,
+                      std::size_t last, float* bpack, std::size_t col0) {
+  pack_panels(in, s, first, last, bpack, col0, s.k());
 }
 
-void im2col_pack_s16_avx2(const std::int16_t* in, std::size_t c_stride,
-                          std::size_t channels, std::size_t ih, std::size_t iw,
-                          std::size_t kh, std::size_t kw, std::size_t oh, std::size_t ow,
-                          std::int16_t* bpack, std::size_t col0, std::size_t n_total) {
-  (void)n_total;
-  pack_panels(in, c_stride, channels, ih, iw, kh, kw, oh, ow, bpack, col0,
-              padded_k_s16(channels * kh * kw) / 2);
+void im2col_pack_s16_avx2(const std::int16_t* in, const ConvShape& s, std::size_t first,
+                          std::size_t last, std::int16_t* bpack, std::size_t col0) {
+  pack_panels(in, s, first, last, bpack, col0, padded_k_s16(s.k()) / 2);
 }
 
-void im2col_pack_s8_avx2(const std::int8_t* in, std::size_t c_stride, std::size_t channels,
-                         std::size_t ih, std::size_t iw, std::size_t kh, std::size_t kw,
-                         std::size_t oh, std::size_t ow, std::uint8_t* bpack,
-                         std::size_t col0, std::size_t n_total) {
-  (void)n_total;
-  pack_panels(in, c_stride, channels, ih, iw, kh, kw, oh, ow, bpack, col0,
-              padded_k_s8(channels * kh * kw) / 4);
+void im2col_pack_s8_avx2(const std::int8_t* in, const ConvShape& s, std::size_t first,
+                         std::size_t last, std::uint8_t* bpack, std::size_t col0) {
+  pack_panels(in, s, first, last, bpack, col0, padded_k_s8(s.k()) / 4);
 }
 
 }  // namespace cnn2fpga::nn::kernels::detail

@@ -3,8 +3,9 @@
 // scalar kernels repeat forward()'s expressions, so this file must be built
 // like Network::forward — without FP contraction (top-level CMakeLists.txt)
 // and never with the flags of kernels_avx2.cpp. The AVX2 compute entry
-// points (gemm, linear, pool_plane, activation_apply, logsoftmax; gemm's
-// 512-bit instance is kernels_avx512.cpp) live in kernels_avx2.cpp, built with
+// points (gemm, linear, pool_layer, activation_apply, logsoftmax; gemm's
+// 512-bit instance and the AVX-512 conv packer are kernels_avx512.cpp) live
+// in kernels_avx2.cpp, built with
 // -mavx2 -mfma only when the toolchain supports it; without CNN2FPGA_HAVE_AVX2
 // those symbols become throwing stubs here and active() resolves to kScalar.
 #include "nn/kernels/kernels.hpp"
@@ -154,53 +155,82 @@ void im2col_pack(const float* in, std::size_t c_stride, std::size_t channels,
                  std::size_t ih, std::size_t iw, std::size_t kh, std::size_t kw,
                  std::size_t oh, std::size_t ow, float* bpack, std::size_t col0,
                  std::size_t n_total) {
+  (void)n_total;
+  im2col_pack(in, ConvShape{c_stride, channels, ih, iw, kh, kw, oh, ow}, 0, oh * ow, bpack,
+              col0);
+}
+
+void im2col_pack(const float* in, const ConvShape& s, std::size_t first, std::size_t last,
+                 float* bpack, std::size_t col0) {
+  if (float_microkernel_available(FloatMicrokernel::kAvx512) &&
+      detail::im2col_pack_avx512(in, s, first, last, bpack, col0)) {
+    return;
+  }
 #ifdef CNN2FPGA_HAVE_AVX2
   if (avx2_available()) {
-    detail::im2col_pack_avx2(in, c_stride, channels, ih, iw, kh, kw, oh, ow, bpack, col0,
-                             n_total);
+    detail::im2col_pack_avx2(in, s, first, last, bpack, col0);
     return;
   }
 #endif
-  detail::im2col_pack_ref(in, c_stride, channels, ih, iw, kh, kw, oh, ow, bpack, col0,
-                          n_total);
+  detail::im2col_pack_ref(in, s, first, last, bpack, col0);
 }
 
-void detail::im2col_pack_ref(const float* in, std::size_t c_stride, std::size_t channels,
-                             std::size_t ih, std::size_t iw, std::size_t kh,
-                             std::size_t kw, std::size_t oh, std::size_t ow, float* bpack,
-                             std::size_t col0, std::size_t n_total) {
+void detail::im2col_pack_ref(const float* in, const ConvShape& s, std::size_t first,
+                             std::size_t last, float* bpack, std::size_t col0) {
   // Depth index k = (c*kh + ky)*kw + kx is the (c, m, n) order in which
   // Conv2D::forward accumulates, so a packed GEMM against pack_a(weights)
   // computes the same dot products as the seed path.
-  (void)ih;
-  (void)n_total;
-  const std::size_t depth_stride = kPanelCols;  // one k step inside a panel
+  const std::size_t total_k = s.k();
   std::size_t k = 0;
-  for (std::size_t c = 0; c < channels; ++c) {
-    const float* xc = in + c * c_stride;
-    for (std::size_t ky = 0; ky < kh; ++ky) {
-      for (std::size_t kx = 0; kx < kw; ++kx, ++k) {
-        // Walk the oh*ow output pixels for this fixed depth index; source
-        // elements along x are contiguous, destination advances one packed
-        // lane at a time (wrapping to the next panel every 16 columns).
-        for (std::size_t y = 0; y < oh; ++y) {
-          const float* src = xc + (y + ky) * iw + kx;
-          std::size_t g = col0 + y * ow;  // global packed column
-          std::size_t q = g / kPanelCols;
+  for (std::size_t c = 0; c < s.channels; ++c) {
+    const float* xc = in + c * s.c_stride;
+    for (std::size_t ky = 0; ky < s.kh; ++ky) {
+      for (std::size_t kx = 0; kx < s.kw; ++kx, ++k) {
+        // Walk the columns for this fixed depth index, one output row's run
+        // at a time; source elements along x are contiguous, destination
+        // advances one packed lane at a time (wrapping to the next panel
+        // every 16 columns).
+        std::size_t g = col0;  // packed column of image column i
+        for (std::size_t i = first; i < last;) {
+          const std::size_t y = i / s.ow, x0 = i % s.ow;
+          const std::size_t run = std::min(s.ow - x0, last - i);
+          const float* src = xc + (y + ky) * s.iw + kx + x0;
           std::size_t j = g % kPanelCols;
-          const std::size_t total_k = channels * kh * kw;
-          float* panel = bpack + q * total_k * kPanelCols + k * depth_stride;
-          for (std::size_t x = 0; x < ow; ++x) {
+          float* panel = bpack + (g / kPanelCols) * total_k * kPanelCols + k * kPanelCols;
+          for (std::size_t x = 0; x < run; ++x) {
             panel[j] = src[x];
             if (++j == kPanelCols) {
               j = 0;
               panel += total_k * kPanelCols;
             }
           }
+          i += run;
+          g += run;
         }
       }
     }
   }
+}
+
+std::size_t conv_block_size(std::size_t k) { return packed_b_size(kConvBlockCols, k); }
+
+void conv_step(Kind kind, const PackedA& a, const float* bias, int act, const float* in,
+               std::size_t image_stride, std::size_t count, const ConvShape& s,
+               float* block, float* c) {
+  const std::size_t n = count * s.cols();
+  detail::for_each_conv_block(
+      s.cols(), count,
+      [&](std::size_t b, std::size_t first, std::size_t last, std::size_t col) {
+        im2col_pack(in + b * image_stride, s, first, last, block, col);
+      },
+      [&](std::size_t col0, std::size_t width) {
+        zero_pack_tail(block, width, a.cols);
+        if (kind == Kind::kAvx2) {
+          gemm(a, block, width, bias, act, c + col0, n);
+        } else {
+          gemm_scalar(a, block, width, bias, act, c + col0, n);
+        }
+      });
 }
 
 void gemm_scalar(const PackedA& a, const float* bpack, std::size_t n, const float* bias,
@@ -294,12 +324,17 @@ void gemm(const PackedA&, const float*, std::size_t, const float*, int, float*, 
 void linear(const PackedA&, const float*, std::size_t, const float*, int, float*) {
   no_avx2();
 }
-void pool_plane(bool, const float*, std::size_t, std::size_t, std::size_t, std::size_t,
-                std::size_t, std::size_t, std::size_t, float*, float*) {
-  no_avx2();
-}
+void pool_layer(bool, const float*, const PoolShape&, float*) { no_avx2(); }
 void activation_apply(ActKind, const float*, float*, std::size_t) { no_avx2(); }
 void logsoftmax(const float*, float*, std::size_t) { no_avx2(); }
 #endif  // !CNN2FPGA_HAVE_AVX2
+
+#ifndef CNN2FPGA_HAVE_AVX512
+// Declines every geometry, so im2col_pack runs the AVX2 packer.
+bool detail::im2col_pack_avx512(const float*, const ConvShape&, std::size_t, std::size_t,
+                                float*, std::size_t) {
+  return false;
+}
+#endif
 
 }  // namespace cnn2fpga::nn::kernels

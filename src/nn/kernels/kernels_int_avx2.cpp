@@ -22,6 +22,9 @@
 // int32 arithmetic on exact products, so these kernels are bit-identical to
 // the _ref kernels in kernels_int.cpp.
 //
+// The file also holds quantize_input_s8/_s16's eight-lane pass
+// (quantize_*_avx2), which rounds exactly as fixed_quantize does.
+//
 // gemm_s8 / gemm_s16 run these only where the CPU has no VNNI
 // (kernels_int_vnni.cpp: 12 vpdpbusd per 384 int8 MACs on 256-bit registers,
 // 1 op per 32 against the 10 per 128 here), or under the ScopedIntMicrokernel
@@ -32,7 +35,11 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
+#include <cstring>
+
 #include "nn/kernels/kernels_int_simd.hpp"
+#include "nn/kernels/simd_math.hpp"
 
 namespace cnn2fpga::nn::kernels::detail {
 
@@ -152,6 +159,59 @@ void gemm_s16_avx2(const PackedWeightsS16& a, const std::int16_t* bpack, std::si
       }
     }
   }
+}
+
+namespace {
+
+/// fixed_quantize on eight floats: scale; NaN and !(x < max_raw) go to
+/// max_raw; max with min_raw sends x < min_raw there; vcvtps2dq rounds the
+/// rest under the default rounding mode, as lrintf does.
+inline __m256i quantize8(__m256 x, __m256 scale, __m256 max_raw, __m256 min_raw) {
+  const __m256 scaled = _mm256_mul_ps(x, scale);
+  const __m256 high =
+      _mm256_blendv_ps(scaled, max_raw, _mm256_cmp_ps(scaled, max_raw, _CMP_NLT_UQ));
+  return _mm256_cvtps_epi32(_mm256_max_ps(high, min_raw));
+}
+
+/// quantize_s8_avx2 / _s16_avx2: eight floats at a time, the last ones
+/// through a masked load. The values already lie in [min_raw, max_raw], so
+/// the saturating packs only narrow them.
+template <typename R>
+void quantize_avx2(const float* in, std::size_t n, const FixedPointFormat& format, R* out) {
+  const __m256 scale = _mm256_set1_ps(static_cast<float>(format.scale()));
+  const __m256 max_raw = _mm256_set1_ps(static_cast<float>(format.max_raw()));
+  const __m256 min_raw = _mm256_set1_ps(static_cast<float>(format.min_raw()));
+  for (std::size_t i = 0; i < n; i += 8) {
+    const std::size_t live = std::min<std::size_t>(8, n - i);
+    const __m256 x = live == 8 ? _mm256_loadu_ps(in + i)
+                               : _mm256_maskload_ps(in + i, tail_mask(live));
+    const __m256i q = quantize8(x, scale, max_raw, min_raw);
+    __m128i words = _mm_packs_epi32(_mm256_castsi256_si128(q), _mm256_extracti128_si256(q, 1));
+    if constexpr (sizeof(R) == 1) words = _mm_packs_epi16(words, words);
+    if (live == 8) {
+      if constexpr (sizeof(R) == 1) {
+        _mm_storel_epi64(reinterpret_cast<__m128i*>(out + i), words);
+      } else {
+        _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i), words);
+      }
+      continue;
+    }
+    alignas(16) R tmp[16 / sizeof(R)];
+    _mm_store_si128(reinterpret_cast<__m128i*>(tmp), words);
+    std::memcpy(out + i, tmp, live * sizeof(R));
+  }
+}
+
+}  // namespace
+
+void quantize_s8_avx2(const float* in, std::size_t n, const FixedPointFormat& format,
+                      std::int8_t* out) {
+  quantize_avx2(in, n, format, out);
+}
+
+void quantize_s16_avx2(const float* in, std::size_t n, const FixedPointFormat& format,
+                       std::int16_t* out) {
+  quantize_avx2(in, n, format, out);
 }
 
 }  // namespace cnn2fpga::nn::kernels::detail
